@@ -11,13 +11,13 @@ import json
 import os
 import sys
 
-from .coupling import (DcdcParams, InfeasibleRatioError, bs_coupler,
-                       coupler_to_ellipticity, dcdc_coupler, dcdc_time_for_ratio)
+from .coupling import (DcdcParams, bs_coupler, coupler_to_ellipticity, dcdc_coupler,
+                       dcdc_time_for_ratio)
 from .gridio import AxisSpec, GridSpec, write_csv, write_pgm
 from .oracle import QuadratureSpec
 from .state import DeevParams, intensity_field
 from .verify import canonical_slice_grid, run_verify
-from .wigner import SlicePlane, sit_field, wigner_slice
+from .wigner import FORMS, SIT_FORMS, STANDARD, SlicePlane, sit_field, wigner_slice
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -26,31 +26,69 @@ class ConfigError(ValueError):
     pass
 
 
-def _require_keys(block, allowed, required, where):
+_PLANES = tuple(p.name.lower() for p in SlicePlane) + ("all",)
+_AXIS = {"label": (str, True), "min": (float, True), "max": (float, True), "count": (int, True)}
+_COUPLERS = {
+    "bs": {"theta": (float, True), "phi": (float, False)},
+    "dcdc": {"g": (float, True), "delta": (float, True), "t": (float, False), "ratio": (float, False)},
+}
+
+# {block: {key: (type, required)}}. A type is float, int, str, dict (a nested
+# block with its own row), list (one integer or a list of them) or a tuple of
+# allowed values. Numbers are converted to the named type.
+_SCHEMA = {
+    "config": {**dict.fromkeys(("state", "coupler", "grid", "quadrature", "sit", "wigner"),
+                               (dict, False)),
+               "out_dir": (str, False), "seed": (int, False)},
+    "state": {"m": (int, True), "sigma_x": (float, True), "sigma_y": (float, True),
+              "sign": (int, False),
+              **dict.fromkeys(("x0", "y0", "px0", "py0", "eta_x", "eta_y"), (float, False))},
+    "grid": {"axis1": (dict, True), "axis2": (dict, True)},
+    "grid.axis1": _AXIS,
+    "grid.axis2": _AXIS,
+    "quadrature": {"abs_tol": (float, False), "rel_tol": (float, False),
+                   "max_subdivisions": (int, False), "truncation_radius": (float, False)},
+    "sit": {"m": (list, False), "form": (SIT_FORMS, False), "clamp": (float, False)},
+    "wigner": {"plane": (_PLANES, False), "form": (tuple(FORMS), False)},
+    "coupler": {"kind": (tuple(_COUPLERS), True),
+                **{k: (t, False) for row in _COUPLERS.values() for k, (t, _) in row.items()}},
+}
+
+
+def _value(v, kind, where):
+    if kind is dict:
+        return _check(v, where.removeprefix("config."))
+    if kind is list:
+        return [_value(x, int, where) for x in (v if isinstance(v, list) else [v])]
+    if isinstance(kind, tuple):
+        ok, want = v in kind, f"one of {list(kind)}"
+    elif kind is str:
+        ok, want = isinstance(v, str), "a string"
+    else:
+        ok = (isinstance(v, (int, float)) and not isinstance(v, bool)
+              and (kind is float or isinstance(v, int) or v.is_integer()))
+        want = "an integer" if kind is int else "a number"
+    if not ok:
+        raise ConfigError(f"{where}: expected {want}, got {v!r}")
+    return kind(v) if kind in (int, float) else v
+
+
+def _check(block, where, row=None):
+    """Validate ``block`` against its table row and return it with converted values."""
+    row = _SCHEMA[where] if row is None else row
     if not isinstance(block, dict):
         raise ConfigError(f"{where}: expected an object, got {type(block).__name__}")
-    unknown = set(block) - set(allowed)
+    unknown = sorted(set(block) - set(row))
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
-    missing = set(required) - set(block)
+        raise ConfigError(f"{where}.{unknown[0]}: unknown key; allowed: {sorted(row)}")
+    missing = [key for key, (_, required) in row.items() if required and key not in block]
     if missing:
-        raise ConfigError(f"{where}: missing required key(s) {sorted(missing)}")
-
-
-def _number(block, key, where, cls=float):
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
-    if cls is int and not float(v).is_integer():
-        raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
-    return cls(v)
-
-
-_TOP_KEYS = ("state", "coupler", "grid", "quadrature", "sit", "wigner", "out_dir", "seed")
-_STATE_KEYS = ("m", "sigma_x", "sigma_y", "sign", "x0", "y0", "px0", "py0", "eta_x", "eta_y")
+        raise ConfigError(f"{where}: missing required key(s) {missing}")
+    return {key: _value(v, row[key][0], f"{where}.{key}") for key, v in block.items()}
 
 
 def load_config(path):
+    """Read a JSON config and check every block against the table."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -58,74 +96,55 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-    _require_keys(raw, _TOP_KEYS, (), "config")
-    return raw
+    return _check(raw, "config")
 
 
 def _state_params(cfg):
     if "state" not in cfg:
         raise ConfigError("config: missing 'state' block")
-    st = cfg["state"]
-    _require_keys(st, _STATE_KEYS, ("m", "sigma_x", "sigma_y"), "state")
-    m = _number(st, "m", "state", int)
-    sx = _number(st, "sigma_x", "state")
-    sy = _number(st, "sigma_y", "state")
-    if not (sx > 0 and sy > 0):
-        raise ConfigError("state: sigma_x and sigma_y must be positive")
-    kwargs = {}
-    for key in ("x0", "y0", "px0", "py0"):
-        if key in st:
-            kwargs[key] = _number(st, key, "state")
-    if "sign" in st:
-        kwargs["sign"] = _number(st, "sign", "state", int)
+    kwargs = dict(cfg["state"])
+    m, sx, sy = kwargs.pop("m"), kwargs.pop("sigma_x"), kwargs.pop("sigma_y")
+    if ("eta_x" in kwargs) != ("eta_y" in kwargs):
+        raise ConfigError("state: give both eta_x and eta_y or neither")
     try:
-        if ("eta_x" in st) != ("eta_y" in st):
-            raise ConfigError("state: give both eta_x and eta_y or neither")
-        if "eta_x" in st:
-            return DeevParams.from_sigmas(m, sx, sy, eta_x=_number(st, "eta_x", "state"),
-                                          eta_y=_number(st, "eta_y", "state"), **kwargs)
+        if "eta_x" in kwargs:
+            return DeevParams.from_sigmas(m, sx, sy, **kwargs)
         return DeevParams.tied(m, sx, sy, **kwargs)
     except ValueError as err:
         raise ConfigError(f"state: {err}") from err
 
 
-def _axis(block, where):
-    _require_keys(block, ("label", "min", "max", "count"), ("label", "min", "max", "count"), where)
+def _normalized(params):
+    """Map an unrepresentable normalization constant to a config error."""
     try:
-        return AxisSpec(label=block["label"], lo=_number(block, "min", where),
-                        hi=_number(block, "max", where), count=_number(block, "count", where, int))
+        params.norm_constant
     except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
+        raise ConfigError(f"state: {err}") from err
+    return params
 
 
 def _grid(cfg):
     if "grid" not in cfg:
         return None
-    g = cfg["grid"]
-    _require_keys(g, ("axis1", "axis2"), ("axis1", "axis2"), "grid")
-    return GridSpec(axis1=_axis(g["axis1"], "grid.axis1"), axis2=_axis(g["axis2"], "grid.axis2"))
+    axes = []
+    for name in ("axis1", "axis2"):
+        a = cfg["grid"][name]
+        try:
+            axes.append(AxisSpec(label=a["label"], lo=a["min"], hi=a["max"], count=a["count"]))
+        except ValueError as err:
+            raise ConfigError(f"grid.{name}: {err}") from err
+    return GridSpec(*axes)
 
 
 def _quadrature(cfg):
-    if "quadrature" not in cfg:
-        return QuadratureSpec()
-    qb = cfg["quadrature"]
-    _require_keys(qb, ("abs_tol", "rel_tol", "max_subdivisions", "truncation_radius"), (), "quadrature")
-    kwargs = {}
-    for key, cls in (("abs_tol", float), ("rel_tol", float),
-                     ("max_subdivisions", int), ("truncation_radius", float)):
-        if key in qb:
-            kwargs[key] = _number(qb, key, "quadrature", cls)
     try:
-        return QuadratureSpec(**kwargs)
+        return QuadratureSpec(**cfg.get("quadrature", {}))
     except ValueError as err:
         raise ConfigError(f"quadrature: {err}") from err
 
 
 def _out_dir(cfg, args):
     out = args.out or cfg.get("out_dir", ".")
-    if not isinstance(out, str):
-        raise ConfigError(f"out_dir: expected a string, got {out!r}")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -152,7 +171,7 @@ def _clamp_value(args):
 
 def cmd_field(args):
     cfg = load_config(args.config)
-    params = _state_params(cfg)
+    params = _normalized(_state_params(cfg))
     grid = _grid(cfg)
     if grid is None:
         grid = GridSpec(
@@ -171,22 +190,11 @@ def cmd_wigner(args):
     cfg = load_config(args.config)
     params = _state_params(cfg)
     wb = cfg.get("wigner", {})
-    _require_keys(wb, ("plane", "form"), (), "wigner")
-    form = wb.get("form", "standard")
-    if form not in ("standard", "candidate"):
-        raise ConfigError(f"wigner.form: expected 'standard' or 'candidate', got {form!r}")
-    if args.form:
-        form = args.form
+    form = args.form or wb.get("form", STANDARD)
     plane_name = args.plane or wb.get("plane", "all")
+    planes = list(SlicePlane) if plane_name == "all" else [SlicePlane.from_name(plane_name)]
     out = _out_dir(cfg, args)
     clamp = _clamp_value(args)
-    if plane_name == "all":
-        planes = list(SlicePlane)
-    else:
-        try:
-            planes = [SlicePlane.from_name(plane_name)]
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
     grid_override = _grid(cfg)
     for plane in planes:
         if grid_override is not None and (grid_override.axis1.label, grid_override.axis2.label) == plane.axis_labels:
@@ -205,34 +213,26 @@ def cmd_wigner(args):
 def cmd_sit(args):
     cfg = load_config(args.config)
     sb = cfg.get("sit", {})
-    _require_keys(sb, ("m", "form", "clamp"), (), "sit")
-    if args.m is not None:
-        orders = [args.m]
-    elif "m" in sb:
-        raw = sb["m"]
-        orders = [raw] if not isinstance(raw, list) else list(raw)
-        orders = [_number({"m": v}, "m", "sit", int) for v in orders]
-    else:
+    orders = [args.m] if args.m is not None else sb.get("m")
+    if orders is None:
         raise ConfigError("sit: no vortex order given (sit.m in config or --m)")
     form = sb.get("form", "sum")
-    if form not in ("sum", "difference"):
-        raise ConfigError(f"sit.form: expected 'sum' or 'difference', got {form!r}")
     if "state" in cfg:
         params = _state_params(cfg)
         sx, sy = params.sigma_x, params.sigma_y
     else:
         sx = sy = 1.0
     cap = sb.get("clamp", 1e12)
-    if not isinstance(cap, (int, float)) or isinstance(cap, bool) or not cap > 0:
+    if not cap > 0:
         raise ConfigError(f"sit.clamp: expected a positive number, got {cap!r}")
     grid = _grid(cfg) or GridSpec(axis1=AxisSpec("r", -5.0, 5.0, 201), axis2=AxisSpec("s", -5.0, 5.0, 201))
     out = _out_dir(cfg, args)
     clamp = _clamp_value(args)
     if clamp == "auto":
-        clamp = float(cap)
+        clamp = cap
     for m in orders:
         try:
-            field = sit_field(m, sx, sy, grid, form=form, clamp_cap=float(cap), threads=args.threads)
+            field = sit_field(m, sx, sy, grid, form=form, clamp_cap=cap, threads=args.threads)
         except ValueError as err:
             raise ConfigError(str(err)) from err
         for p in _write_pair(field, out, f"sit_m{m}_{form}", clamp):
@@ -242,11 +242,9 @@ def cmd_sit(args):
 
 def cmd_verify(args):
     cfg = load_config(args.config)
-    params = _state_params(cfg)
+    params = _normalized(_state_params(cfg))
     q = _quadrature(cfg)
     seed = cfg.get("seed", 2024)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed: expected an integer, got {seed!r}")
     out = _out_dir(cfg, args)
     outcome = run_verify(params, q=q, out_dir=out, threads=args.threads, seed=seed)
     for line in outcome.summary_lines():
@@ -270,36 +268,29 @@ def cmd_coupler(args):
     if "coupler" not in cfg:
         raise ConfigError("config: missing 'coupler' block")
     cb = cfg["coupler"]
-    _require_keys(cb, ("kind", "theta", "phi", "g", "delta", "t", "ratio"), ("kind",), "coupler")
-    kind = cb["kind"]
+    _check(cb, "coupler", {"kind": _SCHEMA["coupler"]["kind"], **_COUPLERS[cb["kind"]]})
+    if cb["kind"] == "dcdc" and not ("t" in cb or "ratio" in cb):
+        raise ConfigError("coupler: dcdc needs either 't' or 'ratio'")
     try:
-        if kind == "bs":
-            _require_keys(cb, ("kind", "theta", "phi"), ("kind", "theta"), "coupler")
-            c = bs_coupler(_number(cb, "theta", "coupler"),
-                           _number(cb, "phi", "coupler") if "phi" in cb else 0.0)
-            _print_coupler(c)
-        elif kind == "dcdc":
-            _require_keys(cb, ("kind", "g", "delta", "t", "ratio"), ("kind", "g", "delta"), "coupler")
-            g = _number(cb, "g", "coupler")
-            delta = _number(cb, "delta", "coupler")
-            if "ratio" in cb:
-                ratio = _number(cb, "ratio", "coupler")
-                t = dcdc_time_for_ratio(ratio, g, delta)
-                print(f"t = {t:.15g}")
-            elif "t" in cb:
-                t = _number(cb, "t", "coupler")
-            else:
-                raise ConfigError("coupler: dcdc needs either 't' or 'ratio'")
-            _print_coupler(dcdc_coupler(DcdcParams(g=g, delta=delta, t=t)))
+        if cb["kind"] == "bs":
+            c = bs_coupler(cb["theta"], cb.get("phi", 0.0))
         else:
-            raise ConfigError(f"coupler.kind: expected 'bs' or 'dcdc', got {kind!r}")
-    except InfeasibleRatioError as err:
-        raise ConfigError(f"coupler: {err}") from err
+            t = cb.get("t")
+            if "ratio" in cb:
+                t = dcdc_time_for_ratio(cb["ratio"], cb["g"], cb["delta"])
+                print(f"t = {t:.15g}")
+            c = dcdc_coupler(DcdcParams(g=cb["g"], delta=cb["delta"], t=t))
     except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
         raise ConfigError(f"coupler: {err}") from err
+    _print_coupler(c)
     return 0
+
+
+def _threads(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def build_parser():
@@ -312,19 +303,18 @@ def build_parser():
     def common(p, plane=False, m=False, form=False):
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=_threads, default=None,
                        help="row-parallel sampling threads (default: available parallelism)")
         p.add_argument("--clamp", default=None,
                        help="graymap clamp half-range, a number or 'auto' (default auto)")
         if plane:
-            p.add_argument("--plane", default=None,
-                           choices=[s.name.lower() for s in SlicePlane] + ["all"],
+            p.add_argument("--plane", default=None, choices=_PLANES,
                            help="which 2D reduction to sample (default: all)")
         if m:
             p.add_argument("--m", type=int, default=None, help="vortex order (overrides config)")
         if form:
-            p.add_argument("--form", default=None, choices=["standard", "candidate"],
-                           help="closed form to sample (default from config, else standard)")
+            p.add_argument("--form", default=None, choices=list(FORMS),
+                           help=f"closed form to sample (default from config, else {STANDARD})")
 
     common(sub.add_parser("field", help="sample |psi|^2 and write CSV + PGM"))
     common(sub.add_parser("wigner", help="sample 2D Wigner reductions"), plane=True, form=True)

@@ -10,8 +10,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 __all__ = [
     "ModeCoupler",
     "DcdcParams",
@@ -59,9 +57,6 @@ class ModeCoupler:
         directional couplers; nonzero otherwise.
         """
         return abs(self.a1.conjugate() * self.a2 + self.a1 * self.a2.conjugate())
-
-    def ellipticity(self):
-        return coupler_to_ellipticity(self)
 
 
 @dataclass(frozen=True)
@@ -114,7 +109,8 @@ def dcdc_time_for_ratio(ratio, g, delta):
 
     The ratio decreases monotonically from +inf at t -> 0 to delta/g at
     Omega*t = pi/2, so the first branch carries a unique solution whenever
-    ratio >= delta/g; smaller ratios are unreachable at any time.
+    ratio >= delta/g; smaller ratios are unreachable at any time. Squaring
+    |a1| = ratio |a2| gives tan(Omega t) = Omega / sqrt(ratio^2 g^2 - delta^2).
     """
     if not ratio > 0:
         raise ValueError(f"ratio must be > 0, got {ratio!r}")
@@ -124,15 +120,6 @@ def dcdc_time_for_ratio(ratio, g, delta):
     if ratio < infimum:
         raise InfeasibleRatioError(ratio, infimum)
     omega = math.hypot(delta, g)
-
-    def residual(theta):
-        p = DcdcParams(g=g, delta=delta, t=theta / omega)
-        c = dcdc_coupler(p)
-        return abs(c.a1) - ratio * abs(c.a2)
-
-    lo, hi = 1e-14, math.pi / 2
-    if residual(hi) > 0:
-        # ratio == infimum up to rounding; the branch endpoint is the answer
-        return hi / omega
-    theta = brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return theta / omega
+    # the clamp absorbs rounding at ratio == infimum, where Omega t = pi/2
+    rg = ratio * g
+    return math.atan2(omega, math.sqrt(max((rg - delta) * (rg + delta), 0.0))) / omega

@@ -257,28 +257,20 @@ class CalibrationResult:
         return (max(self.ratios) - min(self.ratios)) / max(abs(r) for r in self.ratios)
 
 
-def calibrate_constant_detailed(params, q=QuadratureSpec(), shape=None, n_probes=5):
+def calibrate_constant_detailed(params, q=QuadratureSpec(), *, shape, n_probes=5):
     """Fit the overall constant of a closed-form shape against the oracle.
 
-    ``shape`` maps (params, x, y, px, py) to the constant-free closed form;
-    by default the validated form. Probes are deterministic scaled offsets
+    ``shape`` maps (params, x, y, px, py) to the constant-free closed form
+    (``wigner.FORMS[name].shape``). Probes are deterministic scaled offsets
     from the displaced center, skipping points where either value is below
     1e-8 in magnitude. Raises :class:`ShapeMismatchError` when the ratios
     vary by more than 1e-6 relative.
     """
-    if shape is None:
-        from .wigner import wigner4d
-
-        def shape(p, x, y, px, py):
-            return wigner4d(p, x, y, px, py, constant=1.0)
-
-    sx, sy = params.sigma_x, params.sigma_y
     probes, shapes, oracles, ratios = [], [], [], []
-    for a, b, p, qq in _PROBE_OFFSETS:
+    for offsets in _PROBE_OFFSETS:
         if len(probes) == n_probes:
             break
-        pt = (params.x0 + a * sx, params.y0 + b * sy,
-              params.px0 + p / sx, params.py0 + qq / sy)
+        pt = params.phase_point(*offsets)
         sv = float(shape(params, *pt))
         if abs(sv) < 1e-8:
             continue
@@ -303,6 +295,6 @@ def calibrate_constant_detailed(params, q=QuadratureSpec(), shape=None, n_probes
     )
 
 
-def calibrate_constant(params, q=QuadratureSpec(), shape=None):
+def calibrate_constant(params, q=QuadratureSpec(), *, shape):
     """Calibrated overall constant (see :func:`calibrate_constant_detailed`)."""
     return calibrate_constant_detailed(params, q=q, shape=shape).constant

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gridio import sample_field
+from .gridio import _fmt, sample_field
 
 __all__ = ["DeevParams", "VortexDecomposition", "psi", "intensity_field", "circular_decomposition"]
 
@@ -92,6 +92,11 @@ class DeevParams:
         hx, hy = self.eta_x * self.sigma_x, self.eta_y * self.sigma_y
         return abs(hx - hy) <= 1e-12 * max(abs(hx), abs(hy))
 
+    def phase_point(self, a, b, p, q):
+        """Phase-space point at scaled offsets (a, b, p, q) from the displaced center."""
+        return (self.x0 + a * self.sigma_x, self.y0 + b * self.sigma_y,
+                self.px0 + p / self.sigma_x, self.py0 + q / self.sigma_y)
+
     def swapped(self):
         """Parameters with the two modes exchanged (x <-> y throughout)."""
         return replace(self, eta_x=self.eta_y, eta_y=self.eta_x,
@@ -104,7 +109,8 @@ class DeevParams:
 
         The squared-modulus integral reduces, after scaling x = sigma_x a,
         y = sigma_y b, to a degree-2m polynomial against exp(-a^2 - b^2),
-        which an (m + 2)-node Gauss-Hermite rule integrates exactly.
+        which an (m + 2)-node Gauss-Hermite rule integrates exactly. Raises
+        ValueError when the integral or N leaves the double range (large m).
         """
         n = self.m + 2
         nodes, weights = np.polynomial.hermite.hermgauss(n)
@@ -112,8 +118,13 @@ class DeevParams:
         wa, wb = np.meshgrid(weights, weights, indexing="ij")
         hx = self.eta_x * self.sigma_x
         hy = self.eta_y * self.sigma_y
-        poly = ((hx * a) ** 2 + (hy * b) ** 2) ** self.m
-        integral = self.sigma_x * self.sigma_y * float(np.sum(wa * wb * poly))
+        with np.errstate(over="ignore", invalid="ignore"):
+            poly = ((hx * a) ** 2 + (hy * b) ** 2) ** self.m
+            integral = self.sigma_x * self.sigma_y * float(np.sum(wa * wb * poly))
+        if not (math.isfinite(integral) and integral > 0):
+            raise ValueError(f"normalization of m={self.m}, sigma_x={self.sigma_x:g}, "
+                             f"sigma_y={self.sigma_y:g} is not representable "
+                             f"(|psi|^2 integral = {integral!r})")
         return 1.0 / math.sqrt(integral)
 
 
@@ -175,8 +186,6 @@ def circular_decomposition(params):
 
 
 def _param_metadata(params):
-    from .gridio import _fmt
-
     return {
         "m": str(params.m),
         "sign": f"{params.sign:+d}",

@@ -19,12 +19,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gridio import (AxisSpec, DiscrepancyReport, GridSpec, Verdict, write_report)
+from .gridio import AxisSpec, DiscrepancyReport, GridSpec, Verdict, _atomic_write, write_report
 from .oracle import (QuadratureSpec, ShapeMismatchError, calibrate_constant_detailed,
                      oracle_marginal_xy, oracle_norm, oracle_wigner)
 from .state import psi
-from .wigner import (SlicePlane, candidate_constant, count_strict_minima, standard_constant,
-                     wigner4d, wigner4d_candidate, wigner_slice)
+from .wigner import (CANDIDATE, FORMS, STANDARD, SlicePlane, count_strict_minima, wigner4d,
+                     wigner_slice)
 
 __all__ = ["SuiteResult", "VerifyOutcome", "run_verify", "adjudicate", "canonical_slice_grid"]
 
@@ -82,12 +82,7 @@ def canonical_slice_grid(params, plane, count=301):
     return GridSpec(axis1=axes[0], axis2=axes[1])
 
 
-def _scaled_point(params, a, b, p, q):
-    return (params.x0 + a * params.sigma_x, params.y0 + b * params.sigma_y,
-            params.px0 + p / params.sigma_x, params.py0 + q / params.sigma_y)
-
-
-def adjudicate(params, q=QuadratureSpec(), form="standard"):
+def adjudicate(params, q=QuadratureSpec(), form=STANDARD):
     """Calibrate one closed form against the oracle and build its report.
 
     The verdict is ``match`` when the ratios are constant and the nominal
@@ -96,18 +91,10 @@ def adjudicate(params, q=QuadratureSpec(), form="standard"):
     ``shape-mismatch`` when no constant calibration exists. Stability under
     tolerance halving is checked by re-running at half tolerances.
     """
-    if form == "standard":
-        nominal = standard_constant(params.m)
-
-        def shape(p, x, y, px, py):
-            return wigner4d(p, x, y, px, py, constant=1.0)
-    elif form == "candidate":
-        nominal = candidate_constant(params.m, params.sigma_x, params.sigma_y)
-
-        def shape(p, x, y, px, py):
-            return wigner4d_candidate(p, x, y, px, py, constant=1.0)
-    else:
+    if form not in FORMS:
         raise ValueError(f"unknown form {form!r}")
+    nominal = FORMS[form].nominal(params)
+    shape = FORMS[form].shape
 
     def attempt(spec):
         try:
@@ -178,7 +165,7 @@ def _equivalence_suite(params, q, n_points, rng):
     used = 0
     while used < n_points:
         a, b, p, qq = rng.uniform(-1.8, 1.8, 4)
-        pt = _scaled_point(params, a, b, p, qq)
+        pt = params.phase_point(a, b, p, qq)
         w_cf = wigner4d(params, *pt)
         if abs(w_cf) < 1e-6:
             continue
@@ -207,7 +194,7 @@ def _symmetry_suite(params):
     dev_disp = 0.0
     for _ in range(50):
         a, b, p, qq = rng.uniform(-2.0, 2.0, 4)
-        pt = _scaled_point(params, a, b, p, qq)
+        pt = params.phase_point(a, b, p, qq)
         shifted = (pt[0] - params.x0, pt[1] - params.y0, pt[2] - params.px0, pt[3] - params.py0)
         dev_disp = max(dev_disp, abs(wigner4d(params, *pt) - wigner4d(centered, *shifted)))
     ok = dev_swap <= 1e-10 and dev_disp <= 1e-12
@@ -220,13 +207,12 @@ def _minima_suite(params, threads=None):
     counts = {}
     for plane in (SlicePlane.XPX, SlicePlane.YPX):
         grid = canonical_slice_grid(params, plane, count=301)
-        for form in ("standard", "candidate"):
+        for form in FORMS:
             f = wigner_slice(params, plane, grid, form=form, threads=threads)
             counts[(plane.name, form)] = count_strict_minima(f)
-    ok = all(counts[(pl, "standard")] == params.m for pl in ("XPX", "YPX"))
+    ok = all(counts[(pl, STANDARD)] == params.m for pl in ("XPX", "YPX"))
     detail = "; ".join(
-        f"{pl.lower()} {form}={counts[(pl, form)]}"
-        for pl in ("XPX", "YPX") for form in ("standard", "candidate"))
+        f"{pl.lower()} {form}={counts[(pl, form)]}" for pl in ("XPX", "YPX") for form in FORMS)
     return SuiteResult("minima-count", ok, f"claim expects {params.m}: {detail}")
 
 
@@ -234,8 +220,8 @@ def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024,
                n_equivalence=20, n_marginal=6):
     """Run all suites, write report files, and return the outcome."""
     rng = np.random.default_rng(seed)
-    std_report = adjudicate(params, q, form="standard")
-    cand_report = adjudicate(params, q, form="candidate")
+    reports = {form: adjudicate(params, q, form=form) for form in FORMS}
+    std_report, cand_report = reports[STANDARD], reports[CANDIDATE]
 
     suites = [
         _normalization_suite(params, q),
@@ -252,15 +238,12 @@ def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024,
         suites.append(_minima_suite(params, threads=threads))
 
     os.makedirs(out_dir, exist_ok=True)
-    paths = (os.path.join(out_dir, "discrepancy_standard.txt"),
-             os.path.join(out_dir, "discrepancy_candidate.txt"))
-    write_report(std_report, paths[0])
-    write_report(cand_report, paths[1])
+    paths = tuple(os.path.join(out_dir, f"discrepancy_{form}.txt") for form in FORMS)
+    for form, path in zip(FORMS, paths):
+        write_report(reports[form], path)
 
     outcome = VerifyOutcome(suites=tuple(suites), standard_report=std_report,
                             candidate_report=cand_report, report_paths=paths)
     summary_path = os.path.join(out_dir, "verify_summary.txt")
-    from .gridio import _atomic_write
-
     _atomic_write(summary_path, ("\n".join(outcome.summary_lines()) + "\n").encode("ascii"))
     return outcome

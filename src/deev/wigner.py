@@ -33,14 +33,16 @@ from enum import Enum
 
 import numpy as np
 
-from .gridio import Field2D, sample_field
+from .gridio import Field2D, _fmt, sample_field
 from .special import alp_coeffs, alp_eval, gamma_half_integer
 from .state import _param_metadata
 
 __all__ = [
     "ScaledCoords",
     "SlicePlane",
-    "WignerConstant",
+    "ClosedForm",
+    "FORMS",
+    "SIT_FORMS",
     "scaled_coords",
     "standard_constant",
     "candidate_constant",
@@ -94,14 +96,6 @@ def scaled_coords(params, x, y, px, py):
         px2=sy ** 3 * dpx / SQRT2,
         py2=sx ** 3 * dpy / SQRT2,
     )
-
-
-@dataclass(frozen=True)
-class WignerConstant:
-    """A named overall constant of a closed-form Wigner expression."""
-
-    kind: str    # "standard" | "candidate" | "calibrated"
-    value: float
 
 
 def standard_constant(m):
@@ -163,6 +157,28 @@ def wigner4d_candidate(params, x, y, px, py, constant=None):
     return out if np.ndim(out) else float(out)
 
 
+@dataclass(frozen=True)
+class ClosedForm:
+    """A closed-form Wigner expression and its nominal overall constant."""
+
+    evaluate: object    # (params, x, y, px, py, constant=None) -> W
+    nominal: object     # params -> overall constant
+
+    def shape(self, params, x, y, px, py):
+        """The constant-free form (overall constant 1), for calibration."""
+        return self.evaluate(params, x, y, px, py, constant=1.0)
+
+
+FORMS = {
+    "standard": ClosedForm(wigner4d, lambda p: standard_constant(p.m)),
+    "candidate": ClosedForm(wigner4d_candidate,
+                            lambda p: candidate_constant(p.m, p.sigma_x, p.sigma_y)),
+}
+STANDARD, CANDIDATE = FORMS
+
+SIT_FORMS = ("sum", "difference")
+
+
 class SlicePlane(Enum):
     """The six 2D reductions; the two off-plane variables pin to their
     displacement values."""
@@ -187,23 +203,22 @@ class SlicePlane(Enum):
                              f"{[p.name.lower() for p in cls]}") from None
 
 
-_FORMS = {"standard": wigner4d, "candidate": wigner4d_candidate}
-
-
-def wigner_slice(params, plane, grid, form="standard", threads=None, constant=None):
+def wigner_slice(params, plane, grid, form=STANDARD, threads=None, constant=None):
     """Sample a 2D reduction of the 4D Wigner function over a grid.
 
-    The grid axis labels must match the plane. ``form`` selects the closed
-    form ("standard" or "candidate").
+    The grid axis labels must match the plane. ``form`` names the closed
+    form in :data:`FORMS`; ``constant`` defaults to its nominal constant.
     """
-    if form not in _FORMS:
-        raise ValueError(f"form must be one of {sorted(_FORMS)}, got {form!r}")
+    if form not in FORMS:
+        raise ValueError(f"form must be one of {sorted(FORMS)}, got {form!r}")
     want = plane.axis_labels
     got = (grid.axis1.label, grid.axis2.label)
     if got != want:
         raise ValueError(f"grid labels {got} do not match plane {plane.name} (needs {want})")
     pinned = {"x": params.x0, "y": params.y0, "px": params.px0, "py": params.py0}
-    fn4d = _FORMS[form]
+    fn4d = FORMS[form].evaluate
+    if constant is None:
+        constant = FORMS[form].nominal(params)
 
     def fn(a1, a2):
         coords = dict(pinned)
@@ -215,12 +230,7 @@ def wigner_slice(params, plane, grid, form="standard", threads=None, constant=No
     meta["quantity"] = "wigner"
     meta["plane"] = plane.name.lower()
     meta["form"] = form
-    used = constant if constant is not None else (
-        standard_constant(params.m) if form == "standard"
-        else candidate_constant(params.m, params.sigma_x, params.sigma_y))
-    from .gridio import _fmt
-
-    meta["constant"] = _fmt(used)
+    meta["constant"] = _fmt(constant)
     return sample_field(fn, grid, threads=threads, metadata=meta)
 
 
@@ -236,8 +246,8 @@ def sit(m, sigma_x, sigma_y, r, s, form="sum"):
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"SIT needs m >= 1 (no interference terms exist below); got {m!r}")
-    if form not in ("sum", "difference"):
-        raise ValueError(f"form must be 'sum' or 'difference', got {form!r}")
+    if form not in SIT_FORMS:
+        raise ValueError(f"form must be one of {list(SIT_FORMS)}, got {form!r}")
     if not (sigma_x > 0 and sigma_y > 0):
         raise ValueError("beam widths must be positive")
     r = np.asarray(r, dtype=float)
@@ -274,8 +284,6 @@ def sit_field(m, sigma_x, sigma_y, grid, form="sum", clamp_cap=1e12, threads=Non
     got = (grid.axis1.label, grid.axis2.label)
     if got != ("r", "s"):
         raise ValueError(f"SIT grids use axes ('r', 's'), got {got}")
-    from .gridio import _fmt
-
     meta = {
         "quantity": "sit",
         "m": str(m),

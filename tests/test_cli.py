@@ -1,10 +1,14 @@
+import copy
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import deev
 from deev.cli import main
 from deev.gridio import read_csv, read_verdict
 
@@ -160,3 +164,78 @@ def test_determinism_across_runs_and_threads(tmp_path):
             pgm = fh.read()
         outs.append((csv, pgm))
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(deev.__file__))
+    code = "import sys, deev; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_rejected_at_parse(tmp_path, capsys, threads):
+    # argparse rejects the value before the command runs, so no worker starts
+    cfg = write_config(tmp_path, "c.json", {"state": small_state(1), "grid": small_grid(n=5)})
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as err:
+        main(["field", "--config", cfg, "--out", str(out), "--threads", threads])
+    assert err.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["field", "verify"])
+@pytest.mark.parametrize("m", [140, 200])
+def test_unrepresentable_normalization_exits_2(tmp_path, capsys, command, m):
+    cfg = write_config(tmp_path, "c.json", {"state": small_state(m), "grid": small_grid(n=5)})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"m={m}" in capsys.readouterr().err
+
+
+TABLE_BASE = {
+    "state": small_state(1),
+    "grid": small_grid(n=5),
+    "quadrature": {"abs_tol": 1e-12},
+    "sit": {"m": 1, "form": "sum"},
+    "wigner": {"plane": "xy", "form": "standard"},
+    "coupler": {"kind": "dcdc", "g": 1.0, "delta": 0.0, "t": 0.5},
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize("block, key, value, name", [
+    ((), "bogus", 1, "config.bogus"),
+    (("state",), "bogus", 1, "state.bogus"),
+    (("grid",), "bogus", 1, "grid.bogus"),
+    (("grid", "axis1"), "bogus", 1, "grid.axis1.bogus"),
+    (("grid", "axis2"), "bogus", 1, "grid.axis2.bogus"),
+    (("quadrature",), "bogus", 1, "quadrature.bogus"),
+    (("sit",), "bogus", 1, "sit.bogus"),
+    (("wigner",), "bogus", 1, "wigner.bogus"),
+    (("coupler",), "bogus", 1, "coupler.bogus"),
+    (("coupler",), "theta", 0.5, "coupler.theta"),          # a bs key on a dcdc coupler
+    (("state",), "sigma_x", True, "state.sigma_x"),
+    (("coupler",), "g", False, "coupler.g"),
+    ((), "seed", True, "config.seed"),
+    (("state",), "m", 2.5, "state.m"),
+    (("wigner",), "form", "striped", "wigner.form"),
+    (("sit",), "form", "product", "sit.form"),
+    (("coupler",), "kind", "prism", "coupler.kind"),
+])
+def test_config_table_rejects(tmp_path, capsys, block, key, value, name):
+    cfg = copy.deepcopy(TABLE_BASE)
+    target = cfg
+    for part in block:
+        target = target[part]
+    target[key] = value
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["coupler", "--config", path]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_config_table_base_is_valid(tmp_path, capsys):
+    path = write_config(tmp_path, "c.json", TABLE_BASE)
+    assert main(["coupler", "--config", path]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from deev.coupling import (DcdcParams, InfeasibleRatioError, ModeCoupler, bs_coupler,
                            coupler_to_ellipticity, dcdc_coupler, dcdc_time_for_ratio)
@@ -151,3 +152,32 @@ def test_phase_condition_scope():
     assert bs_coupler(0.7, 0.0).phase_condition_residual() < 1e-12
     assert bs_coupler(0.7, math.pi).phase_condition_residual() < 1e-12
     assert bs_coupler(0.7, 1.0).phase_condition_residual() > 0.1
+
+
+def brentq_time_for_ratio(ratio, g, delta):
+    """Root-finding reference for the closed form: |a1| - ratio |a2| = 0 on the first branch."""
+    omega = math.hypot(delta, g)
+
+    def residual(theta):
+        c = dcdc_coupler(DcdcParams(g=g, delta=delta, t=theta / omega))
+        return abs(c.a1) - ratio * abs(c.a2)
+
+    return brentq(residual, 1e-14, math.pi / 2, xtol=1e-15, rtol=8.9e-16) / omega
+
+
+@settings(max_examples=500, deadline=None)
+@given(g=st.floats(0.01, 100.0), skew=st.floats(-3.0, 3.0), frac=st.floats(0.0, 1.0))
+def test_time_for_ratio_closed_form_property(g, skew, frac):
+    delta = skew * g
+    infimum = abs(delta) / g
+    # below ratio 1e-3 the achieved ratio is |cos(Omega t)| alone when delta ~ 0,
+    # and its absolute rounding (~1e-17) is no longer 1e-11 relative
+    lo = max(infimum * (1.0 + 1e-12), 1e-3)
+    ratio = lo * (1e3 / lo) ** frac
+    t = dcdc_time_for_ratio(ratio, g, delta)
+    omega = math.hypot(delta, g)
+    assert 0.0 < t <= math.pi / (2.0 * omega)
+    c = dcdc_coupler(DcdcParams(g=g, delta=delta, t=t))
+    assert abs(c.a1) / abs(c.a2) == pytest.approx(ratio, rel=1e-11)
+    if ratio >= 1.01 * infimum:
+        assert t == pytest.approx(brentq_time_for_ratio(ratio, g, delta), rel=1e-12)

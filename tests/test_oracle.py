@@ -7,7 +7,7 @@ from deev.oracle import (OracleConvergenceError, QuadratureSpec, ShapeMismatchEr
                          calibrate_constant, calibrate_constant_detailed, oracle_marginal_xy,
                          oracle_norm, oracle_wigner, oracle_wigner_full)
 from deev.state import DeevParams, psi
-from deev.wigner import standard_constant, wigner4d, wigner4d_candidate
+from deev.wigner import FORMS, standard_constant, wigner4d, wigner4d_candidate
 
 Q = QuadratureSpec()
 
@@ -85,15 +85,15 @@ def test_norm_untied_state():
 def test_calibration_recovers_exact_constant():
     for m in (0, 1, 2, 3):
         p = DeevParams.tied(m, 1.0, 1.0)
-        cal = calibrate_constant_detailed(p, Q)
+        cal = calibrate_constant_detailed(p, Q, shape=FORMS["standard"].shape)
         assert cal.spread < 1e-6
         assert cal.constant == pytest.approx(standard_constant(m), rel=1e-9)
 
 
 def test_calibration_elliptic_stable():
     p = DeevParams.tied(3, 5.0, 3.0)
-    c1 = calibrate_constant(p, Q)
-    c2 = calibrate_constant(p, Q.halved())
+    c1 = calibrate_constant(p, Q, shape=FORMS["standard"].shape)
+    c2 = calibrate_constant(p, Q.halved(), shape=FORMS["standard"].shape)
     assert c1 == pytest.approx(c2, rel=1e-9)
     assert c1 == pytest.approx(standard_constant(3), rel=1e-9)
 

@@ -159,3 +159,13 @@ def test_normalization_wide_parameter_range():
     for m, sx, sy in [(5, 0.5, 0.5), (6, 8.0, 0.5), (6, 1.0, 4.0)]:
         p = DeevParams.tied(m, sx, sy, y0=1.0)
         assert oracle_norm(p, q) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("m", [140, 200])
+def test_norm_constant_out_of_range_raises(m):
+    # the |psi|^2 integral overflows: to inf at m = 140 (N would be 0.0), to nan at m = 200
+    p = DeevParams.tied(m, 5.0, 3.0)
+    with pytest.raises(ValueError, match=f"m={m}, sigma_x=5, sigma_y=3"):
+        p.norm_constant
+    with pytest.raises(ValueError):
+        psi(p, 1.0, 1.0)

@@ -327,16 +327,13 @@ def test_derived_example_point_matches_oracle():
 def test_constant_helpers_and_type():
     from scipy.special import gamma as scipy_gamma
 
-    from deev.wigner import WignerConstant
-
     for m, sx, sy in [(0, 1.0, 1.0), (3, 5.0, 3.0), (4, 2.0, 0.7)]:
         expect = (2.0 ** (m - 4) * math.factorial(m)
                   / (math.pi * math.sqrt(math.pi) * float(scipy_gamma(m + 0.5)))
                   * (-2.0 * (sx * sx + sy * sy)) ** m)
         assert candidate_constant(m, sx, sy) == pytest.approx(expect, rel=1e-13)
     assert standard_constant(0) == pytest.approx(1.0 / math.pi ** 2, rel=1e-15)
-    wc = WignerConstant(kind="calibrated", value=-1.0 / math.pi ** 2)
-    assert wc.value == standard_constant(1)
+    assert -1.0 / math.pi ** 2 == standard_constant(1)
 
 
 def test_wigner4d_normalizes_to_one():
