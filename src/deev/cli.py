@@ -14,7 +14,7 @@ import sys
 from .coupling import (DcdcParams, bs_coupler, coupler_to_ellipticity, dcdc_coupler,
                        dcdc_time_for_ratio)
 from .gridio import AxisSpec, GridSpec, write_csv, write_pgm
-from .oracle import QuadratureSpec
+from .oracle import OracleConvergenceError, QuadratureSpec
 from .state import DeevParams, intensity_field
 from .verify import canonical_slice_grid, run_verify
 from .wigner import FORMS, SIT_FORMS, STANDARD, SlicePlane, sit_field, wigner_slice
@@ -46,8 +46,7 @@ _SCHEMA = {
     "grid": {"axis1": (dict, True), "axis2": (dict, True)},
     "grid.axis1": _AXIS,
     "grid.axis2": _AXIS,
-    "quadrature": {"abs_tol": (float, False), "rel_tol": (float, False),
-                   "max_subdivisions": (int, False), "truncation_radius": (float, False)},
+    "quadrature": {"abs_tol": (float, False), "rel_tol": (float, False)},
     "sit": {"m": (list, False), "form": (SIT_FORMS, False), "clamp": (float, False)},
     "wigner": {"plane": (_PLANES, False), "form": (tuple(FORMS), False)},
     "coupler": {"kind": (tuple(_COUPLERS), True),
@@ -246,7 +245,10 @@ def cmd_verify(args):
     q = _quadrature(cfg)
     seed = cfg.get("seed", 2024)
     out = _out_dir(cfg, args)
-    outcome = run_verify(params, q=q, out_dir=out, threads=args.threads, seed=seed)
+    try:
+        outcome = run_verify(params, q=q, out_dir=out, threads=args.threads, seed=seed)
+    except OracleConvergenceError as err:
+        raise ConfigError(f"oracle: {err}") from err
     for line in outcome.summary_lines():
         print(line)
     for p in outcome.report_paths:

@@ -3,13 +3,18 @@
 This module never looks at the closed forms: it integrates ``psi`` directly,
 
     W(x, y, px, py) = (1/pi^2) integral psi*(x+u, y+v) psi(x-u, y-v)
-                      exp(2i (px u + py v)) du dv,
+                      exp(2i (px u + py v)) du dv.
 
-by nested adaptive Gauss-Legendre quadrature (outer u, inner v) over the
-truncated box [-R, R]^2, R = truncation_radius * max(sigma_x, sigma_y).
-The integrand is a Gaussian times a polynomial times a bounded oscillation,
-so panel bisection with a two-level error estimate converges quickly; the
-Gaussian tail beyond 6 sigma is below 1e-15 for every state in scope.
+Every integrand here is the exact Gaussian envelope
+exp(-u^2/sigma_x^2 - v^2/sigma_y^2) times an entire function (a polynomial
+of degree 2m times a plane wave or a sinc kernel), so a tensor
+Gauss-Hermite rule in u/sigma_x, v/sigma_y integrates it over the whole
+plane, with no truncation box. Each evaluation computes the n-node and the
+2n-node results and reports their difference as the error bound; n doubles
+until the bound meets max(abs_tol, rel_tol * |value|), or the per-axis node
+budget of 360 is spent. The starting n grows with m and with the momentum
+offset from the state's center (the plane wave's frequency in u/sigma_x,
+v/sigma_y).
 
 The transform of a pure state is real; the imaginary part of the computed
 integral is retained as a convergence diagnostic and must stay below
@@ -41,20 +46,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation for the numerical transform."""
+    """Tolerances of the Gauss-Hermite rule, on the value each oracle function returns."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
-    max_subdivisions: int = 400
-    truncation_radius: float = 8.0
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 4:
-            raise ValueError("max_subdivisions must be at least 4")
-        if self.truncation_radius < 6.0:
-            raise ValueError("truncation_radius must be >= 6 (Gaussian tail control)")
 
     def halved(self):
         return replace(self, abs_tol=self.abs_tol / 2.0, rel_tol=self.rel_tol / 2.0)
@@ -64,7 +63,7 @@ class OracleConvergenceError(RuntimeError):
     """Quadrature failed to converge; carries the best estimate and bound."""
 
     def __init__(self, message, best_estimate, error_bound):
-        super().__init__(f"{message} (best estimate {best_estimate!r}, error bound {error_bound:g})")
+        super().__init__(f"{message} (best estimate {best_estimate:.6g}, error bound {error_bound:g})")
         self.best_estimate = best_estimate
         self.error_bound = error_bound
 
@@ -82,56 +81,39 @@ class ShapeMismatchError(RuntimeError):
         self.probes = tuple(probes)
 
 
+# per-axis node budget: numpy's hermgauss returns nan weights above 371 nodes
+_MAX_NODES = 360
+
+
 @lru_cache(maxsize=None)
-def _gl(n):
-    return np.polynomial.legendre.leggauss(n)
+def _rule(n):
+    """n-node Gauss-Hermite nodes s and weights w e^{s^2} (the envelope removed)."""
+    s, w = np.polynomial.hermite.hermgauss(n)
+    with np.errstate(divide="ignore"):
+        w = np.exp(np.log(w) + s * s)       # finite where e^{s^2} alone overflows
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
 
 
-_GL_N = 15
+def _self_checked(integral, n, q):
+    """Evaluate ``integral(n)`` and ``integral(2n)``, doubling n until they agree.
 
-
-def _panel_eval(f, a, b):
-    """Two-level Gauss-Legendre estimate of integral f over [a, b].
-
-    f maps a node vector (k,) to values (..., k); returns the fine estimate
-    (half-panel rule) and the |fine - coarse| error, both over the batch.
+    Returns the 2n-node value and |I_n - I_2n|. No rule uses more than
+    ``_MAX_NODES`` nodes per axis; when that budget is spent,
+    :class:`OracleConvergenceError` carries the best value and its bound.
     """
-    xs, ws = _gl(_GL_N)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = np.concatenate([
-        mid + half * xs,                               # coarse
-        a + 0.5 * half * (xs + 1.0),                   # fine, left half
-        mid + 0.5 * half * (xs + 1.0),                 # fine, right half
-    ])
-    vals = f(nodes)
-    coarse = half * vals[..., :_GL_N] @ ws
-    fine = 0.5 * half * (vals[..., _GL_N:2 * _GL_N] @ ws + vals[..., 2 * _GL_N:] @ ws)
-    err = np.max(np.abs(fine - coarse))
-    return fine, float(err)
-
-
-def _adaptive_quad(f, a, b, abs_tol, rel_tol, max_panels):
-    """Adaptive panel-bisection quadrature of a batched integrand.
-
-    Returns (integral over the batch, error bound). Raises
-    :class:`OracleConvergenceError` when the panel budget is exhausted.
-    """
-    val, err = _panel_eval(f, a, b)
-    panels = [(err, a, b, val)]
+    n = min(n, _MAX_NODES // 2)
+    coarse = integral(n)
     while True:
-        total_err = sum(p[0] for p in panels)
-        total = sum(p[3] for p in panels)
-        scale = float(np.max(np.abs(total)))
-        if total_err <= max(abs_tol, rel_tol * scale):
-            return total, total_err
-        if len(panels) >= max_panels:
-            raise OracleConvergenceError("quadrature did not converge", total, total_err)
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        _, pa, pb, _ = panels.pop(worst)
-        pm = 0.5 * (pa + pb)
-        for qa, qb in ((pa, pm), (pm, pb)):
-            v, e = _panel_eval(f, qa, qb)
-            panels.append((e, qa, qb, v))
+        fine = integral(2 * n)
+        err = abs(fine - coarse)
+        if err <= max(q.abs_tol, q.rel_tol * abs(fine)):
+            return fine, err
+        if 4 * n > _MAX_NODES:
+            raise OracleConvergenceError(
+                f"Gauss-Hermite rule did not converge within {_MAX_NODES} nodes per axis",
+                fine, err)
+        n, coarse = 2 * n, fine
 
 
 @dataclass(frozen=True)
@@ -141,34 +123,31 @@ class WignerQuadResult:
     error_bound: float
 
 
-def _transform_integral(params, kernel_u, kernel_v, x, y, q):
-    """Nested adaptive integral of psi*(x+u, y+v) psi(x-u, y-v) K(u) K(v)."""
-    r = q.truncation_radius * max(params.sigma_x, params.sigma_y)
-    inner_tol = q.abs_tol / (8.0 * r)
+def _transform_integral(params, kernel_u, kernel_v, x, y, n, q):
+    """(1/pi^2) integral of psi*(x+u, y+v) psi(x-u, y-v) K(u) K(v), from n nodes per axis."""
+    sx, sy = params.sigma_x, params.sigma_y
 
-    def outer(us):
-        def inner(vs):
-            u = us[:, None]
-            v = vs[None, :]
-            return np.conj(psi(params, x + u, y + v)) * psi(params, x - u, y - v) * kernel_v(v)
+    def integral(k):
+        s, w = _rule(k)
+        u, v = sx * s, sy * s
+        a = psi(params, x + u[:, None], y + v[None, :])
+        # the nodes are symmetric, so psi(x - u, y - v) is `a` reversed on both axes
+        f = np.conj(a) * a[::-1, ::-1]
+        return sx * sy * ((w * kernel_u(u)) @ f @ (w * kernel_v(v))) / math.pi ** 2
 
-        inner_val, _ = _adaptive_quad(inner, -r, r, inner_tol, q.rel_tol, q.max_subdivisions)
-        return inner_val * kernel_u(us)
-
-    val, err = _adaptive_quad(outer, -r, r, q.abs_tol, q.rel_tol, q.max_subdivisions)
-    return complex(val), err + 2.0 * r * inner_tol
+    return _self_checked(integral, n, q)
 
 
 def oracle_wigner_full(params, x, y, px, py, q=QuadratureSpec()):
     """Numerical Wigner transform with diagnostics."""
+    offset = max(abs(px - params.px0) * params.sigma_x, abs(py - params.py0) * params.sigma_y)
     val, err = _transform_integral(
         params,
-        kernel_u=lambda us: np.exp(2j * px * us),
+        kernel_u=lambda u: np.exp(2j * px * u),
         kernel_v=lambda v: np.exp(2j * py * v),
-        x=x, y=y, q=q,
+        x=x, y=y, n=params.m + 16 + 2 * math.ceil(2.0 * offset), q=q,
     )
-    val = val / math.pi ** 2
-    res = WignerQuadResult(value=val.real, imag_residue=abs(val.imag), error_bound=err / math.pi ** 2)
+    res = WignerQuadResult(value=val.real, imag_residue=abs(val.imag), error_bound=err)
     if res.imag_residue > 10.0 * q.abs_tol:
         raise OracleConvergenceError("imaginary residue exceeds the realness bound",
                                      res.value, res.imag_residue)
@@ -203,9 +182,9 @@ def oracle_marginal_xy(params, x, y, q=QuadratureSpec()):
         params,
         kernel_u=dirichlet(pu, params.px0),
         kernel_v=dirichlet(pv, params.py0),
-        x=x, y=y, q=qm,
+        x=x, y=y, n=params.m + 48, q=qm,
     )
-    quad_value = val.real / math.pi ** 2
+    quad_value = val.real
     shortcut = abs(psi(params, x, y)) ** 2
     if abs(quad_value - shortcut) > 1e-5:
         raise OracleConvergenceError(
@@ -215,18 +194,20 @@ def oracle_marginal_xy(params, x, y, q=QuadratureSpec()):
 
 
 def oracle_norm(params, q=QuadratureSpec()):
-    """Adaptive quadrature of |psi|^2 over the truncated position box."""
-    r = q.truncation_radius * max(params.sigma_x, params.sigma_y)
-    inner_tol = q.abs_tol / (8.0 * r)
+    """Gauss-Hermite quadrature of |psi|^2 over the plane.
 
-    def outer(xs):
-        def inner(ys):
-            p = psi(params, params.x0 + xs[:, None], params.y0 + ys[None, :])
-            return p.real ** 2 + p.imag ** 2
-        val, _ = _adaptive_quad(inner, -r, r, inner_tol, q.rel_tol, q.max_subdivisions)
-        return val
+    Starts from m + 8 nodes per axis, not the m + 2 of
+    ``DeevParams.norm_constant``, so the check does not repeat the state's
+    own rule.
+    """
+    sx, sy = params.sigma_x, params.sigma_y
 
-    val, _ = _adaptive_quad(outer, -r, r, q.abs_tol, q.rel_tol, q.max_subdivisions)
+    def integral(k):
+        s, w = _rule(k)
+        p = psi(params, params.x0 + sx * s[:, None], params.y0 + sy * s[None, :])
+        return sx * sy * (w @ (p.real ** 2 + p.imag ** 2) @ w)
+
+    val, _ = _self_checked(integral, params.m + 8, q)
     return float(val)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import deev
+from deev import oracle
 from deev.cli import main
 from deev.gridio import read_csv, read_verdict
 
@@ -152,6 +153,13 @@ def test_verify_m0_circular_exits_0(tmp_path, capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
+def test_verify_starved_node_budget_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_NODES", 8)
+    cfg = write_config(tmp_path, "v.json", {"state": small_state(3)})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+    assert "oracle: Gauss-Hermite rule did not converge" in capsys.readouterr().err
+
+
 def test_determinism_across_runs_and_threads(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"state": small_state(1), "grid": small_grid(n=31)})
     outs = []
@@ -164,6 +172,22 @@ def test_determinism_across_runs_and_threads(tmp_path):
             pgm = fh.read()
         outs.append((csv, pgm))
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_verify_reports_identical_across_runs_and_threads(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = os.path.join(root, "configs", "verify_elliptic_m3.json")
+    names = ("verify_summary.txt", "discrepancy_standard.txt", "discrepancy_candidate.txt")
+    outs = []
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "2")):
+        out = str(tmp_path / name)
+        code = main(["verify", "--config", cfg, "--out", out, "--threads", threads])
+        blobs = []
+        for report in names:
+            with open(os.path.join(out, report), "rb") as fh:
+                blobs.append(fh.read())
+        outs.append((code, blobs))
+    assert all(o == outs[0] for o in outs[1:])
 
 
 def test_import_loads_no_scipy():
@@ -224,6 +248,7 @@ TABLE_BASE = {
     (("wigner",), "form", "striped", "wigner.form"),
     (("sit",), "form", "product", "sit.form"),
     (("coupler",), "kind", "prism", "coupler.kind"),
+    (("quadrature",), "truncation_radius", 7.0, "quadrature.truncation_radius"),
 ])
 def test_config_table_rejects(tmp_path, capsys, block, key, value, name):
     cfg = copy.deepcopy(TABLE_BASE)

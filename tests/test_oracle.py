@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from deev import oracle
 from deev.oracle import (OracleConvergenceError, QuadratureSpec, ShapeMismatchError,
                          calibrate_constant, calibrate_constant_detailed, oracle_marginal_xy,
                          oracle_norm, oracle_wigner, oracle_wigner_full)
@@ -16,7 +17,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
-        QuadratureSpec(truncation_radius=4.0)
+        QuadratureSpec(rel_tol=-1.0)
     h = Q.halved()
     assert h.abs_tol == Q.abs_tol / 2 and h.rel_tol == Q.rel_tol / 2
 
@@ -114,9 +115,29 @@ def test_halving_self_consistency():
     assert abs(r1.value - r2.value) <= max(r1.error_bound, 1e-12)
 
 
-def test_convergence_failure_reports_estimate():
+def test_convergence_failure_reports_estimate(monkeypatch):
     p = DeevParams.tied(3, 5.0, 3.0)
-    starved = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
+    monkeypatch.setattr(oracle, "_MAX_NODES", 4)
+    starved = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
     with pytest.raises(OracleConvergenceError) as err:
         oracle_wigner(p, 1.0, 1.0, 0.1, -0.1, starved)
     assert math.isfinite(err.value.error_bound)
+
+
+@pytest.mark.parametrize("m", [40, 60])
+def test_large_m_wigner_marginal_and_norm(m):
+    # no truncation box: the rule integrates over the whole plane at any m
+    p = DeevParams.tied(m, 5.0, 3.0, x0=1.0, py0=0.2)
+    rng = np.random.default_rng(m)
+    checked = 0
+    while checked < 10:
+        pt = p.phase_point(*rng.uniform(-1.8, 1.8, 4))
+        w_cf = wigner4d(p, *pt)
+        if abs(w_cf) < 1e-6:
+            continue
+        assert oracle_wigner(p, *pt, q=Q) == pytest.approx(w_cf, rel=1e-6)
+        checked += 1
+    for a, b in rng.uniform(-1.5, 1.5, (4, 2)):
+        x, y = p.x0 + a * p.sigma_x, p.y0 + b * p.sigma_y
+        assert oracle_marginal_xy(p, x, y, Q) == pytest.approx(abs(psi(p, x, y)) ** 2, abs=1e-5)
+    assert oracle_norm(p, Q) == pytest.approx(1.0, abs=1e-8)
