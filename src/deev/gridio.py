@@ -5,6 +5,7 @@ with 17 significant digits (lossless for IEEE doubles), files are written
 to a temporary name and atomically renamed, and no timestamps are recorded.
 """
 
+import itertools
 import math
 import os
 import tempfile
@@ -84,31 +85,26 @@ class Field2D:
         if np.isnan(self.values).any() and self.metadata.get("allow_nonfinite") != "true":
             raise ValueError("NaN entries require metadata allow_nonfinite=true")
 
-    def transpose(self):
-        return Field2D(
-            spec=GridSpec(axis1=self.spec.axis2, axis2=self.spec.axis1),
-            values=np.ascontiguousarray(self.values.T),
-            metadata=dict(self.metadata),
-        )
-
 
 def sample_field(fn, grid, threads=None, metadata=None, allow_nonfinite=False):
     """Sample ``fn(x1, x2) -> array`` over the grid, optionally row-parallel.
 
     Rows are assigned to workers in fixed disjoint blocks and each value is
     computed independently, so the result is bit-identical for any thread
-    count.
+    count. The worker count defaults to, and is capped at, the CPUs this
+    process may run on, and at half the row count.
     """
     n1 = grid.axis1.nodes()
     n2 = grid.axis2.nodes()
     out = np.empty(grid.shape, dtype=float)
-    threads = max(1, threads or (os.cpu_count() or 1))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+    threads = max(1, min(threads or cpus, cpus, grid.axis1.count // 2))
 
     def fill(i0, i1):
         x1, x2 = np.meshgrid(n1[i0:i1], n2, indexing="ij")
         out[i0:i1, :] = fn(x1, x2)
 
-    if threads == 1 or grid.axis1.count < 2 * threads:
+    if threads == 1:
         fill(0, grid.axis1.count)
     else:
         step = -(-grid.axis1.count // threads)
@@ -124,12 +120,14 @@ def sample_field(fn, grid, threads=None, metadata=None, allow_nonfinite=False):
     return Field2D(spec=grid, values=out, metadata=meta)
 
 
-def _atomic_write(path, data):
+def _atomic_write(path, chunks):
+    """Write an iterable of byte chunks to a temp file, then rename it to path."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -153,19 +151,14 @@ def write_csv(field, destination):
     17 significant digits so a read back is bit-exact, including inf/nan
     tokens.
     """
-    meta = dict(field.metadata)
-    meta["axis1"] = _axis_token(field.spec.axis1)
-    meta["axis2"] = _axis_token(field.spec.axis2)
-    lines = ["# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta))]
-    lines.append(f"{field.spec.axis1.label},{field.spec.axis2.label},value")
-    n1 = field.spec.axis1.nodes()
-    n2 = field.spec.axis2.nodes()
-    v = field.values
-    for i in range(field.spec.axis1.count):
-        t1 = _fmt(n1[i])
-        for j in range(field.spec.axis2.count):
-            lines.append(f"{t1},{_fmt(n2[j])},{_fmt(v[i, j])}")
-    _atomic_write(destination, ("\n".join(lines) + "\n").encode("ascii"))
+    a1, a2 = field.spec.axis1, field.spec.axis2
+    meta = dict(field.metadata, axis1=_axis_token(a1), axis2=_axis_token(a2))
+    head = "# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)) + f"\n{a1.label},{a2.label},value\n"
+    # one template per file and one % per row ("%.17g" % x == _fmt(x)); the row's x1 token replaces \0
+    row = "".join(f"\0,{_fmt(x2)},%.17g\n" for x2 in a2.nodes())
+    rows = ((row.replace("\0", _fmt(x1)) % tuple(v.tolist())).encode("ascii")
+            for x1, v in zip(a1.nodes(), field.values))
+    _atomic_write(destination, itertools.chain([head.encode("ascii")], rows))
 
 
 def read_csv(source):
@@ -218,7 +211,7 @@ def write_pgm(field, destination, clamp="auto"):
         f"P5\n# map vmin={_fmt(vmin)} vmax={_fmt(vmax)} nan=32768\n"
         f"{field.spec.axis2.count} {field.spec.axis1.count}\n65535\n"
     )
-    _atomic_write(destination, header.encode("ascii") + levels.astype(">u2").tobytes())
+    _atomic_write(destination, [header.encode("ascii") + levels.astype(">u2").tobytes()])
 
 
 class Verdict(str, Enum):
@@ -273,7 +266,7 @@ def write_report(report, destination):
     if report.stable_under_halving is not None:
         lines.append(f"stable_under_halving={'true' if report.stable_under_halving else 'false'}")
     lines.append(f"verdict={report.verdict.value}")
-    _atomic_write(destination, ("\n".join(lines) + "\n").encode("ascii"))
+    _atomic_write(destination, [("\n".join(lines) + "\n").encode("ascii")])
 
 
 def read_verdict(source):

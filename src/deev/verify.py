@@ -245,5 +245,5 @@ def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024,
     outcome = VerifyOutcome(suites=tuple(suites), standard_report=std_report,
                             candidate_report=cand_report, report_paths=paths)
     summary_path = os.path.join(out_dir, "verify_summary.txt")
-    _atomic_write(summary_path, ("\n".join(outcome.summary_lines()) + "\n").encode("ascii"))
+    _atomic_write(summary_path, [("\n".join(outcome.summary_lines()) + "\n").encode("ascii")])
     return outcome

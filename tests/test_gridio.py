@@ -1,8 +1,14 @@
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from deev import gridio
 from deev.gridio import (AxisSpec, DiscrepancyReport, Field2D, GridSpec, Verdict, read_csv,
                          read_verdict, sample_field, write_csv, write_pgm, write_report)
 
@@ -108,6 +114,105 @@ def test_sample_field_thread_determinism():
     a = sample_field(fn, g, threads=1)
     b = sample_field(fn, g, threads=5)
     assert (a.values == b.values).all()
+
+
+def test_sample_field_caps_threads_at_available_cpus(monkeypatch):
+    started = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(gridio, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(gridio.os, "sched_getaffinity", lambda pid: {0, 1})
+    g = GridSpec(axis1=AxisSpec("x", -2.0, 2.0, 64), axis2=AxisSpec("y", -1.0, 1.0, 33))
+    fn = lambda x, y: np.sin(3 * x) * np.cos(2 * y)  # noqa: E731
+    huge = sample_field(fn, g, threads=10 ** 6)
+    default = sample_field(fn, g)
+    assert started == [2, 2]
+    assert (huge.values == sample_field(fn, g, threads=1).values).all()
+    assert (default.values == huge.values).all()
+    # fewer than two rows per worker: one thread, no pool
+    sample_field(fn, GridSpec(axis1=AxisSpec("x", 0.0, 1.0, 3), axis2=g.axis2), threads=10 ** 6)
+    assert started == [2, 2]
+
+
+def _reference_csv_bytes(f):
+    """The per-value writer that write_csv replaced, kept as the byte reference."""
+    meta = dict(f.metadata)
+    meta["axis1"] = gridio._axis_token(f.spec.axis1)
+    meta["axis2"] = gridio._axis_token(f.spec.axis2)
+    lines = ["# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta))]
+    lines.append(f"{f.spec.axis1.label},{f.spec.axis2.label},value")
+    n1, n2 = f.spec.axis1.nodes(), f.spec.axis2.nodes()
+    for i in range(f.spec.axis1.count):
+        for j in range(f.spec.axis2.count):
+            lines.append(f"{format(float(n1[i]), '.17g')},{format(float(n2[j]), '.17g')},"
+                         f"{format(float(f.values[i, j]), '.17g')}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+_SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308, -math.nan, 0.1]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 7), (7, 2)])
+def test_csv_bytes_match_per_value_reference(tmp_path, shape):
+    vals = np.resize(np.array(_SPECIAL), shape[0] * shape[1]).reshape(shape)
+    g = GridSpec(axis1=AxisSpec("px", -3.5, 1e-300, shape[0]), axis2=AxisSpec("s", -1e300, 2.0 / 3.0, shape[1]))
+    f = Field2D(spec=g, values=vals, metadata={"allow_nonfinite": "true", "quantity": "sit", "m": "3",
+                                                  "zeta": "1.25"})
+    path = tmp_path / "f.csv"
+    write_csv(f, str(path))
+    assert path.read_bytes() == _reference_csv_bytes(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n1: st.integers(2, 9).flatmap(lambda n2: arrays(
+    np.float64, (n1, n2), elements=st.floats(allow_nan=False, allow_infinity=False))),
+), st.floats(-1e6, 1e6), st.floats(1e-6, 1e6))
+def test_csv_bytes_match_reference_property(tmp_path_factory, vals, lo, width):
+    g = GridSpec(axis1=AxisSpec("x", lo, lo + width, vals.shape[0]), axis2=AxisSpec("y", lo - width, lo, vals.shape[1]))
+    f = Field2D(spec=g, values=vals, metadata={"quantity": "test"})
+    path = tmp_path_factory.mktemp("prop") / "f.csv"
+    write_csv(f, str(path))
+    assert path.read_bytes() == _reference_csv_bytes(f)
+
+
+class _FailingFile:
+    """Binary file stand-in that raises on the third write (after the header and one row)."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("failure", ["mid-write", "replace"])
+def test_failed_write_keeps_destination_and_leaves_no_temp(tmp_path, monkeypatch, failure):
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"old contents\n")
+    real_fdopen = os.fdopen
+    if failure == "mid-write":
+        monkeypatch.setattr(gridio.os, "fdopen", lambda fd, mode: _FailingFile(real_fdopen(fd, mode)))
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(gridio.os, "replace", refuse)
+    with pytest.raises(OSError):
+        write_csv(Field2D(spec=grid(), values=np.zeros((4, 3))), str(path))
+    assert path.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv"]
 
 
 def report_fixture(verdict):
