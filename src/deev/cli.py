@@ -113,6 +113,15 @@ def _state_params(cfg):
         raise ConfigError(f"state: {err}") from err
 
 
+def _tied(params, command):
+    """Reject untied weights for a command that evaluates the closed forms."""
+    if not params.is_eta_tied:
+        raise ConfigError(f"state.eta_x/state.eta_y: {command} evaluates the closed forms, which need "
+                          f"eta_x sigma_x == eta_y sigma_y (got {params.eta_x * params.sigma_x!r} "
+                          f"vs {params.eta_y * params.sigma_y!r})")
+    return params
+
+
 def _normalized(params):
     """Map an unrepresentable normalization constant to a config error."""
     try:
@@ -187,7 +196,7 @@ def cmd_field(args):
 
 def cmd_wigner(args):
     cfg = load_config(args.config)
-    params = _state_params(cfg)
+    params = _tied(_state_params(cfg), "wigner")
     wb = cfg.get("wigner", {})
     form = args.form or wb.get("form", STANDARD)
     plane_name = args.plane or wb.get("plane", "all")
@@ -241,7 +250,7 @@ def cmd_sit(args):
 
 def cmd_verify(args):
     cfg = load_config(args.config)
-    params = _normalized(_state_params(cfg))
+    params = _tied(_normalized(_state_params(cfg)), "verify")
     q = _quadrature(cfg)
     seed = cfg.get("seed", 2024)
     out = _out_dir(cfg, args)

@@ -5,7 +5,7 @@ with 17 significant digits (lossless for IEEE doubles), files are written
 to a temporary name and atomically renamed, and no timestamps are recorded.
 """
 
-import itertools
+import functools
 import math
 import os
 import tempfile
@@ -144,6 +144,139 @@ def _parse_axis_token(tok):
     return AxisSpec(label=label, lo=float(lo), hi=float(hi), count=int(count))
 
 
+# Exact block formatting of "%.17g" for write_csv (see _format_block).
+_BLOCK_VALUES = 4096            # values per numpy block: bounds write_csv's working memory
+_E_LO, _E_HI = -280, 280        # decimal exponents of the fast path: no split or power overflows
+_SPLIT = 134217729.0            # 2**27 + 1, Veltkamp's splitter for Dekker's exact product
+_NEAR_TIE = 2.0 ** -30          # closer than this to a rounding tie, the double-double is not trusted
+_LITERALS = b"0123456789-.e+\0\0"  # bytes 24..39 of every value's source row
+
+
+def _source(chars):
+    """Source-row positions of literal characters."""
+    return [24 + _LITERALS.index(c) for c in chars]
+
+
+@functools.cache
+def _format_tables():
+    """Powers of ten and token layouts for :func:`_format_block`, built on first use.
+
+    ``powers[:, e - _E_LO]`` is (hi, lo, hi_head, hi_tail): hi + lo is
+    10**(16 - e) to about 2**-106 relative, exactly when lo == 0, and
+    hi_head + hi_tail == hi are its 26-bit halves. ``layout[key]`` names, for
+    each of a token's 24 bytes, the byte of the value's source row it copies,
+    with key = (negative, e - _E_LO, kept digits - 1) as a flat index.
+    """
+    hi, lo = [], []
+    for e in range(_E_LO, _E_HI + 1):
+        k = 16 - e
+        if k >= 0:                              # 10**k - h is an integer
+            h = float(10 ** k)
+            r = float(10 ** k - int(h))
+        else:                                   # 1/10**j - num/den = (den - num 10**j) / (den 10**j)
+            d = 10 ** -k
+            h = 1 / d
+            num, den = h.as_integer_ratio()
+            r = (den - num * d) / (den * d)
+        hi.append(h)
+        lo.append(r)
+    hi = np.array(hi)
+    head = hi * _SPLIT
+    head -= head - hi
+    powers = np.stack([hi, np.array(lo), head, hi - head])
+
+    # a source row holds significant digit i at byte 7 + i and zeros at bytes 0..6
+    digits = list(range(7, 24))
+    layout = np.zeros((2, len(hi), 17, 24), np.uint8)
+    plain = layout[0]
+    suffix = np.zeros((len(hi), 5), np.uint8)
+    for i, e in enumerate(range(_E_LO, _E_HI + 1)):
+        exp = _source(b"e%+03d" % e)
+        suffix[i, :len(exp)] = exp
+    for k in range(1, 18):                      # d.ddde+XX
+        mantissa = digits[:1] + (_source(b".") + digits[1:k] if k > 1 else [])
+        plain[:, k - 1, :len(mantissa)] = mantissa
+        plain[:, k - 1, len(mantissa):len(mantissa) + 5] = suffix
+    for e in range(-4, 17):                     # "%g" writes these exponents without one
+        for k in range(1, 18):
+            if e < 0:
+                body = _source(b"0." + b"0" * (-e - 1)) + digits[:k]
+            else:
+                body = digits[:e + 1] + (_source(b".") + digits[e + 1:k] if k > e + 1 else [])
+            plain[e - _E_LO, k - 1] = body + [0] * (24 - len(body))
+    layout[1, ..., 0] = _source(b"-")
+    layout[1, ..., 1:] = plain[..., :23]
+    return powers, layout.reshape(-1, 24)
+
+
+def _digits8(x):
+    """Eight ASCII digits of each x < 10**8, most significant first in a little-endian word."""
+    hi = x // 10000
+    x = hi | ((x - hi * 10000) << 32)                         # two 4-digit lanes
+    q = ((x * 5243) >> 19) & 0x0000007F0000007F               # lane // 100
+    x = q | ((x - q * 100) << 16)                             # four 2-digit lanes
+    q = ((x * 103) >> 10) & 0x000F000F000F000F                # lane // 10
+    return (q | ((x - q * 10) << 8)) + 0x3030303030303030
+
+
+def _round17(v, powers):
+    """(n, row, certain): each |x| of v rounded to 17 significant digits.
+
+    Each |x| = d 10**e (1 <= d < 10) is scaled to s = |x| 10**(16 - e) in
+    double-double arithmetic, n is the integer nearest s, and row = e - _E_LO.
+    The rounding is certain when e lies in the table, 10**16 <= s and
+    n < 10**17, and s is more than 2**-30 from a tie (the scaling error is
+    below 2**-45) or, with an exact power of ten, exactly on one, which goes
+    to even as in "%". Uncertain entries hold placeholder digits.
+    """
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    certain = (e >= _E_LO) & (e <= _E_HI)
+    a = np.where(certain, a, 1.0)
+    row = np.where(certain, e - _E_LO, -_E_LO).astype(np.intp)
+    hi, lo, head, tail = (p.take(row) for p in powers)
+    # s = a (hi + lo) = p + t: Dekker's product a hi = p + err, exact, plus a lo
+    p = a * hi
+    c = a * _SPLIT
+    a_head = c - (c - a)
+    a_tail = a - a_head
+    t = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail + a * lo
+    floor = np.floor(t)
+    frac = t - floor
+    certain &= ((lo == 0.0) | (np.abs(frac - 0.5) > _NEAR_TIE)) & ((p > 1e16) | ((p == 1e16) & (t >= 0.0)))
+    n = p.astype(np.int64) + floor.astype(np.int64)
+    n += (frac > 0.5) | ((frac == 0.5) & (n & 1 == 1))
+    certain &= n < 10 ** 17         # else an 18th digit: log10 came out low or s rounds up to 10**17
+    return n, row, certain
+
+
+def _format_block(v):
+    """The bytes of "%.17g" % x for every x of the float64 vector v, as an S24 array.
+
+    Digits come from :func:`_round17` and are laid out by the layout table.
+    Every value whose rounding is not certain (zeros, inf, nan, subnormal or
+    extreme magnitudes, near-ties) is formatted by "%.17g" % x itself.
+    """
+    powers, layout = _format_tables()
+    n, row, certain = _round17(v, powers)
+    q, low = np.divmod(n, 10 ** 8)
+    first, mid = np.divmod(q, 10 ** 8)
+    src = np.empty((v.size, 5), "<i8")                        # 40 bytes: zeros, 17 digits, literals
+    src[:, 0] = (first + 0x30) << 56
+    src[:, 1] = _digits8(mid)
+    src[:, 2] = _digits8(low)
+    src[:, 3:] = np.frombuffer(_LITERALS, "<i8")
+    b = src.view(np.uint8)
+    kept = 17 - np.argmax(b[:, 23:6:-1] != ord("0"), axis=1)
+    key = (np.signbit(v) * (_E_HI - _E_LO + 1) + row) * 17 + kept - 1
+    index = layout.take(key, axis=0) + np.arange(0, b.size, 40)[:, None]
+    out = b.ravel().take(index).view("S24").ravel()
+    for i in np.flatnonzero(~certain):
+        out[i] = b"%.17g" % v[i]
+    return out
+
+
 def write_csv(field, destination):
     """Write a field as CSV: one metadata line, a header, one row per node.
 
@@ -154,29 +287,39 @@ def write_csv(field, destination):
     a1, a2 = field.spec.axis1, field.spec.axis2
     meta = dict(field.metadata, axis1=_axis_token(a1), axis2=_axis_token(a2))
     head = "# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)) + f"\n{a1.label},{a2.label},value\n"
-    # one template per file and one % per row ("%.17g" % x == _fmt(x)); the row's x1 token replaces \0
-    row = "".join(f"\0,{_fmt(x2)},%.17g\n" for x2 in a2.nodes())
-    rows = ((row.replace("\0", _fmt(x1)) % tuple(v.tolist())).encode("ascii")
-            for x1, v in zip(a1.nodes(), field.values))
-    _atomic_write(destination, itertools.chain([head.encode("ascii")], rows))
+    # one template per file and one % per row; the row's x1 token replaces \0
+    row = b"".join(b"\0,%b,%%b\n" % _fmt(x2).encode("ascii") for x2 in a2.nodes())
+    x1s = a1.nodes()
+    step = max(1, _BLOCK_VALUES // a2.count)
+
+    def rows():
+        yield head.encode("ascii")
+        for i in range(0, a1.count, step):
+            flat = np.asarray(field.values[i:i + step], dtype=np.float64).ravel()
+            tokens = np.concatenate([_format_block(flat[j:j + _BLOCK_VALUES])
+                                     for j in range(0, flat.size, _BLOCK_VALUES)])
+            for x1, toks in zip(x1s[i:i + step], tokens.reshape(-1, a2.count)):
+                yield row.replace(b"\0", _fmt(x1).encode("ascii")) % tuple(toks.tolist())
+
+    _atomic_write(destination, rows())
 
 
 def read_csv(source):
     """Read a field written by :func:`write_csv` (bit-exact round trip)."""
     with open(source, "rb") as fh:
-        text = fh.read().decode("ascii")
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# "):
-        raise ValueError(f"{source}: missing metadata line")
-    meta = {}
-    for pair in lines[0][2:].split(" "):
-        k, _, val = pair.partition("=")
-        meta[k] = val
-    spec = GridSpec(axis1=_parse_axis_token(meta.pop("axis1")), axis2=_parse_axis_token(meta.pop("axis2")))
-    rows = lines[2:]
-    if len(rows) != spec.axis1.count * spec.axis2.count:
-        raise ValueError(f"{source}: expected {spec.axis1.count * spec.axis2.count} rows, got {len(rows)}")
-    vals = np.array([float(r.rsplit(",", 1)[1]) for r in rows], dtype=float)
+        first = fh.readline().decode("ascii").rstrip("\n")
+        if not first.startswith("# "):
+            raise ValueError(f"{source}: missing metadata line")
+        meta = {}
+        for pair in first[2:].split(" "):
+            k, _, val = pair.partition("=")
+            meta[k] = val
+        spec = GridSpec(axis1=_parse_axis_token(meta.pop("axis1")), axis2=_parse_axis_token(meta.pop("axis2")))
+        fh.readline()
+        # numpy's reader streams the file and parses each token like float()
+        vals = np.loadtxt(fh, dtype=np.float64, delimiter=",", usecols=2, comments=None, ndmin=1)
+    if vals.size != spec.axis1.count * spec.axis2.count:
+        raise ValueError(f"{source}: expected {spec.axis1.count * spec.axis2.count} rows, got {vals.size}")
     return Field2D(spec=spec, values=vals.reshape(spec.shape), metadata=meta)
 
 

@@ -219,8 +219,18 @@ def test_unrepresentable_normalization_exits_2(tmp_path, capsys, command, m):
     assert f"m={m}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["wigner", "verify"])
+def test_untied_weights_rejected_before_writing(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "c.json", {"state": {"m": 2, "sigma_x": 2.0, "sigma_y": 1.0,
+                                                      "eta_x": 0.9, "eta_y": 0.3}})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "state.eta_x/state.eta_y" in capsys.readouterr().err
+    assert not out.exists()
+
+
 TABLE_BASE = {
-    "state": small_state(1),
+    "state": dict(small_state(1), eta_x=1 / (math.sqrt(2) * 5.0), eta_y=1 / (math.sqrt(2) * 3.0)),
     "grid": small_grid(n=5),
     "quadrature": {"abs_tol": 1e-12},
     "sit": {"m": 1, "form": "sum"},
@@ -249,6 +259,7 @@ TABLE_BASE = {
     (("sit",), "form", "product", "sit.form"),
     (("coupler",), "kind", "prism", "coupler.kind"),
     (("quadrature",), "truncation_radius", 7.0, "quadrature.truncation_radius"),
+    (("state",), "eta_x", 0.9, "state.eta_x"),                # untied weights: verify only
 ])
 def test_config_table_rejects(tmp_path, capsys, block, key, value, name):
     cfg = copy.deepcopy(TABLE_BASE)
@@ -257,8 +268,10 @@ def test_config_table_rejects(tmp_path, capsys, block, key, value, name):
         target = target[part]
     target[key] = value
     path = write_config(tmp_path, "c.json", cfg)
-    assert main(["coupler", "--config", path]) == 2
+    command = "verify" if name == "state.eta_x" else "coupler"
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_table_base_is_valid(tmp_path, capsys):

@@ -12,6 +12,7 @@ import os
 import pytest
 
 from deev.cli import main
+from deev.gridio import read_verdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RECIPES = {
@@ -51,3 +52,30 @@ def test_recipe_matches_golden(golden, tmp_path, capsys, name, threads):
     else:
         got = {f: sha256((out / f).read_bytes()) for f in sorted(os.listdir(out))}
     assert got == golden[name]
+
+
+def verify_outcome(code, stdout, out):
+    """The parts of a verify run that only a change of result moves.
+
+    The status word and name of each suite, the verdict and overall lines,
+    both reports' verdicts and the exit code; the numeric details move with
+    any legitimate oracle change and are not part of it.
+    """
+    lines = stdout.splitlines()
+    suites = [" ".join(line.split()[:2]) for line in lines if line.startswith(("PASS ", "FAIL "))]
+    verdicts = [line for line in lines if line.startswith(("closed-form verdict:", "candidate-form verdict:",
+                                                           "overall:"))]
+    reports = [read_verdict(str(out / f"discrepancy_{form}.txt")).value for form in ("standard", "candidate")]
+    return "\n".join(suites + verdicts + reports + [f"exit={code}"])
+
+
+# sha256 of verify_outcome for configs/verify_elliptic_m3.json; bench/golden.json holds no verify entry
+VERIFY_GOLDEN = "8b6632fa706e57b3a0a1436806699ebf49119119d145832512d90950727a5203"
+
+
+def test_verify_recipe_matches_golden(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["verify", "--config", os.path.join(ROOT, "configs", "verify_elliptic_m3.json"),
+                 "--out", str(out)])
+    outcome = verify_outcome(code, capsys.readouterr().out, out)
+    assert sha256(outcome.encode()) == VERIFY_GOLDEN

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -177,6 +179,99 @@ def test_csv_bytes_match_reference_property(tmp_path_factory, vals, lo, width):
     path = tmp_path_factory.mktemp("prop") / "f.csv"
     write_csv(f, str(path))
     assert path.read_bytes() == _reference_csv_bytes(f)
+
+
+def _block_format(values):
+    """write_csv's value tokens for a vector, formatted one block at a time as write_csv does."""
+    step = gridio._BLOCK_VALUES
+    return np.concatenate([gridio._format_block(values[i:i + step]) for i in range(0, values.size, step)])
+
+
+def _exact_ties(rng, per_exponent):
+    """Doubles whose exact decimal value has 18 significant digits, the last a 5.
+
+    x = m / 2**(k + 1) with m odd and 10**(16 - k) <= x < 10**(17 - k) gives
+    x 10**k = m 5**k / 2, an odd half-integer: a tie at 17 digits (k = 1..24).
+    """
+    ties = []
+    for k in range(1, 25):
+        lo = max(1, -(-(2 ** (k + 1) * 10 ** 16) // 10 ** k))
+        hi = min(2 ** 53, 2 ** (k + 1) * 10 ** 17 // 10 ** k)
+        if lo < hi:
+            m = rng.integers(lo, hi, size=per_exponent, dtype=np.int64) | 1
+            ties.append(m[m < hi] / 2.0 ** (k + 1))
+    return np.concatenate(ties)
+
+
+def _near_ties(rng, per_exponent):
+    """Doubles a few 2**-53 from a 17-digit tie, where 10**k is inexact (k = 23..30).
+
+    x = m / 2**(53 + k) gives s = x 10**k = m 5**k / 2**53, and
+    m = (2**52 + d) / 5**k mod 2**53 puts s exactly d / 2**53 from a tie:
+    closer than the scaling error, so only the tie guard keeps these right.
+    """
+    ties = []
+    for k in range(23, 31):
+        inverse = pow(5 ** k, -1, 2 ** 53)
+        for d in rng.integers(1, 2 ** 8, size=per_exponent) * rng.choice([-1, 1], size=per_exponent):
+            m = (2 ** 52 + int(d)) * inverse % 2 ** 53
+            if 10 ** 16 * 2 ** 53 <= m * 5 ** k < 10 ** 17 * 2 ** 53:
+                ties.append(m / 2.0 ** (53 + k))
+    return np.array(ties)
+
+
+def test_block_formatter_matches_percent_on_a_million_values():
+    rng = np.random.default_rng(20261018)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, size=240_000, dtype=np.uint64).view(np.float64),    # random bits
+        rng.uniform(1.0, 10.0, 200_000) * 10.0 ** rng.integers(-320, 308, 200_000),   # to 9.99e307
+        tens, np.nextafter(tens, math.inf), np.nextafter(tens, -math.inf), -tens,
+        _exact_ties(rng, 2000), _near_ties(rng, 500),
+        rng.integers(1, 2 ** 52, size=20_000, dtype=np.uint64).view(np.float64),    # subnormals
+        np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1.0, 1e16, 1e17,
+                  99999999999999999.0, 0.1, 1e-4, 1e-5, 2.2250738585072014e-308,
+                  1.7976931348623157e308, 5e-324]),
+    ])
+    values = np.concatenate([values, -values])
+    assert values.size >= 10 ** 6
+    expected = np.array([b"%.17g" % x for x in values.tolist()], dtype="S24")
+    got = _block_format(values)
+    bad = np.flatnonzero(got != expected)
+    assert bad.size == 0, [(values[i], got[i], expected[i]) for i in bad[:5]]
+
+
+def test_block_formatter_falls_back_inside_a_block():
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=gridio._BLOCK_VALUES) * 10.0 ** rng.integers(-30, 30, gridio._BLOCK_VALUES)
+    # zeros, non-finite, subnormal, beyond the fast exponents, and a tie the scaling cannot decide
+    odd = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, -3e295, 3 * 2.0 ** -24]
+    at = rng.choice(values.size, size=len(odd), replace=False)
+    values[at] = odd
+    got = gridio._format_block(values)
+    assert got.tolist() == [b"%.17g" % x for x in values.tolist()]
+    assert got[at].tolist() == [b"0", b"-0", b"nan", b"inf", b"-inf", b"4.9406564584124654e-324",
+                                b"1e-300", b"-2.9999999999999999e+295",
+                                b"1.7881393432617188e-07"]
+
+
+def test_block_formatter_stays_exact_when_log10_comes_out_low(monkeypatch):
+    # one ulp low at exact powers of ten: the scaled value reaches 10**17 and must fall back
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -math.inf))
+    values = np.array([1.0, 10.0, 1e5, 1e-3, -1e22, 0.3, 123.456])
+    assert gridio._format_block(values).tolist() == [b"%.17g" % x for x in values.tolist()]
+
+
+def test_import_builds_no_format_tables():
+    src = os.path.dirname(os.path.dirname(gridio.__file__))
+    code = ("import deev; from deev import gridio; import numpy as np\n"
+            "print(gridio._format_tables.cache_info().currsize)\n"
+            "gridio._format_block(np.array([0.5]))\n"
+            "print(gridio._format_tables.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "1"]
 
 
 class _FailingFile:
