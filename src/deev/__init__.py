@@ -11,9 +11,9 @@ from .coupling import (DcdcParams, InfeasibleRatioError, ModeCoupler, bs_coupler
 from .gridio import (AxisSpec, DiscrepancyReport, Field2D, GridSpec, Verdict, read_csv,
                      sample_field, write_csv, write_pgm, write_report)
 from .oracle import (CalibrationResult, OracleConvergenceError, QuadratureSpec,
-                     ShapeMismatchError, calibrate_constant, oracle_marginal_xy,
+                     ShapeMismatchError, calibrate_constant_detailed, oracle_marginal_xy,
                      oracle_norm, oracle_wigner)
-from .special import alp_coeffs, alp_eval, gamma_half_integer, rodrigues_check
+from .special import alp_coeffs, alp_eval, gamma_half_integer
 from .state import DeevParams, VortexDecomposition, circular_decomposition, intensity_field, psi
 from .verify import run_verify
 from .wigner import (ScaledCoords, SlicePlane, candidate_constant, scaled_coords, sit,
@@ -24,12 +24,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ModeCoupler", "DcdcParams", "InfeasibleRatioError", "bs_coupler", "dcdc_coupler",
     "coupler_to_ellipticity", "dcdc_time_for_ratio",
-    "alp_eval", "alp_coeffs", "rodrigues_check", "gamma_half_integer",
+    "alp_eval", "alp_coeffs", "gamma_half_integer",
     "DeevParams", "VortexDecomposition", "psi", "intensity_field", "circular_decomposition",
     "ScaledCoords", "SlicePlane", "scaled_coords", "standard_constant", "candidate_constant",
     "wigner4d", "wigner4d_candidate", "wigner_slice", "sit", "sit_field",
     "QuadratureSpec", "OracleConvergenceError", "ShapeMismatchError", "CalibrationResult",
-    "oracle_wigner", "oracle_marginal_xy", "oracle_norm", "calibrate_constant",
+    "oracle_wigner", "oracle_marginal_xy", "oracle_norm", "calibrate_constant_detailed",
     "AxisSpec", "GridSpec", "Field2D", "Verdict", "DiscrepancyReport",
     "sample_field", "write_csv", "read_csv", "write_pgm", "write_report",
     "run_verify",

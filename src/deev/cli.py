@@ -104,7 +104,7 @@ def _state_params(cfg):
     kwargs = dict(cfg["state"])
     m, sx, sy = kwargs.pop("m"), kwargs.pop("sigma_x"), kwargs.pop("sigma_y")
     if ("eta_x" in kwargs) != ("eta_y" in kwargs):
-        raise ConfigError("state: give both eta_x and eta_y or neither")
+        raise ConfigError("state.eta_x/state.eta_y: give both eta_x and eta_y or neither")
     try:
         if "eta_x" in kwargs:
             return DeevParams.from_sigmas(m, sx, sy, **kwargs)

@@ -82,11 +82,11 @@ class Field2D:
     def __post_init__(self):
         if self.values.shape != self.spec.shape:
             raise ValueError(f"values shape {self.values.shape} does not match grid {self.spec.shape}")
-        if np.isnan(self.values).any() and self.metadata.get("allow_nonfinite") != "true":
-            raise ValueError("NaN entries require metadata allow_nonfinite=true")
+        if self.metadata.get("allow_nonfinite") != "true" and not np.isfinite(self.values).all():
+            raise ValueError("non-finite entries require metadata allow_nonfinite=true")
 
 
-def sample_field(fn, grid, threads=None, metadata=None, allow_nonfinite=False):
+def sample_field(fn, grid, threads=None, metadata=None):
     """Sample ``fn(x1, x2) -> array`` over the grid, optionally row-parallel.
 
     Rows are assigned to workers in fixed disjoint blocks and each value is
@@ -112,12 +112,7 @@ def sample_field(fn, grid, threads=None, metadata=None, allow_nonfinite=False):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda b: fill(*b), bounds))
 
-    meta = dict(metadata or {})
-    if allow_nonfinite:
-        meta["allow_nonfinite"] = "true"
-    elif not np.isfinite(out).all():
-        raise ValueError("non-finite samples in a field that does not allow them")
-    return Field2D(spec=grid, values=out, metadata=meta)
+    return Field2D(spec=grid, values=out, metadata=dict(metadata or {}))
 
 
 def _atomic_write(path, chunks):

@@ -39,7 +39,6 @@ __all__ = [
     "oracle_wigner_full",
     "oracle_marginal_xy",
     "oracle_norm",
-    "calibrate_constant",
     "calibrate_constant_detailed",
 ]
 
@@ -69,16 +68,18 @@ class OracleConvergenceError(RuntimeError):
 
 
 class ShapeMismatchError(RuntimeError):
-    """Calibration refused: the oracle/shape ratio is not constant."""
+    """Calibration refused: the oracle/shape ratio is not constant.
 
-    def __init__(self, ratios, probes):
-        spread = (max(ratios) - min(ratios)) / max(abs(r) for r in ratios)
+    ``result`` is the refused :class:`CalibrationResult`; its constant is
+    the best-fit mean ratio.
+    """
+
+    def __init__(self, result):
         super().__init__(
-            f"oracle/closed-form ratio varies by {spread:.3e} across probes; "
+            f"oracle/closed-form ratio varies by {result.spread:.3e} across probes; "
             "no constant calibration exists"
         )
-        self.ratios = tuple(ratios)
-        self.probes = tuple(probes)
+        self.result = result
 
 
 # per-axis node budget: numpy's hermgauss returns nan weights above 371 nodes
@@ -223,6 +224,7 @@ _PROBE_OFFSETS = (
     (-0.64, -0.55, 0.42, 0.23),
     (0.18, 0.74, 0.56, -0.49),
 )
+_N_PROBES = 5
 
 
 @dataclass(frozen=True)
@@ -238,7 +240,7 @@ class CalibrationResult:
         return (max(self.ratios) - min(self.ratios)) / max(abs(r) for r in self.ratios)
 
 
-def calibrate_constant_detailed(params, q=QuadratureSpec(), *, shape, n_probes=5):
+def calibrate_constant_detailed(params, q=QuadratureSpec(), *, shape):
     """Fit the overall constant of a closed-form shape against the oracle.
 
     ``shape`` maps (params, x, y, px, py) to the constant-free closed form
@@ -247,9 +249,9 @@ def calibrate_constant_detailed(params, q=QuadratureSpec(), *, shape, n_probes=5
     1e-8 in magnitude. Raises :class:`ShapeMismatchError` when the ratios
     vary by more than 1e-6 relative.
     """
-    probes, shapes, oracles, ratios = [], [], [], []
+    probes, shapes, oracles = [], [], []
     for offsets in _PROBE_OFFSETS:
-        if len(probes) == n_probes:
+        if len(probes) == _N_PROBES:
             break
         pt = params.phase_point(*offsets)
         sv = float(shape(params, *pt))
@@ -261,21 +263,16 @@ def calibrate_constant_detailed(params, q=QuadratureSpec(), *, shape, n_probes=5
         probes.append(pt)
         shapes.append(sv)
         oracles.append(ov)
-        ratios.append(ov / sv)
-    if len(probes) < n_probes:
+    if len(probes) < _N_PROBES:
         raise ValueError("not enough usable probe points; state too degenerate")
-    spread = (max(ratios) - min(ratios)) / max(abs(r) for r in ratios)
-    if spread >= 1e-6:
-        raise ShapeMismatchError(ratios, probes)
-    return CalibrationResult(
+    ratios = tuple(ov / sv for ov, sv in zip(oracles, shapes))
+    result = CalibrationResult(
         constant=float(np.mean(ratios)),
         probes=tuple(probes),
         shape_values=tuple(shapes),
         oracle_values=tuple(oracles),
-        ratios=tuple(ratios),
+        ratios=ratios,
     )
-
-
-def calibrate_constant(params, q=QuadratureSpec(), *, shape):
-    """Calibrated overall constant (see :func:`calibrate_constant_detailed`)."""
-    return calibrate_constant_detailed(params, q=q, shape=shape).constant
+    if result.spread >= 1e-6:
+        raise ShapeMismatchError(result)
+    return result

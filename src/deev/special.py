@@ -1,25 +1,16 @@
 """Associated Laguerre polynomials and half-integer gamma values.
 
-Everything here is polynomial arithmetic: the three-term recurrence is the
-workhorse, the explicit coefficient series and the Hermite connection exist
-as independent cross-check routes and must agree with it.
+Everything here is polynomial arithmetic: the three-term recurrence
+evaluates L_m^alpha, and the explicit series coefficients feed the scaled
+interference terms.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-__all__ = [
-    "AlpCoeffs",
-    "alp_eval",
-    "alp_coeffs",
-    "rodrigues_check",
-    "hermite_eval",
-    "gamma_half_integer",
-    "binom_real",
-]
+__all__ = ["alp_eval", "alp_coeffs", "gamma_half_integer"]
 
 
 def _check_order(m):
@@ -37,16 +28,6 @@ def _exact_coeffs(m, alpha):
             binom *= (a + k + i) / i
         out.append((-1) ** k * binom / math.factorial(k))
     return tuple(out)
-
-
-def binom_real(a, k):
-    """Generalized binomial coefficient C(a, k) for real a and integer k >= 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = 1.0
-    for i in range(1, k + 1):
-        out *= (a - k + i) / i
-    return out
 
 
 def alp_eval(m, alpha, z):
@@ -67,79 +48,15 @@ def alp_eval(m, alpha, z):
     return cur if cur.ndim else float(cur)
 
 
-@dataclass(frozen=True)
-class AlpCoeffs:
-    """Explicit power-series coefficients of L_m^alpha.
-
-    ``coeffs[k]`` multiplies ``z**k``; there are ``m + 1`` entries with
-    ``coeffs[k] = (-1)^k C(m + alpha, m - k) / k!``.
-    """
-
-    m: int
-    alpha: float
-    coeffs: tuple
-
-    def __post_init__(self):
-        _check_order(self.m)
-        if len(self.coeffs) != self.m + 1:
-            raise ValueError("need exactly m + 1 coefficients")
-
-    def eval(self, z):
-        """Evaluate the series at ``z`` (scalar or array).
-
-        The alternating series cancels heavily (condition up to ~1e7 on
-        z <= 100, m <= 12), so the sum is carried out in exact rational
-        arithmetic and rounded once; plain float Horner would lose the
-        1e-10 agreement with the recurrence.
-        """
-        exact = _exact_coeffs(self.m, self.alpha)
-
-        def one(zv):
-            zf = Fraction(float(zv))
-            acc = exact[-1]
-            for c in reversed(exact[:-1]):
-                acc = acc * zf + c
-            return float(acc)
-
-        z = np.asarray(z, dtype=float)
-        if z.ndim == 0:
-            return one(z)
-        return np.array([one(v) for v in z.ravel()]).reshape(z.shape)
-
-
 def alp_coeffs(m, alpha):
-    """Explicit-series coefficients of L_m^alpha as an :class:`AlpCoeffs`."""
-    _check_order(m)
-    cs = tuple(float(c) for c in _exact_coeffs(m, float(alpha)))
-    return AlpCoeffs(m=m, alpha=float(alpha), coeffs=cs)
+    """Explicit power-series coefficients of L_m^alpha as a tuple of floats.
 
-
-def hermite_eval(n, x):
-    """Physicists' Hermite polynomial H_n(x) by recurrence."""
-    _check_order(n)
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 2.0 * x
-    for k in range(1, n):
-        prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
-    return cur if cur.ndim else float(cur)
-
-
-def rodrigues_check(m, x):
-    """L_m^{-1/2}(x^2) obtained through the Hermite route.
-
-    Uses ``H_{2m}(x) = (-1)^m 2^{2m} m! L_m^{-1/2}(x^2)`` with H built by its
-    own recurrence, so the value is independent of :func:`alp_eval`.
-    Limited to m <= 8, the validated range of this cross-check.
+    Entry k multiplies ``z**k``; there are ``m + 1`` entries with
+    ``(-1)^k C(m + alpha, m - k) / k!``, each rounded once from the exact
+    rational value.
     """
     _check_order(m)
-    if m > 8:
-        raise ValueError("rodrigues_check is validated for m <= 8 only")
-    scale = (-1.0) ** m / (4.0 ** m * math.factorial(m))
-    h = hermite_eval(2 * m, x)
-    return h * scale
+    return tuple(float(c) for c in _exact_coeffs(m, float(alpha)))
 
 
 def gamma_half_integer(m):

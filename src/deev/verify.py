@@ -98,44 +98,34 @@ def adjudicate(params, q=QuadratureSpec(), form=STANDARD):
 
     def attempt(spec):
         try:
-            cal = calibrate_constant_detailed(params, q=spec, shape=shape)
-            return cal, None
+            return calibrate_constant_detailed(params, q=spec, shape=shape), True
         except ShapeMismatchError as err:
-            return None, err
+            return err.result, False
 
-    cal, err = attempt(q)
-    cal2, err2 = attempt(q.halved())
-    if cal is not None and cal2 is not None:
+    cal, fits = attempt(q)
+    cal2, fits2 = attempt(q.halved())
+    if fits and fits2:
         stable = abs(cal.constant / cal2.constant - 1.0) < 1e-6
     else:
-        stable = (cal is None) == (cal2 is None)
+        stable = fits == fits2
 
-    if cal is not None:
-        probes, ratios = cal.probes, cal.ratios
-        shapes = cal.shape_values
-        oracles = cal.oracle_values
-        calibrated = cal.constant
-        if abs(calibrated / nominal - 1.0) <= 1e-6:
-            verdict = Verdict.MATCH
-        else:
-            verdict = Verdict.CONSTANT_ONLY
-        notes = ()
-    else:
-        probes, ratios = err.probes, err.ratios
-        shapes = tuple(float(shape(params, *pt)) for pt in probes)
-        oracles = tuple(r * s for r, s in zip(ratios, shapes))
-        calibrated = float(np.mean(ratios))
+    notes = ()
+    if not fits:
         verdict = Verdict.SHAPE
         notes = ("no constant calibration exists; calibrated_constant is the best-fit mean ratio",)
+    elif abs(cal.constant / nominal - 1.0) <= 1e-6:
+        verdict = Verdict.MATCH
+    else:
+        verdict = Verdict.CONSTANT_ONLY
 
     return DiscrepancyReport(
         label=f"{form} closed form, m={params.m}, sigma=({params.sigma_x:g},{params.sigma_y:g})",
-        probes=tuple(probes),
-        closed_form=tuple(nominal * s for s in shapes),
-        oracle=tuple(oracles),
-        ratios=tuple(ratios),
+        probes=cal.probes,
+        closed_form=tuple(nominal * s for s in cal.shape_values),
+        oracle=cal.oracle_values,
+        ratios=cal.ratios,
         nominal_constant=nominal,
-        calibrated_constant=calibrated,
+        calibrated_constant=cal.constant,
         verdict=verdict,
         stable_under_halving=stable,
         notes=notes,
@@ -216,8 +206,7 @@ def _minima_suite(params, threads=None):
     return SuiteResult("minima-count", ok, f"claim expects {params.m}: {detail}")
 
 
-def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024,
-               n_equivalence=20, n_marginal=6):
+def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024):
     """Run all suites, write report files, and return the outcome."""
     rng = np.random.default_rng(seed)
     reports = {form: adjudicate(params, q, form=form) for form in FORMS}
@@ -225,8 +214,8 @@ def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024,
 
     suites = [
         _normalization_suite(params, q),
-        _marginal_suite(params, q, n_marginal, rng),
-        _equivalence_suite(params, q, n_equivalence, rng),
+        _marginal_suite(params, q, 6, rng),
+        _equivalence_suite(params, q, 20, rng),
         _symmetry_suite(params),
     ]
     suites.append(SuiteResult(

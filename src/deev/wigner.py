@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gridio import Field2D, _fmt, sample_field
+from .gridio import _fmt, sample_field
 from .special import alp_coeffs, alp_eval, gamma_half_integer
 from .state import _param_metadata
 
@@ -203,11 +203,11 @@ class SlicePlane(Enum):
                              f"{[p.name.lower() for p in cls]}") from None
 
 
-def wigner_slice(params, plane, grid, form=STANDARD, threads=None, constant=None):
+def wigner_slice(params, plane, grid, form=STANDARD, threads=None):
     """Sample a 2D reduction of the 4D Wigner function over a grid.
 
     The grid axis labels must match the plane. ``form`` names the closed
-    form in :data:`FORMS`; ``constant`` defaults to its nominal constant.
+    form in :data:`FORMS`, evaluated with its nominal constant.
     """
     if form not in FORMS:
         raise ValueError(f"form must be one of {sorted(FORMS)}, got {form!r}")
@@ -217,8 +217,7 @@ def wigner_slice(params, plane, grid, form=STANDARD, threads=None, constant=None
         raise ValueError(f"grid labels {got} do not match plane {plane.name} (needs {want})")
     pinned = {"x": params.x0, "y": params.y0, "px": params.px0, "py": params.py0}
     fn4d = FORMS[form].evaluate
-    if constant is None:
-        constant = FORMS[form].nominal(params)
+    constant = FORMS[form].nominal(params)
 
     def fn(a1, a2):
         coords = dict(pinned)
@@ -254,7 +253,7 @@ def sit(m, sigma_x, sigma_y, r, s, form="sum"):
     s = np.asarray(s, dtype=float)
     t = r + s if form == "sum" else r - s
     d = sigma_x ** 2 + sigma_y ** 2
-    cs = alp_coeffs(m, -0.5).coeffs
+    cs = alp_coeffs(m, -0.5)
     # powers of the squares keep the result exactly even in each variable,
     # so the difference form equals the sum form under s -> -s bitwise
     r2, s2, t2 = r * r, s * s, t * t
@@ -291,16 +290,17 @@ def sit_field(m, sigma_x, sigma_y, grid, form="sum", clamp_cap=1e12, threads=Non
         "sigma_y": _fmt(sigma_y),
         "form": form,
         "clamp_cap": _fmt(clamp_cap),
+        "allow_nonfinite": "true",
     }
     return sample_field(lambda rr, ss: sit(m, sigma_x, sigma_y, rr, ss, form=form),
-                        grid, threads=threads, metadata=meta, allow_nonfinite=True)
+                        grid, threads=threads, metadata=meta)
 
 
-def count_strict_minima(field, threshold=1e-12):
-    """Count interior nodes strictly below all 8 neighbors with |W| > threshold."""
-    v = field.values if isinstance(field, Field2D) else np.asarray(field)
+def count_strict_minima(field):
+    """Count interior nodes of a field strictly below all 8 neighbors with |W| > 1e-12."""
+    v = field.values
     center = v[1:-1, 1:-1]
-    mask = np.abs(center) > threshold
+    mask = np.abs(center) > 1e-12
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:

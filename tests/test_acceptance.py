@@ -80,7 +80,7 @@ def test_criterion_3_oracle_adjudication_elliptic(tmp_path):
     for m in (1, 2, 3):
         p = DeevParams.tied(m, 5.0, 3.0)
         out = str(tmp_path / f"m{m}")
-        outcome = run_verify(p, q=Q, out_dir=out, seed=2024, n_equivalence=10, n_marginal=3)
+        outcome = run_verify(p, q=Q, out_dir=out, seed=2024)
         rep = outcome.standard_report
         verdicts.append(rep.verdict.value)
         assert rep.verdict in (Verdict.MATCH, Verdict.CONSTANT_ONLY)

@@ -229,6 +229,16 @@ def test_untied_weights_rejected_before_writing(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["field", "wigner", "verify", "sit"])
+def test_one_eta_names_both_keys(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "c.json", {"state": dict(small_state(1), eta_x=0.2),
+                                            "sit": {"m": 1}})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "state.eta_x/state.eta_y" in capsys.readouterr().err
+    assert not out.exists()
+
+
 TABLE_BASE = {
     "state": dict(small_state(1), eta_x=1 / (math.sqrt(2) * 5.0), eta_y=1 / (math.sqrt(2) * 3.0)),
     "grid": small_grid(n=5),

@@ -35,6 +35,9 @@ def test_field_shape_validation():
         Field2D(spec=grid(), values=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         Field2D(spec=grid(), values=np.full((4, 3), np.nan))
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Field2D(spec=grid(), values=np.full((4, 3), bad))
 
 
 def test_csv_round_trip_bitwise(tmp_path):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from deev import oracle
+from deev.gridio import Verdict
 from deev.oracle import (OracleConvergenceError, QuadratureSpec, ShapeMismatchError,
-                         calibrate_constant, calibrate_constant_detailed, oracle_marginal_xy,
-                         oracle_norm, oracle_wigner, oracle_wigner_full)
+                         calibrate_constant_detailed, oracle_marginal_xy, oracle_norm,
+                         oracle_wigner, oracle_wigner_full)
 from deev.state import DeevParams, psi
+from deev.verify import adjudicate
 from deev.wigner import FORMS, standard_constant, wigner4d, wigner4d_candidate
 
 Q = QuadratureSpec()
@@ -93,8 +95,8 @@ def test_calibration_recovers_exact_constant():
 
 def test_calibration_elliptic_stable():
     p = DeevParams.tied(3, 5.0, 3.0)
-    c1 = calibrate_constant(p, Q, shape=FORMS["standard"].shape)
-    c2 = calibrate_constant(p, Q.halved(), shape=FORMS["standard"].shape)
+    c1 = calibrate_constant_detailed(p, Q, shape=FORMS["standard"].shape).constant
+    c2 = calibrate_constant_detailed(p, Q.halved(), shape=FORMS["standard"].shape).constant
     assert c1 == pytest.approx(c2, rel=1e-9)
     assert c1 == pytest.approx(standard_constant(3), rel=1e-9)
 
@@ -103,8 +105,25 @@ def test_candidate_form_is_shape_mismatched():
     for m in (0, 2):
         p = DeevParams.tied(m, 5.0, 3.0)
         with pytest.raises(ShapeMismatchError):
-            calibrate_constant(p, Q, shape=lambda pp, x, y, px, py:
-                               wigner4d_candidate(pp, x, y, px, py, constant=1.0))
+            calibrate_constant_detailed(p, Q, shape=lambda pp, x, y, px, py:
+                                        wigner4d_candidate(pp, x, y, px, py, constant=1.0))
+
+
+def test_shape_mismatch_report_holds_the_oracle_values():
+    # the refused calibration travels with the error, and the candidate
+    # report prints the oracle's own values, not ratio x shape (which can
+    # differ in the last digit: probe 3 here)
+    p = DeevParams.tied(2, 3.3570825953412484, 2.612793450391342,
+                        x0=-1.4710365831323013, px0=0.9446745793730726, sign=+1)
+    with pytest.raises(ShapeMismatchError) as err:
+        calibrate_constant_detailed(p, Q, shape=FORMS["candidate"].shape)
+    cal = err.value.result
+    assert len(cal.probes) == 5
+    assert cal.spread >= 1e-6
+    rep = adjudicate(p, Q, form="candidate")
+    assert rep.verdict is Verdict.SHAPE
+    assert rep.probes == cal.probes
+    assert rep.oracle == tuple(oracle_wigner(p, *pt, q=Q) for pt in rep.probes)
 
 
 def test_halving_self_consistency():

@@ -1,16 +1,42 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import eval_genlaguerre
+from scipy.special import binom, eval_genlaguerre, eval_hermite
 
-from deev.special import (alp_coeffs, alp_eval, binom_real, gamma_half_integer,
-                          hermite_eval, rodrigues_check)
+from deev.special import alp_coeffs, alp_eval, gamma_half_integer
 
 
 def quadratic_alp(alpha, z):
     # independent closed form: L_2^a(z) = (a+1)(a+2)/2 - (a+2) z + z^2/2
     return (alpha + 1) * (alpha + 2) / 2 - (alpha + 2) * z + z * z / 2
+
+
+def series_coeffs(m, alpha):
+    # exact series coefficients from c_0 = C(m + a, m) and the term ratio
+    # c_k / c_{k-1} = -(m - k + 1) / (k (k + a))
+    a = Fraction(alpha)
+    c = Fraction(1)
+    for i in range(1, m + 1):
+        c *= (a + i) / i
+    out = [c]
+    for k in range(1, m + 1):
+        c *= -Fraction(m - k + 1, k) / (a + k)
+        out.append(c)
+    return out
+
+
+def exact_poly(coeffs, z):
+    # the series cancels heavily (condition up to ~1e7 on z <= 100, m <= 12),
+    # so it is summed in exact rationals and rounded once
+    zf = Fraction(float(z))
+    return float(sum(Fraction(c) * zf ** k for k, c in enumerate(coeffs)))
+
+
+def hermite_route(m, x):
+    # H_{2m}(x) = (-1)^m 2^{2m} m! L_m^{-1/2}(x^2), independent of alp_eval
+    return float(eval_hermite(2 * m, x)) * (-1.0) ** m / (4.0 ** m * math.factorial(m))
 
 
 def test_order_zero_is_one():
@@ -42,19 +68,18 @@ def test_negative_order_rejected():
 
 
 def test_coeffs_examples():
-    assert alp_coeffs(0, -0.5).coeffs == (1.0,)
-    c1 = alp_coeffs(1, -0.5)
-    assert c1.coeffs == pytest.approx((0.5, -1.0))
+    assert alp_coeffs(0, -0.5) == (1.0,)
+    assert alp_coeffs(1, -0.5) == pytest.approx((0.5, -1.0))
     c3 = alp_coeffs(3, -0.5)
-    assert len(c3.coeffs) == 4
-    assert c3.coeffs[0] == pytest.approx(5.0 / 16.0, abs=1e-15)
+    assert len(c3) == 4
+    assert c3[0] == pytest.approx(5.0 / 16.0, abs=1e-15)
 
 
 def test_coeffs_match_recurrence_at_sample_points():
     c3 = alp_coeffs(3, -0.5)
     for z in np.linspace(0.0, 40.0, 20):
         rec = alp_eval(3, -0.5, float(z))
-        assert c3.eval(float(z)) == pytest.approx(rec, rel=1e-10, abs=1e-12)
+        assert exact_poly(c3, z) == pytest.approx(rec, rel=1e-10, abs=1e-12)
 
 
 def test_recurrence_vs_series_property():
@@ -64,14 +89,15 @@ def test_recurrence_vs_series_property():
         alpha = float(rng.uniform(-0.9, 3.0))
         z = float(rng.uniform(0.0, 100.0))
         a = alp_eval(m, alpha, z)
-        b = alp_coeffs(m, alpha).eval(z)
-        assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
+        exact = series_coeffs(m, alpha)
+        assert alp_coeffs(m, alpha) == tuple(float(c) for c in exact)
+        assert exact_poly(exact, z) == pytest.approx(a, rel=1e-10, abs=1e-10)
 
 
 def test_value_at_zero_is_binomial():
     for m in range(13):
         for alpha in (-0.5, 0.0, 0.7, 2.0):
-            expect = binom_real(m + alpha, m)
+            expect = float(binom(m + alpha, m))
             assert alp_eval(m, alpha, 0.0) == pytest.approx(expect, rel=1e-14, abs=1e-14)
 
 
@@ -86,9 +112,9 @@ def test_against_scipy():
 
 
 def test_rodrigues_examples():
-    assert rodrigues_check(0, 1.0) == 1.0
-    assert rodrigues_check(1, 1.0) == pytest.approx(-0.5, abs=1e-14)
-    assert rodrigues_check(3, 0.7) == pytest.approx(alp_eval(3, -0.5, 0.49), abs=1e-10)
+    assert hermite_route(0, 1.0) == 1.0
+    assert hermite_route(1, 1.0) == pytest.approx(-0.5, abs=1e-14)
+    assert hermite_route(3, 0.7) == pytest.approx(alp_eval(3, -0.5, 0.49), abs=1e-10)
 
 
 def test_rodrigues_hermite_connection_property():
@@ -96,22 +122,9 @@ def test_rodrigues_hermite_connection_property():
     for _ in range(300):
         m = int(rng.integers(0, 9))
         x = float(rng.uniform(-5.0, 5.0))
-        lhs = rodrigues_check(m, x)
+        lhs = hermite_route(m, x)
         rhs = alp_eval(m, -0.5, x * x)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-
-
-def test_rodrigues_order_limit():
-    with pytest.raises(ValueError):
-        rodrigues_check(9, 1.0)
-
-
-def test_hermite_recurrence_first_orders():
-    x = 1.3
-    assert hermite_eval(0, x) == 1.0
-    assert hermite_eval(1, x) == pytest.approx(2 * x)
-    assert hermite_eval(2, x) == pytest.approx(4 * x * x - 2)
-    assert hermite_eval(3, x) == pytest.approx(8 * x ** 3 - 12 * x)
 
 
 def test_gamma_half_integer_values():

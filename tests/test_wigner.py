@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import binom
 
 from deev.gridio import AxisSpec, GridSpec
-from deev.special import binom_real
 from deev.state import DeevParams
 from deev.verify import canonical_slice_grid
 from deev.wigner import (SlicePlane, candidate_constant, count_strict_minima, scaled_coords,
@@ -46,7 +46,7 @@ def test_center_values():
         assert wigner4d(p, 2.0, 4.0, 0.1, 0.2) == pytest.approx(
             (-1.0) ** m / math.pi ** 2, rel=1e-14)
         # candidate form: K * binom(m - 1/2, m)
-        expect = candidate_constant(m, 5.0, 3.0) * binom_real(m - 0.5, m)
+        expect = candidate_constant(m, 5.0, 3.0) * float(binom(m - 0.5, m))
         assert wigner4d_candidate(p, 2.0, 4.0, 0.1, 0.2) == pytest.approx(expect, rel=1e-13)
 
 
