@@ -211,6 +211,8 @@ def cmd_wigner(args):
             grid = canonical_slice_grid(params, plane)
         try:
             field = wigner_slice(params, plane, grid, form=form, threads=args.threads)
+        except OverflowError as err:
+            raise ConfigError(f"state.m: {err}") from err
         except ValueError as err:
             raise ConfigError(str(err)) from err
         for p in _write_pair(field, out, f"wigner_{plane.name.lower()}_{form}", clamp):

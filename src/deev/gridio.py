@@ -86,13 +86,24 @@ class Field2D:
             raise ValueError("non-finite entries require metadata allow_nonfinite=true")
 
 
-def sample_field(fn, grid, threads=None, metadata=None):
-    """Sample ``fn(x1, x2) -> array`` over the grid, optionally row-parallel.
+# Grid blocks for sample_field and write_pgm: each block's temporaries stay in cache.
+_BLOCK_NODES = 2 ** 15
 
-    Rows are assigned to workers in fixed disjoint blocks and each value is
-    computed independently, so the result is bit-identical for any thread
-    count. The worker count defaults to, and is capped at, the CPUs this
-    process may run on, and at half the row count.
+
+def _row_blocks(rows, cols, max_rows=None):
+    """(i0, i1) row ranges of at most _BLOCK_NODES nodes (at least one row), and of max_rows."""
+    step = max(1, min(_BLOCK_NODES // cols, max_rows or rows))
+    return [(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def sample_field(fn, grid, threads=None, metadata=None):
+    """Sample ``fn(x1, x2) -> array`` over the grid, in row blocks, optionally in parallel.
+
+    ``fn`` runs on fixed blocks of whole rows, at most _BLOCK_NODES nodes and
+    at least one block per worker, so its temporaries stay small whatever the
+    grid size. Each value is computed independently, so the result is
+    bit-identical for any thread count. The worker count defaults to, and is
+    capped at, the CPUs this process may run on, and at half the row count.
     """
     n1 = grid.axis1.nodes()
     n2 = grid.axis2.nodes()
@@ -100,17 +111,18 @@ def sample_field(fn, grid, threads=None, metadata=None):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
     threads = max(1, min(threads or cpus, cpus, grid.axis1.count // 2))
 
-    def fill(i0, i1):
+    def fill(bounds):
+        i0, i1 = bounds
         x1, x2 = np.meshgrid(n1[i0:i1], n2, indexing="ij")
         out[i0:i1, :] = fn(x1, x2)
 
+    blocks = _row_blocks(grid.axis1.count, grid.axis2.count, -(-grid.axis1.count // threads))
     if threads == 1:
-        fill(0, grid.axis1.count)
+        for bounds in blocks:
+            fill(bounds)
     else:
-        step = -(-grid.axis1.count // threads)
-        bounds = [(i, min(i + step, grid.axis1.count)) for i in range(0, grid.axis1.count, step)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+            list(pool.map(fill, blocks))
 
     return Field2D(spec=grid, values=out, metadata=dict(metadata or {}))
 
@@ -327,29 +339,40 @@ def write_pgm(field, destination, clamp="auto"):
     comment line of the header; identical inputs give identical bytes.
     """
     v = field.values
-    finite = v[np.isfinite(v)]
+    blocks = _row_blocks(*v.shape)
     if clamp == "auto":
-        if finite.size == 0:
+        vmin, vmax = math.inf, -math.inf
+        for i0, i1 in blocks:
+            finite = v[i0:i1][np.isfinite(v[i0:i1])]
+            if finite.size:
+                vmin, vmax = min(vmin, float(finite.min())), max(vmax, float(finite.max()))
+        if vmin > vmax:
             vmin, vmax = -1.0, 1.0
-        else:
-            vmin, vmax = float(finite.min()), float(finite.max())
     else:
         clamp = float(clamp)
         if not clamp > 0:
             raise ValueError(f"clamp must be > 0, got {clamp}")
         vmin, vmax = -clamp, clamp
     span = vmax - vmin
-    if span <= 0:
-        levels = np.full(v.shape, 32768, dtype=np.uint16)
-    else:
-        scaled = (v - vmin) / span * 65535.0
-        scaled = np.where(np.isnan(v), 32768.0, scaled)
-        levels = np.clip(np.rint(scaled), 0, 65535).astype(np.uint16)
+
+    def levels(b):
+        if span <= 0:
+            return np.full(b.shape, 32768, dtype=">u2")
+        scaled = (b - vmin) / span * 65535.0
+        scaled = np.where(np.isnan(b), 32768.0, scaled)
+        return np.clip(np.rint(scaled), 0, 65535).astype(">u2")
+
     header = (
         f"P5\n# map vmin={_fmt(vmin)} vmax={_fmt(vmax)} nan=32768\n"
         f"{field.spec.axis2.count} {field.spec.axis1.count}\n65535\n"
     )
-    _atomic_write(destination, [header.encode("ascii") + levels.astype(">u2").tobytes()])
+
+    def chunks():
+        yield header.encode("ascii")
+        for i0, i1 in blocks:
+            yield levels(v[i0:i1]).tobytes()
+
+    _atomic_write(destination, chunks())
 
 
 class Verdict(str, Enum):

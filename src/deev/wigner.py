@@ -207,7 +207,8 @@ def wigner_slice(params, plane, grid, form=STANDARD, threads=None):
     """Sample a 2D reduction of the 4D Wigner function over a grid.
 
     The grid axis labels must match the plane. ``form`` names the closed
-    form in :data:`FORMS`, evaluated with its nominal constant.
+    form in :data:`FORMS`, evaluated with its nominal constant. Raises
+    OverflowError when the form leaves the double range (large m).
     """
     if form not in FORMS:
         raise ValueError(f"form must be one of {sorted(FORMS)}, got {form!r}")
@@ -217,13 +218,23 @@ def wigner_slice(params, plane, grid, form=STANDARD, threads=None):
         raise ValueError(f"grid labels {got} do not match plane {plane.name} (needs {want})")
     pinned = {"x": params.x0, "y": params.y0, "px": params.px0, "py": params.py0}
     fn4d = FORMS[form].evaluate
-    constant = FORMS[form].nominal(params)
+    overflow = f"the {form} closed form at m={params.m} overflows double precision on this grid"
+    try:
+        constant = FORMS[form].nominal(params)
+    except OverflowError:
+        raise OverflowError(overflow) from None
 
     def fn(a1, a2):
         coords = dict(pinned)
         coords[want[0]] = a1
         coords[want[1]] = a2
-        return fn4d(params, coords["x"], coords["y"], coords["px"], coords["py"], constant=constant)
+        # W is finite everywhere, so a non-finite value is an overflow. The
+        # errstate is set here because worker threads do not inherit it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = fn4d(params, coords["x"], coords["y"], coords["px"], coords["py"], constant=constant)
+        if not np.isfinite(w).all():
+            raise OverflowError(overflow)
+        return w
 
     meta = _param_metadata(params)
     meta["quantity"] = "wigner"

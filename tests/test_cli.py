@@ -219,6 +219,22 @@ def test_unrepresentable_normalization_exits_2(tmp_path, capsys, command, m):
     assert f"m={m}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form", ["standard", "candidate"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_wigner_overflow_names_state_m(tmp_path, threads, form):
+    # the closed forms overflow at m = 400 on this grid; numpy must not warn from any worker
+    axis = {"min": -40.0, "max": 40.0, "count": 21}
+    cfg = write_config(tmp_path, "c.json", {
+        "state": {"m": 400, "sigma_x": 1.0, "sigma_y": 1.0}, "wigner": {"form": form},
+        "grid": {"axis1": dict(axis, label="x"), "axis2": dict(axis, label="y")}})
+    src = os.path.dirname(os.path.dirname(deev.__file__))
+    run = subprocess.run([sys.executable, "-m", "deev.cli", "wigner", "--config", cfg, "--plane", "xy",
+                          "--out", str(tmp_path / "o"), "--threads", threads],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr == f"error: state.m: the {form} closed form at m=400 overflows double precision on this grid\n"
+
+
 @pytest.mark.parametrize("command", ["wigner", "verify"])
 def test_untied_weights_rejected_before_writing(tmp_path, capsys, command):
     cfg = write_config(tmp_path, "c.json", {"state": {"m": 2, "sigma_x": 2.0, "sigma_y": 1.0,

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis.extra.numpy import arrays
 from deev import gridio
 from deev.gridio import (AxisSpec, DiscrepancyReport, Field2D, GridSpec, Verdict, read_csv,
                          read_verdict, sample_field, write_csv, write_pgm, write_report)
+from deev.state import DeevParams, intensity_field, psi
+from deev.wigner import FORMS, SlicePlane, sit, sit_field, wigner_slice
 
 
 def grid(c1=4, c2=3):
@@ -141,6 +144,108 @@ def test_sample_field_caps_threads_at_available_cpus(monkeypatch):
     # fewer than two rows per worker: one thread, no pool
     sample_field(fn, GridSpec(axis1=AxisSpec("x", 0.0, 1.0, 3), axis2=g.axis2), threads=10 ** 6)
     assert started == [2, 2]
+
+
+def _blocked_samples(make):
+    """make(threads) at 1 thread, 2 threads and the default: all bit-identical, returned once."""
+    runs = [make(threads) for threads in (1, 2, None)]
+    assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+    return runs[0]
+
+
+@pytest.mark.parametrize("c1, c2", [(23, 7), (9, 41), (31, 4)])
+def test_sampling_is_block_invariant(monkeypatch, c1, c2):
+    # 30 nodes a block: rows do not divide evenly, and a 41-node row is its own block
+    monkeypatch.setattr(gridio, "_BLOCK_NODES", 30)
+    params = DeevParams.tied(3, 1.7, 0.6, x0=0.3, y0=-0.2, px0=0.4, py0=-0.1)
+
+    def mesh(g):
+        return np.meshgrid(g.axis1.nodes(), g.axis2.nodes(), indexing="ij")
+
+    g = GridSpec(AxisSpec("x", -4.0, 4.5, c1), AxisSpec("y", -2.0, 1.5, c2))
+    got = _blocked_samples(lambda t: intensity_field(params, g, threads=t).values)
+    p = psi(params, *mesh(g))
+    assert got.tobytes() == (p.real ** 2 + p.imag ** 2).tobytes()
+
+    for plane, labels in ((SlicePlane.XY, ("x", "y")), (SlicePlane.XPY, ("x", "py"))):
+        g = GridSpec(AxisSpec(labels[0], -4.0, 4.5, c1), AxisSpec(labels[1], -3.0, 2.5, c2))
+        for form in FORMS:
+            got = _blocked_samples(lambda t: wigner_slice(params, plane, g, form=form, threads=t).values)
+            a1, a2 = mesh(g)
+            coords = {"x": params.x0, "y": params.y0, "px": params.px0, "py": params.py0,
+                      labels[0]: a1, labels[1]: a2}
+            ref = FORMS[form].evaluate(params, coords["x"], coords["y"], coords["px"], coords["py"])
+            assert got.tobytes() == ref.tobytes()
+
+    g = GridSpec(AxisSpec("r", -2.0, 2.0, c1 | 1), AxisSpec("s", -1.5, 1.5, c2 | 1))
+    got = _blocked_samples(lambda t: sit_field(4, 1.7, 0.6, g, threads=t).values)
+    assert np.isnan(got[c1 // 2, c2 // 2])          # the undefined origin
+    assert got.tobytes() == sit(4, 1.7, 0.6, *mesh(g)).tobytes()
+
+
+def test_sampling_and_pgm_memory_stay_bounded(tmp_path):
+    params = DeevParams.tied(3, 1.3, 0.8)
+    g = GridSpec(AxisSpec("x", -5.0, 5.0, 1001), AxisSpec("y", -5.0, 5.0, 1001))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f = intensity_field(params, g, threads=2)
+        sampling = tracemalloc.get_traced_memory()[1] - base - f.values.nbytes
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write_pgm(f, str(tmp_path / "f.pgm"))
+        rendering = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # whole-grid temporaries would take about 85 MiB and 31 MiB
+    assert sampling <= 12 * 2 ** 20
+    assert rendering <= 6 * 2 ** 20
+
+
+def _reference_pgm_bytes(f, clamp):
+    """The whole-array renderer that write_pgm replaced, kept as the byte reference."""
+    v = f.values
+    finite = v[np.isfinite(v)]
+    if clamp == "auto":
+        vmin, vmax = (-1.0, 1.0) if finite.size == 0 else (float(finite.min()), float(finite.max()))
+    else:
+        vmin, vmax = -float(clamp), float(clamp)
+    span = vmax - vmin
+    if span <= 0:
+        levels = np.full(v.shape, 32768, dtype=np.uint16)
+    else:
+        scaled = (v - vmin) / span * 65535.0
+        scaled = np.where(np.isnan(v), 32768.0, scaled)
+        levels = np.clip(np.rint(scaled), 0, 65535).astype(np.uint16)
+    header = (f"P5\n# map vmin={gridio._fmt(vmin)} vmax={gridio._fmt(vmax)} nan=32768\n"
+              f"{f.spec.axis2.count} {f.spec.axis1.count}\n65535\n")
+    return header.encode("ascii") + levels.astype(">u2").tobytes()
+
+
+def _pgm_cases():
+    rng = np.random.default_rng(9)
+    spread = rng.normal(size=(9, 5))
+    spread[1, 3], spread[7, 0] = -40.0, 25.0        # min and max in different blocks
+    holes = rng.normal(size=(9, 5)) * 1e-3
+    holes[2], holes[4], holes[6] = math.nan, math.inf, -math.inf
+    return {
+        "spread": spread,
+        "holes": holes,
+        "all-nonfinite": np.resize([math.nan, math.inf, -math.inf], (9, 5)),
+        "constant": np.full((9, 5), -0.25),
+        "one-finite": np.where(np.arange(45).reshape(9, 5) == 31, 3.0, math.nan),
+    }
+
+
+@pytest.mark.parametrize("name", list(_pgm_cases()))
+@pytest.mark.parametrize("clamp", ["auto", 0.5, 100.0])
+def test_pgm_bytes_match_whole_array_reference(tmp_path, monkeypatch, name, clamp):
+    monkeypatch.setattr(gridio, "_BLOCK_NODES", 7)   # one 5-node row per block
+    f = Field2D(spec=GridSpec(AxisSpec("x", 0.0, 1.0, 9), AxisSpec("y", 0.0, 1.0, 5)),
+                values=_pgm_cases()[name], metadata={"allow_nonfinite": "true"})
+    path = tmp_path / "f.pgm"
+    write_pgm(f, str(path), clamp=clamp)
+    assert path.read_bytes() == _reference_pgm_bytes(f, clamp)
 
 
 def _reference_csv_bytes(f):
