@@ -11,8 +11,7 @@ from .coupling import (DcdcParams, InfeasibleRatioError, ModeCoupler, bs_coupler
 from .gridio import (AxisSpec, DiscrepancyReport, Field2D, GridSpec, Verdict, read_csv,
                      sample_field, write_csv, write_pgm, write_report)
 from .oracle import (CalibrationResult, OracleConvergenceError, QuadratureSpec,
-                     ShapeMismatchError, calibrate_constant_detailed, oracle_marginal_xy,
-                     oracle_norm, oracle_wigner)
+                     calibrate_constant_detailed, oracle_marginal_xy, oracle_norm, oracle_wigner)
 from .special import alp_coeffs, alp_eval, gamma_half_integer
 from .state import DeevParams, VortexDecomposition, circular_decomposition, intensity_field, psi
 from .verify import run_verify
@@ -28,7 +27,7 @@ __all__ = [
     "DeevParams", "VortexDecomposition", "psi", "intensity_field", "circular_decomposition",
     "ScaledCoords", "SlicePlane", "scaled_coords", "standard_constant", "candidate_constant",
     "wigner4d", "wigner4d_candidate", "wigner_slice", "sit", "sit_field",
-    "QuadratureSpec", "OracleConvergenceError", "ShapeMismatchError", "CalibrationResult",
+    "QuadratureSpec", "OracleConvergenceError", "CalibrationResult",
     "oracle_wigner", "oracle_marginal_xy", "oracle_norm", "calibrate_constant_detailed",
     "AxisSpec", "GridSpec", "Field2D", "Verdict", "DiscrepancyReport",
     "sample_field", "write_csv", "read_csv", "write_pgm", "write_report",

@@ -17,7 +17,7 @@ from .gridio import AxisSpec, GridSpec, write_csv, write_pgm
 from .oracle import OracleConvergenceError, QuadratureSpec
 from .state import DeevParams, intensity_field
 from .verify import canonical_slice_grid, run_verify
-from .wigner import FORMS, SIT_FORMS, STANDARD, SlicePlane, sit_field, wigner_slice
+from .wigner import FORMS, SIT_FORMS, STANDARD, SlicePlane, _require_tied, _sit_coeffs, sit_field, wigner_slice
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -115,10 +115,10 @@ def _state_params(cfg):
 
 def _tied(params, command):
     """Reject untied weights for a command that evaluates the closed forms."""
-    if not params.is_eta_tied:
-        raise ConfigError(f"state.eta_x/state.eta_y: {command} evaluates the closed forms, which need "
-                          f"eta_x sigma_x == eta_y sigma_y (got {params.eta_x * params.sigma_x!r} "
-                          f"vs {params.eta_y * params.sigma_y!r})")
+    try:
+        _require_tied(params, command)
+    except ValueError as err:
+        raise ConfigError(f"state.eta_x/state.eta_y: {err}") from err
     return params
 
 
@@ -152,12 +152,12 @@ def _quadrature(cfg):
 
 
 def _out_dir(cfg, args):
-    out = args.out or cfg.get("out_dir", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+    return args.out or cfg.get("out_dir", ".")
 
 
 def _write_pair(field, out_dir, stem, clamp):
+    # created with the first file, so a command rejected before it leaves no output directory
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, stem + ".csv")
     pgm_path = os.path.join(out_dir, stem + ".pgm")
     write_csv(field, csv_path)
@@ -235,6 +235,11 @@ def cmd_sit(args):
     cap = sb.get("clamp", 1e12)
     if not cap > 0:
         raise ConfigError(f"sit.clamp: expected a positive number, got {cap!r}")
+    for m in orders:
+        try:
+            _sit_coeffs(m, sx, sy)
+        except (ValueError, OverflowError) as err:
+            raise ConfigError(f"sit.m: {err}") from err
     grid = _grid(cfg) or GridSpec(axis1=AxisSpec("r", -5.0, 5.0, 201), axis2=AxisSpec("s", -5.0, 5.0, 201))
     out = _out_dir(cfg, args)
     clamp = _clamp_value(args)
@@ -243,8 +248,10 @@ def cmd_sit(args):
     for m in orders:
         try:
             field = sit_field(m, sx, sy, grid, form=form, clamp_cap=cap, threads=args.threads)
+        except OverflowError as err:
+            raise ConfigError(f"sit.m: {err}") from err
         except ValueError as err:
-            raise ConfigError(str(err)) from err
+            raise ConfigError(f"grid: {err}") from err
         for p in _write_pair(field, out, f"sit_m{m}_{form}", clamp):
             print(p)
     return 0
@@ -253,6 +260,12 @@ def cmd_sit(args):
 def cmd_verify(args):
     cfg = load_config(args.config)
     params = _tied(_normalized(_state_params(cfg)), "verify")
+    for form in FORMS:
+        try:
+            FORMS[form].nominal(params)
+        except OverflowError:
+            raise ConfigError(f"state.m: the {form} closed form's constant at m={params.m} "
+                              "does not fit a double") from None
     q = _quadrature(cfg)
     seed = cfg.get("seed", 2024)
     out = _out_dir(cfg, args)

@@ -32,7 +32,6 @@ from .state import psi
 __all__ = [
     "QuadratureSpec",
     "OracleConvergenceError",
-    "ShapeMismatchError",
     "WignerQuadResult",
     "CalibrationResult",
     "oracle_wigner",
@@ -65,21 +64,6 @@ class OracleConvergenceError(RuntimeError):
         super().__init__(f"{message} (best estimate {best_estimate:.6g}, error bound {error_bound:g})")
         self.best_estimate = best_estimate
         self.error_bound = error_bound
-
-
-class ShapeMismatchError(RuntimeError):
-    """Calibration refused: the oracle/shape ratio is not constant.
-
-    ``result`` is the refused :class:`CalibrationResult`; its constant is
-    the best-fit mean ratio.
-    """
-
-    def __init__(self, result):
-        super().__init__(
-            f"oracle/closed-form ratio varies by {result.spread:.3e} across probes; "
-            "no constant calibration exists"
-        )
-        self.result = result
 
 
 # per-axis node budget: numpy's hermgauss returns nan weights above 371 nodes
@@ -165,9 +149,9 @@ def oracle_marginal_xy(params, x, y, q=QuadratureSpec()):
 
     Integrates W over the momentum box |px - px0| <= 6/sigma_x,
     |py - py0| <= 6/sigma_y analytically in p (Dirichlet kernels), then
-    numerically over (u, v) at reduced tolerance. The analytic identity
-    makes this equal |psi(x, y)|^2; both values must agree within 1e-5 and
-    the quadrature value is returned.
+    numerically over (u, v) at reduced tolerance, and returns the quadrature
+    value. The analytic identity makes it equal |psi(x, y)|^2 up to the
+    box's Gaussian tails; the verify marginal suite judges the agreement.
     """
     pu = 6.0 / params.sigma_x
     pv = 6.0 / params.sigma_y
@@ -185,13 +169,7 @@ def oracle_marginal_xy(params, x, y, q=QuadratureSpec()):
         kernel_v=dirichlet(pv, params.py0),
         x=x, y=y, n=params.m + 48, q=qm,
     )
-    quad_value = val.real
-    shortcut = abs(psi(params, x, y)) ** 2
-    if abs(quad_value - shortcut) > 1e-5:
-        raise OracleConvergenceError(
-            "momentum marginal disagrees with |psi|^2 beyond 1e-5", quad_value,
-            abs(quad_value - shortcut))
-    return quad_value
+    return val.real
 
 
 def oracle_norm(params, q=QuadratureSpec()):
@@ -246,8 +224,8 @@ def calibrate_constant_detailed(params, q=QuadratureSpec(), *, shape):
     ``shape`` maps (params, x, y, px, py) to the constant-free closed form
     (``wigner.FORMS[name].shape``). Probes are deterministic scaled offsets
     from the displaced center, skipping points where either value is below
-    1e-8 in magnitude. Raises :class:`ShapeMismatchError` when the ratios
-    vary by more than 1e-6 relative.
+    1e-8 in magnitude. The result is returned whatever the ratios' spread;
+    ``verify.adjudicate`` decides whether a constant calibration exists.
     """
     probes, shapes, oracles = [], [], []
     for offsets in _PROBE_OFFSETS:
@@ -266,13 +244,10 @@ def calibrate_constant_detailed(params, q=QuadratureSpec(), *, shape):
     if len(probes) < _N_PROBES:
         raise ValueError("not enough usable probe points; state too degenerate")
     ratios = tuple(ov / sv for ov, sv in zip(oracles, shapes))
-    result = CalibrationResult(
+    return CalibrationResult(
         constant=float(np.mean(ratios)),
         probes=tuple(probes),
         shape_values=tuple(shapes),
         oracle_values=tuple(oracles),
         ratios=ratios,
     )
-    if result.spread >= 1e-6:
-        raise ShapeMismatchError(result)
-    return result

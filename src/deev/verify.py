@@ -4,7 +4,8 @@ Five suites run against a parameter set: normalization of |psi|^2,
 momentum marginals, oracle adjudication of both closed forms, symmetry
 (width-swap transpose and displacement covariance), and the minima-count
 claim for the mixed-plane slices. Each suite reports one line; the
-adjudications additionally produce discrepancy report files.
+adjudications additionally produce discrepancy report files. The oracle
+module only measures: every pass/fail threshold is applied here.
 
 The minima-count suite records an expected failure mode: the claim of m
 strict minima in the x-px plane holds for the striped candidate form but
@@ -20,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gridio import AxisSpec, DiscrepancyReport, GridSpec, Verdict, _atomic_write, write_report
-from .oracle import (QuadratureSpec, ShapeMismatchError, calibrate_constant_detailed,
-                     oracle_marginal_xy, oracle_norm, oracle_wigner)
+from .oracle import (QuadratureSpec, calibrate_constant_detailed, oracle_marginal_xy, oracle_norm,
+                     oracle_wigner)
 from .state import psi
 from .wigner import (CANDIDATE, FORMS, STANDARD, SlicePlane, count_strict_minima, wigner4d,
                      wigner_slice)
@@ -51,8 +52,6 @@ class VerifyOutcome:
 
     @property
     def exit_code(self):
-        if self.standard_report.verdict is Verdict.SHAPE:
-            return 1
         return 0 if self.all_passed else 1
 
     def summary_lines(self):
@@ -85,29 +84,22 @@ def canonical_slice_grid(params, plane, count=301):
 def adjudicate(params, q=QuadratureSpec(), form=STANDARD):
     """Calibrate one closed form against the oracle and build its report.
 
-    The verdict is ``match`` when the ratios are constant and the nominal
-    constant agrees with the calibrated one within 1e-6,
-    ``constant-only-mismatch`` when only the constant differs, and
-    ``shape-mismatch`` when no constant calibration exists. Stability under
-    tolerance halving is checked by re-running at half tolerances.
+    The verdict is ``shape-mismatch`` when the oracle/shape ratios vary by
+    1e-6 relative or more (no constant calibration exists), ``match`` when
+    they do not and the nominal constant agrees with the calibrated one
+    within 1e-6, and ``constant-only-mismatch`` when only the constant
+    differs. Stability under tolerance halving is checked by re-running at
+    half tolerances.
     """
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}")
     nominal = FORMS[form].nominal(params)
     shape = FORMS[form].shape
-
-    def attempt(spec):
-        try:
-            return calibrate_constant_detailed(params, q=spec, shape=shape), True
-        except ShapeMismatchError as err:
-            return err.result, False
-
-    cal, fits = attempt(q)
-    cal2, fits2 = attempt(q.halved())
-    if fits and fits2:
-        stable = abs(cal.constant / cal2.constant - 1.0) < 1e-6
-    else:
-        stable = fits == fits2
+    cal = calibrate_constant_detailed(params, q=q, shape=shape)
+    cal2 = calibrate_constant_detailed(params, q=q.halved(), shape=shape)
+    fits, fits2 = (c.spread < 1e-6 for c in (cal, cal2))
+    # stable: neither calibration fits, or both fit with the same constant
+    stable = fits == fits2 and (not fits or abs(cal.constant / cal2.constant - 1.0) < 1e-6)
 
     notes = ()
     if not fits:

@@ -244,6 +244,28 @@ def wigner_slice(params, plane, grid, form=STANDARD, threads=None):
     return sample_field(fn, grid, threads=threads, metadata=meta)
 
 
+def _sit_coeffs(m, sigma_x, sigma_y):
+    """The scaled SIT series coefficients c_k / (sigma_x^2 + sigma_y^2)^k, k = 0..m.
+
+    OverflowError names m when a c_k or a scaled one is not a normal double (large m).
+    """
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"SIT needs m >= 1 (no interference terms exist below); got {m!r}")
+    if not (sigma_x > 0 and sigma_y > 0):
+        raise ValueError("beam widths must be positive")
+    d = sigma_x ** 2 + sigma_y ** 2
+    try:
+        cs = alp_coeffs(m, -0.5)
+        with np.errstate(all="ignore"):     # numpy scalar widths warn where floats raise
+            ck = [c / d ** k for k, c in enumerate(cs)]
+    except (OverflowError, ZeroDivisionError):
+        cs = ck = [math.inf]                # fails the check below
+    if not all(np.finfo(float).tiny <= abs(c) < math.inf for c in [*cs, *ck]):
+        raise OverflowError(f"the SIT coefficients at m={m} leave the double range for "
+                            f"sigma_x^2 + sigma_y^2 = {d:g}")
+    return ck
+
+
 def sit(m, sigma_x, sigma_y, r, s, form="sum"):
     """Scaled interference term of order m at dummy coordinates (r, s).
 
@@ -252,32 +274,30 @@ def sit(m, sigma_x, sigma_y, r, s, form="sum"):
     (i >= 1 and j >= 1) to the single-variable terms (exactly one of i, j
     nonzero); the constant monomial belongs to neither sum. Where the
     denominator vanishes the result follows IEEE semantics: signed infinity
-    for a nonzero numerator, NaN when both sums vanish.
+    for a nonzero numerator, NaN when both sums vanish. Raises
+    OverflowError when the series leaves the double range (large m).
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"SIT needs m >= 1 (no interference terms exist below); got {m!r}")
+    ck = _sit_coeffs(m, sigma_x, sigma_y)
     if form not in SIT_FORMS:
         raise ValueError(f"form must be one of {list(SIT_FORMS)}, got {form!r}")
-    if not (sigma_x > 0 and sigma_y > 0):
-        raise ValueError("beam widths must be positive")
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     t = r + s if form == "sum" else r - s
-    d = sigma_x ** 2 + sigma_y ** 2
-    cs = alp_coeffs(m, -0.5)
     # powers of the squares keep the result exactly even in each variable,
     # so the difference form equals the sum form under s -> -s bitwise
     r2, s2, t2 = r * r, s * s, t * t
     num = np.zeros(np.broadcast(r, s).shape)
     den = np.zeros_like(num)
-    for k in range(1, m + 1):
-        ck = cs[k] / d ** k
-        r2k, s2k = r2 ** k, s2 ** k
-        num += ck * (t2 ** k - r2k - s2k)
-        den += ck * (r2k + s2k)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # non-finite values are checked below; worker threads do not inherit errstate
+    with np.errstate(all="ignore"):
+        for k in range(1, m + 1):
+            r2k, s2k = r2 ** k, s2 ** k
+            num += ck[k] * (t2 ** k - r2k - s2k)
+            den += ck[k] * (r2k + s2k)
         out = num / den
     zero = den == 0.0
+    if not (np.isfinite(out) | zero).all():
+        raise OverflowError(f"the SIT at m={m} overflows double precision on this grid")
     out = np.where(zero & (num > 0), np.inf, out)
     out = np.where(zero & (num < 0), -np.inf, out)
     out = np.where(zero & (num == 0), np.nan, out)

@@ -11,6 +11,7 @@ import pytest
 import deev
 from deev import oracle
 from deev.cli import main
+from deev.wigner import FORMS
 from deev.gridio import read_csv, read_verdict
 
 
@@ -158,6 +159,82 @@ def test_verify_starved_node_budget_exits_2(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "v.json", {"state": small_state(3)})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
     assert "oracle: Gauss-Hermite rule did not converge" in capsys.readouterr().err
+
+
+def _verify_lines(out, capsys):
+    names = sorted(os.listdir(out))
+    assert names == ["discrepancy_candidate.txt", "discrepancy_standard.txt", "verify_summary.txt"]
+    with open(os.path.join(out, "verify_summary.txt")) as fh:
+        summary = fh.read()
+    printed = capsys.readouterr().out
+    assert printed.startswith(summary)
+    return summary.splitlines()
+
+
+def test_verify_marginal_disagreement_fails_its_suite(tmp_path, capsys, monkeypatch):
+    # the oracle only measures: a marginal quadrature that is 5% off fails the
+    # marginal suite, and the run still writes its summary and both reports
+    rule = oracle._rule
+    monkeypatch.setattr(oracle, "_rule", lambda n: (rule(n)[0], 1.05 * rule(n)[1]))
+    cfg = write_config(tmp_path, "v.json", {"state": small_state(1)})
+    out = str(tmp_path / "v")
+    assert main(["verify", "--config", cfg, "--out", out]) == 1
+    lines = _verify_lines(out, capsys)
+    assert any(line.startswith("FAIL marginal: ") for line in lines)
+    assert lines[-1] == "overall: FAIL"
+
+
+def test_verify_shape_mismatch_fails_through_adjudication(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(FORMS, "standard", FORMS["candidate"])
+    cfg = write_config(tmp_path, "v.json", {"state": small_state(0)})
+    out = str(tmp_path / "v")
+    assert main(["verify", "--config", cfg, "--out", out]) == 1
+    lines = _verify_lines(out, capsys)
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL adjudication"]
+    assert "closed-form verdict: shape-mismatch" in lines
+
+
+@pytest.mark.parametrize("m", [90, 120])
+def test_verify_candidate_constant_overflow_names_state_m(tmp_path, capsys, m):
+    cfg = write_config(tmp_path, "v.json", {"state": {"m": m, "sigma_x": 1.0, "sigma_y": 1.0}})
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: state.m: the candidate closed form's constant at m={m} "
+                                       "does not fit a double\n")
+    assert not out.exists()
+
+
+SIT_AXIS = {"min": -5.0, "max": 5.0, "count": 11}
+
+
+@pytest.mark.parametrize("m, sigma, half, labels, message", [
+    (0, None, 5.0, "rs", "sit.m: SIT needs m >= 1 (no interference terms exist below); got 0"),
+    (200, 5.0, 5.0, "rs", "sit.m: the SIT coefficients at m=200 leave the double range for "
+                          "sigma_x^2 + sigma_y^2 = 50"),
+    (200, 0.1, 5.0, "rs", "sit.m: the SIT coefficients at m=200 leave the double range for "
+                          "sigma_x^2 + sigma_y^2 = 0.02"),
+    (400, 1.0, 5.0, "rs", "sit.m: the SIT coefficients at m=400 leave the double range for "
+                          "sigma_x^2 + sigma_y^2 = 2"),
+    # 1/171! is subnormal, although its scaled coefficient 2^171/171! is not
+    (171, 0.5, 5.0, "rs", "sit.m: the SIT coefficients at m=171 leave the double range for "
+                          "sigma_x^2 + sigma_y^2 = 0.5"),
+    (100, 1.0, 1000.0, "rs", "sit.m: the SIT at m=100 overflows double precision on this grid"),
+    (2, None, 5.0, "xy", "grid: SIT grids use axes ('r', 's'), got ('x', 'y')"),
+], ids=["m0", "m200-wide", "m200-narrow", "m400", "m171-subnormal", "grid-overflow", "xy-grid"])
+def test_sit_rejections_name_their_key(tmp_path, m, sigma, half, labels, message):
+    # subprocess at 2 threads, so that any numpy warning from a worker would show in stderr
+    cfg = {"sit": {"m": m}, "grid": {"axis1": dict(SIT_AXIS, min=-half, max=half, label=labels[0]),
+                                     "axis2": dict(SIT_AXIS, min=-half, max=half, label=labels[1])}}
+    if sigma is not None:
+        cfg["state"] = {"m": 1, "sigma_x": sigma, "sigma_y": sigma}
+    path = write_config(tmp_path, "s.json", cfg)
+    out = tmp_path / "o"
+    src = os.path.dirname(os.path.dirname(deev.__file__))
+    run = subprocess.run([sys.executable, "-m", "deev.cli", "sit", "--config", path, "--out", str(out),
+                          "--threads", "2"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (2, f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_determinism_across_runs_and_threads(tmp_path):

@@ -176,6 +176,16 @@ def test_sit_rejects_m0_and_bad_form():
         sit(1, 1.0, 1.0, 1.0, 1.0, form="weird")
 
 
+def test_sit_out_of_double_range_raises_overflow():
+    # numpy widths take the warning path where Python floats raise; neither may warn
+    for m, sigma in ((200, 5.0), (200, np.float64(5.0)), (200, np.float64(0.1)), (400, 1.0), (171, 0.5)):
+        with pytest.raises(OverflowError, match=f"coefficients at m={m} "):
+            sit(m, sigma, sigma, 1.0, 2.0)
+    with pytest.raises(OverflowError, match="m=100 overflows double precision on this grid"):
+        sit(100, 1.0, 1.0, np.array([0.0, 1e3]), np.array([0.0, 1e3]))
+    assert math.isfinite(sit(100, 1.0, 1.0, 5.0, 4.0))
+
+
 def test_sit_origin_nan_and_axis_zero():
     assert math.isnan(sit(2, 5.0, 3.0, 0.0, 0.0))
     assert sit(2, 5.0, 3.0, 0.0, 1.7) == 0.0
