@@ -8,13 +8,12 @@ Wigner-transform oracle that validates the closed forms.
 
 from .coupling import (DcdcParams, InfeasibleRatioError, ModeCoupler, bs_coupler,
                        coupler_to_ellipticity, dcdc_coupler, dcdc_time_for_ratio)
-from .gridio import (AxisSpec, DiscrepancyReport, Field2D, GridSpec, Verdict, read_csv,
-                     sample_field, write_csv, write_pgm, write_report)
-from .oracle import (CalibrationResult, OracleConvergenceError, QuadratureSpec,
-                     calibrate_constant_detailed, oracle_marginal_xy, oracle_norm, oracle_wigner)
+from .gridio import AxisSpec, Field2D, GridSpec, read_csv, sample_field, write_csv, write_pgm
+from .oracle import OracleConvergenceError, QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from .special import alp_coeffs, alp_eval, gamma_half_integer
 from .state import DeevParams, VortexDecomposition, circular_decomposition, intensity_field, psi
-from .verify import run_verify
+from .verify import (CalibrationResult, DiscrepancyReport, Verdict, calibrate_constant_detailed,
+                     run_verify, write_report)
 from .wigner import (ScaledCoords, SlicePlane, candidate_constant, scaled_coords, sit,
                      sit_field, standard_constant, wigner4d, wigner4d_candidate, wigner_slice)
 

@@ -144,6 +144,14 @@ def _grid(cfg):
     return GridSpec(*axes)
 
 
+def _default_grid(build):
+    """Call ``build``; a default grid whose center swamps its width is a config error."""
+    try:
+        return build()
+    except ValueError as err:
+        raise ConfigError(f"state: the default grid around the displaced center collapses: {err}") from err
+
+
 def _quadrature(cfg):
     try:
         return QuadratureSpec(**cfg.get("quadrature", {}))
@@ -182,13 +190,16 @@ def cmd_field(args):
     params = _normalized(_state_params(cfg))
     grid = _grid(cfg)
     if grid is None:
-        grid = GridSpec(
+        grid = _default_grid(lambda: GridSpec(
             axis1=AxisSpec("x", params.x0 - 3.4 * params.sigma_x, params.x0 + 3.4 * params.sigma_x, 201),
-            axis2=AxisSpec("y", params.y0 - 3.4 * params.sigma_y, params.y0 + 3.4 * params.sigma_y, 201))
+            axis2=AxisSpec("y", params.y0 - 3.4 * params.sigma_y, params.y0 + 3.4 * params.sigma_y, 201)))
     if (grid.axis1.label, grid.axis2.label) != ("x", "y"):
         raise ConfigError("field: grid axes must be labeled x and y")
     out = _out_dir(cfg, args)
-    field = intensity_field(params, grid, threads=args.threads)
+    try:
+        field = intensity_field(params, grid, threads=args.threads)
+    except OverflowError as err:
+        raise ConfigError(f"state.m: {err}") from err
     for p in _write_pair(field, out, "intensity", _clamp_value(args)):
         print(p)
     return 0
@@ -204,11 +215,11 @@ def cmd_wigner(args):
     out = _out_dir(cfg, args)
     clamp = _clamp_value(args)
     grid_override = _grid(cfg)
-    for plane in planes:
-        if grid_override is not None and (grid_override.axis1.label, grid_override.axis2.label) == plane.axis_labels:
-            grid = grid_override
-        else:
-            grid = canonical_slice_grid(params, plane)
+    # every grid is built before the first file is written
+    grids = [grid_override if grid_override is not None
+             and (grid_override.axis1.label, grid_override.axis2.label) == plane.axis_labels
+             else _default_grid(lambda: canonical_slice_grid(params, plane)) for plane in planes]
+    for plane, grid in zip(planes, grids):
         try:
             field = wigner_slice(params, plane, grid, form=form, threads=args.threads)
         except OverflowError as err:

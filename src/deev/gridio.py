@@ -11,7 +11,6 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -19,14 +18,10 @@ __all__ = [
     "AxisSpec",
     "GridSpec",
     "Field2D",
-    "Verdict",
-    "DiscrepancyReport",
     "sample_field",
     "write_csv",
     "read_csv",
     "write_pgm",
-    "write_report",
-    "read_verdict",
 ]
 
 _AXIS_LABELS = {"x", "y", "px", "py", "r", "s"}
@@ -373,68 +368,3 @@ def write_pgm(field, destination, clamp="auto"):
             yield levels(v[i0:i1]).tobytes()
 
     _atomic_write(destination, chunks())
-
-
-class Verdict(str, Enum):
-    MATCH = "match"
-    CONSTANT_ONLY = "constant-only-mismatch"
-    SHAPE = "shape-mismatch"
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    """Adjudication record of a closed-form candidate against the oracle."""
-
-    label: str
-    probes: tuple            # phase-space points (x, y, px, py)
-    closed_form: tuple       # candidate value (nominal constant) per probe
-    oracle: tuple            # oracle value per probe
-    ratios: tuple            # oracle / shape (constant-free candidate)
-    nominal_constant: float
-    calibrated_constant: float
-    verdict: Verdict
-    stable_under_halving: bool = None
-    notes: tuple = ()
-
-    @property
-    def max_relative_deviation(self):
-        if not self.ratios or self.calibrated_constant == 0:
-            return math.inf
-        return max(abs(r / self.calibrated_constant - 1.0) for r in self.ratios)
-
-
-def write_report(report, destination):
-    """Write a discrepancy report as line-oriented key=value text.
-
-    Narrative lines are '#'-prefixed; the machine-readable verdict is the
-    final line.
-    """
-    lines = [
-        f"# discrepancy report: {report.label}",
-        "# columns: probe index, x, y, px, py, closed_form, oracle, ratio",
-    ]
-    for note in report.notes:
-        lines.append(f"# {note}")
-    for i, (pt, cf, ov, ra) in enumerate(
-        zip(report.probes, report.closed_form, report.oracle, report.ratios)
-    ):
-        coords = ":".join(_fmt(c) for c in pt)
-        lines.append(f"probe{i}={coords}:{_fmt(cf)}:{_fmt(ov)}:{_fmt(ra)}")
-    lines.append(f"nominal_constant={_fmt(report.nominal_constant)}")
-    lines.append(f"calibrated_constant={_fmt(report.calibrated_constant)}")
-    dev = report.max_relative_deviation
-    lines.append(f"max_relative_deviation={_fmt(dev) if math.isfinite(dev) else 'inf'}")
-    if report.stable_under_halving is not None:
-        lines.append(f"stable_under_halving={'true' if report.stable_under_halving else 'false'}")
-    lines.append(f"verdict={report.verdict.value}")
-    _atomic_write(destination, [("\n".join(lines) + "\n").encode("ascii")])
-
-
-def read_verdict(source):
-    """Return the Verdict recorded on the final line of a report file."""
-    with open(source, "rb") as fh:
-        lines = fh.read().decode("ascii").strip().splitlines()
-    last = lines[-1]
-    if not last.startswith("verdict="):
-        raise ValueError(f"{source}: missing final verdict line")
-    return Verdict(last.split("=", 1)[1])

@@ -1,6 +1,6 @@
 """Independent numerical Wigner transform of the position-space wavefunction.
 
-This module never looks at the closed forms: it integrates ``psi`` directly,
+This module only measures: it integrates ``psi`` directly,
 
     W(x, y, px, py) = (1/pi^2) integral psi*(x+u, y+v) psi(x-u, y-v)
                       exp(2i (px u + py v)) du dv.
@@ -19,6 +19,9 @@ v/sigma_y).
 The transform of a pure state is real; the imaginary part of the computed
 integral is retained as a convergence diagnostic and must stay below
 10 * abs_tol.
+
+Which points are compared, against what, and how closely they must agree
+is decided in ``deev.verify``.
 """
 
 import math
@@ -33,12 +36,10 @@ __all__ = [
     "QuadratureSpec",
     "OracleConvergenceError",
     "WignerQuadResult",
-    "CalibrationResult",
     "oracle_wigner",
     "oracle_wigner_full",
     "oracle_marginal_xy",
     "oracle_norm",
-    "calibrate_constant_detailed",
 ]
 
 
@@ -188,66 +189,3 @@ def oracle_norm(params, q=QuadratureSpec()):
 
     val, _ = _self_checked(integral, params.m + 8, q)
     return float(val)
-
-
-_PROBE_OFFSETS = (
-    (0.31, 0.22, -0.27, 0.18),
-    (0.73, -0.41, 0.33, -0.24),
-    (-0.52, 0.63, 0.21, 0.44),
-    (0.24, -0.36, -0.61, 0.52),
-    (-0.43, -0.28, 0.54, -0.37),
-    (0.62, 0.47, 0.29, 0.36),
-    (-0.33, 0.51, -0.45, -0.26),
-    (0.85, 0.12, -0.38, 0.61),
-    (-0.64, -0.55, 0.42, 0.23),
-    (0.18, 0.74, 0.56, -0.49),
-)
-_N_PROBES = 5
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    constant: float
-    probes: tuple
-    shape_values: tuple
-    oracle_values: tuple
-    ratios: tuple
-
-    @property
-    def spread(self):
-        return (max(self.ratios) - min(self.ratios)) / max(abs(r) for r in self.ratios)
-
-
-def calibrate_constant_detailed(params, q=QuadratureSpec(), *, shape):
-    """Fit the overall constant of a closed-form shape against the oracle.
-
-    ``shape`` maps (params, x, y, px, py) to the constant-free closed form
-    (``wigner.FORMS[name].shape``). Probes are deterministic scaled offsets
-    from the displaced center, skipping points where either value is below
-    1e-8 in magnitude. The result is returned whatever the ratios' spread;
-    ``verify.adjudicate`` decides whether a constant calibration exists.
-    """
-    probes, shapes, oracles = [], [], []
-    for offsets in _PROBE_OFFSETS:
-        if len(probes) == _N_PROBES:
-            break
-        pt = params.phase_point(*offsets)
-        sv = float(shape(params, *pt))
-        if abs(sv) < 1e-8:
-            continue
-        ov = oracle_wigner(params, *pt, q=q)
-        if abs(ov) < 1e-8:
-            continue
-        probes.append(pt)
-        shapes.append(sv)
-        oracles.append(ov)
-    if len(probes) < _N_PROBES:
-        raise ValueError("not enough usable probe points; state too degenerate")
-    ratios = tuple(ov / sv for ov, sv in zip(oracles, shapes))
-    return CalibrationResult(
-        constant=float(np.mean(ratios)),
-        probes=tuple(probes),
-        shape_values=tuple(shapes),
-        oracle_values=tuple(oracles),
-        ratios=ratios,
-    )

@@ -18,18 +18,6 @@ def _check_order(m):
         raise ValueError(f"polynomial order must be a nonnegative integer, got {m!r}")
 
 
-def _exact_coeffs(m, alpha):
-    """Series coefficients as exact rationals (any float alpha is rational)."""
-    a = Fraction(alpha)
-    out = []
-    for k in range(m + 1):
-        binom = Fraction(1)
-        for i in range(1, m - k + 1):
-            binom *= (a + k + i) / i
-        out.append((-1) ** k * binom / math.factorial(k))
-    return tuple(out)
-
-
 def alp_eval(m, alpha, z):
     """Evaluate the associated Laguerre polynomial L_m^alpha(z).
 
@@ -53,10 +41,22 @@ def alp_coeffs(m, alpha):
 
     Entry k multiplies ``z**k``; there are ``m + 1`` entries with
     ``(-1)^k C(m + alpha, m - k) / k!``, each rounded once from the exact
-    rational value.
+    rational value (any float alpha is rational). The exact values follow
+    c_0 = prod_i (alpha + i) / i and c_k = -c_{k-1} (m - k + 1) / (k (k + alpha)),
+    which needs alpha > -1.
     """
     _check_order(m)
-    return tuple(float(c) for c in _exact_coeffs(m, float(alpha)))
+    if not alpha > -1:
+        raise ValueError(f"alp_coeffs needs alpha > -1, got {alpha!r}")
+    a = Fraction(float(alpha))
+    c = Fraction(1)
+    for i in range(1, m + 1):
+        c *= (a + i) / i
+    out = [c]
+    for k in range(1, m + 1):
+        c = -c * (m - k + 1) / (k * (k + a))
+        out.append(c)
+    return tuple(float(c) for c in out)
 
 
 def gamma_half_integer(m):

@@ -142,13 +142,23 @@ def psi(params, x, y):
 
 
 def intensity_field(params, grid, threads=None):
-    """Sample |psi|^2 over a grid; zero at the displaced vortex core for m >= 1."""
+    """Sample |psi|^2 over a grid; zero at the displaced vortex core for m >= 1.
+
+    Raises OverflowError when psi's vortex factor leaves the double range
+    on the grid (large m at large radius).
+    """
     meta = _param_metadata(params)
     meta["quantity"] = "intensity"
 
     def fn(x, y):
-        p = psi(params, x, y)
-        return p.real ** 2 + p.imag ** 2
+        # |psi|^2 is finite everywhere, so a non-finite value is an overflow. The
+        # errstate is set here because worker threads do not inherit it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = psi(params, x, y)
+            v = p.real ** 2 + p.imag ** 2
+        if not np.isfinite(v).all():
+            raise OverflowError(f"|psi|^2 at m={params.m} overflows double precision on this grid")
+        return v
 
     return sample_field(fn, grid, threads=threads, metadata=meta)
 

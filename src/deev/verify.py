@@ -4,8 +4,12 @@ Five suites run against a parameter set: normalization of |psi|^2,
 momentum marginals, oracle adjudication of both closed forms, symmetry
 (width-swap transpose and displacement covariance), and the minima-count
 claim for the mixed-plane slices. Each suite reports one line; the
-adjudications additionally produce discrepancy report files. The oracle
-module only measures: every pass/fail threshold is applied here.
+adjudications additionally produce discrepancy report files.
+
+Adjudication lives here end to end: the probe points and their 1e-8 skip
+thresholds, the calibration of each closed form's constant, every pass/fail
+threshold, the verdicts and the report format. The oracle module only
+integrates ``psi``.
 
 The minima-count suite records an expected failure mode: the claim of m
 strict minima in the x-px plane holds for the striped candidate form but
@@ -17,19 +21,126 @@ Both counts are reported; the suite verdict follows the validated form.
 import math
 import os
 from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 
-from .gridio import AxisSpec, DiscrepancyReport, GridSpec, Verdict, _atomic_write, write_report
-from .oracle import (QuadratureSpec, calibrate_constant_detailed, oracle_marginal_xy, oracle_norm,
-                     oracle_wigner)
+from .gridio import AxisSpec, GridSpec, _atomic_write, _fmt
+from .oracle import QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from .state import psi
 from .wigner import (CANDIDATE, FORMS, STANDARD, SlicePlane, count_strict_minima, wigner4d,
                      wigner_slice)
 
-__all__ = ["SuiteResult", "VerifyOutcome", "run_verify", "adjudicate", "canonical_slice_grid"]
+__all__ = ["SuiteResult", "VerifyOutcome", "CalibrationResult", "Verdict", "DiscrepancyReport",
+           "run_verify", "adjudicate", "calibrate_constant_detailed", "write_report",
+           "canonical_slice_grid"]
 
 SQRT2 = math.sqrt(2.0)
+
+_PROBE_OFFSETS = (
+    (0.31, 0.22, -0.27, 0.18),
+    (0.73, -0.41, 0.33, -0.24),
+    (-0.52, 0.63, 0.21, 0.44),
+    (0.24, -0.36, -0.61, 0.52),
+    (-0.43, -0.28, 0.54, -0.37),
+    (0.62, 0.47, 0.29, 0.36),
+    (-0.33, 0.51, -0.45, -0.26),
+    (0.85, 0.12, -0.38, 0.61),
+    (-0.64, -0.55, 0.42, 0.23),
+    (0.18, 0.74, 0.56, -0.49),
+)
+_N_PROBES = 5
+
+
+@dataclass(frozen=True)
+class CalibrationResult:
+    constant: float
+    probes: tuple            # phase-space points (x, y, px, py)
+    shape_values: tuple      # constant-free closed form per probe
+    oracle_values: tuple     # oracle value per probe
+    ratios: tuple            # oracle / shape per probe
+
+    @property
+    def spread(self):
+        return (max(self.ratios) - min(self.ratios)) / max(abs(r) for r in self.ratios)
+
+
+def calibrate_constant_detailed(params, q=QuadratureSpec(), *, shape):
+    """Fit the overall constant of a closed-form shape against the oracle.
+
+    ``shape`` maps (params, x, y, px, py) to the constant-free closed form
+    (``wigner.FORMS[name].shape``). Probes are deterministic scaled offsets
+    from the displaced center, skipping points where either value is below
+    1e-8 in magnitude. The result is returned whatever the ratios' spread;
+    :func:`adjudicate` decides whether a constant calibration exists.
+    """
+    probes, shapes, oracles = [], [], []
+    for offsets in _PROBE_OFFSETS:
+        if len(probes) == _N_PROBES:
+            break
+        pt = params.phase_point(*offsets)
+        sv = float(shape(params, *pt))
+        if abs(sv) < 1e-8:
+            continue
+        ov = oracle_wigner(params, *pt, q=q)
+        if abs(ov) < 1e-8:
+            continue
+        probes.append(pt)
+        shapes.append(sv)
+        oracles.append(ov)
+    if len(probes) < _N_PROBES:
+        raise ValueError("not enough usable probe points; state too degenerate")
+    ratios = tuple(ov / sv for ov, sv in zip(oracles, shapes))
+    return CalibrationResult(
+        constant=float(np.mean(ratios)),
+        probes=tuple(probes),
+        shape_values=tuple(shapes),
+        oracle_values=tuple(oracles),
+        ratios=ratios,
+    )
+
+
+class Verdict(str, Enum):
+    MATCH = "match"
+    CONSTANT_ONLY = "constant-only-mismatch"
+    SHAPE = "shape-mismatch"
+
+
+@dataclass(frozen=True)
+class DiscrepancyReport:
+    """Adjudication record of a closed form against the oracle."""
+
+    label: str
+    calibration: CalibrationResult
+    nominal_constant: float
+    verdict: Verdict
+    stable_under_halving: bool
+
+
+def write_report(report, destination):
+    """Write a discrepancy report as line-oriented key=value text.
+
+    Narrative lines are '#'-prefixed; the machine-readable verdict is the
+    final line. Each probe line carries the closed form at the nominal
+    constant, the oracle value and their ratio to the shape.
+    """
+    cal = report.calibration
+    lines = [
+        f"# discrepancy report: {report.label}",
+        "# columns: probe index, x, y, px, py, closed_form, oracle, ratio",
+    ]
+    if report.verdict is Verdict.SHAPE:
+        lines.append("# no constant calibration exists; calibrated_constant is the best-fit mean ratio")
+    for i, (pt, sv, ov, ra) in enumerate(zip(cal.probes, cal.shape_values, cal.oracle_values, cal.ratios)):
+        coords = ":".join(_fmt(c) for c in pt)
+        lines.append(f"probe{i}={coords}:{_fmt(report.nominal_constant * sv)}:{_fmt(ov)}:{_fmt(ra)}")
+    lines.append(f"nominal_constant={_fmt(report.nominal_constant)}")
+    lines.append(f"calibrated_constant={_fmt(cal.constant)}")
+    dev = math.inf if cal.constant == 0 else max(abs(r / cal.constant - 1.0) for r in cal.ratios)
+    lines.append(f"max_relative_deviation={_fmt(dev) if math.isfinite(dev) else 'inf'}")
+    lines.append(f"stable_under_halving={'true' if report.stable_under_halving else 'false'}")
+    lines.append(f"verdict={report.verdict.value}")
+    _atomic_write(destination, [("\n".join(lines) + "\n").encode("ascii")])
 
 
 @dataclass(frozen=True)
@@ -101,10 +212,8 @@ def adjudicate(params, q=QuadratureSpec(), form=STANDARD):
     # stable: neither calibration fits, or both fit with the same constant
     stable = fits == fits2 and (not fits or abs(cal.constant / cal2.constant - 1.0) < 1e-6)
 
-    notes = ()
     if not fits:
         verdict = Verdict.SHAPE
-        notes = ("no constant calibration exists; calibrated_constant is the best-fit mean ratio",)
     elif abs(cal.constant / nominal - 1.0) <= 1e-6:
         verdict = Verdict.MATCH
     else:
@@ -112,15 +221,10 @@ def adjudicate(params, q=QuadratureSpec(), form=STANDARD):
 
     return DiscrepancyReport(
         label=f"{form} closed form, m={params.m}, sigma=({params.sigma_x:g},{params.sigma_y:g})",
-        probes=cal.probes,
-        closed_form=tuple(nominal * s for s in cal.shape_values),
-        oracle=cal.oracle_values,
-        ratios=cal.ratios,
+        calibration=cal,
         nominal_constant=nominal,
-        calibrated_constant=cal.constant,
         verdict=verdict,
         stable_under_halving=stable,
-        notes=notes,
     )
 
 

@@ -277,7 +277,12 @@ def sit(m, sigma_x, sigma_y, r, s, form="sum"):
     for a nonzero numerator, NaN when both sums vanish. Raises
     OverflowError when the series leaves the double range (large m).
     """
-    ck = _sit_coeffs(m, sigma_x, sigma_y)
+    return _sit_series(_sit_coeffs(m, sigma_x, sigma_y), r, s, form)
+
+
+def _sit_series(ck, r, s, form):
+    """The SIT from its scaled coefficients ck (from :func:`_sit_coeffs`)."""
+    m = len(ck) - 1
     if form not in SIT_FORMS:
         raise ValueError(f"form must be one of {list(SIT_FORMS)}, got {form!r}")
     r = np.asarray(r, dtype=float)
@@ -323,8 +328,8 @@ def sit_field(m, sigma_x, sigma_y, grid, form="sum", clamp_cap=1e12, threads=Non
         "clamp_cap": _fmt(clamp_cap),
         "allow_nonfinite": "true",
     }
-    return sample_field(lambda rr, ss: sit(m, sigma_x, sigma_y, rr, ss, form=form),
-                        grid, threads=threads, metadata=meta)
+    ck = _sit_coeffs(m, sigma_x, sigma_y)     # exact arithmetic, once per field
+    return sample_field(lambda rr, ss: _sit_series(ck, rr, ss, form), grid, threads=threads, metadata=meta)
 
 
 def count_strict_minima(field):

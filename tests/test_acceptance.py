@@ -19,10 +19,10 @@ import numpy as np
 
 from deev.cli import main as cli_main
 from deev.coupling import DcdcParams, bs_coupler, dcdc_coupler, dcdc_time_for_ratio
-from deev.gridio import AxisSpec, GridSpec, Verdict, read_verdict
+from deev.gridio import AxisSpec, GridSpec
 from deev.oracle import QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from deev.state import DeevParams, intensity_field, psi
-from deev.verify import canonical_slice_grid, run_verify
+from deev.verify import Verdict, canonical_slice_grid, run_verify
 from deev.wigner import SlicePlane, count_strict_minima, sit, wigner4d, wigner_slice
 
 Q = QuadratureSpec()
@@ -85,7 +85,8 @@ def test_criterion_3_oracle_adjudication_elliptic(tmp_path):
         verdicts.append(rep.verdict.value)
         assert rep.verdict in (Verdict.MATCH, Verdict.CONSTANT_ONLY)
         assert rep.stable_under_halving
-        assert read_verdict(outcome.report_paths[0]) is rep.verdict
+        with open(outcome.report_paths[0], encoding="ascii") as fh:
+            assert Verdict(fh.read().splitlines()[-1].split("=", 1)[1]) is rep.verdict
         assert os.path.exists(outcome.report_paths[1])
     report(3, True, f"verdicts for m=1,2,3: {verdicts}, all stable under tolerance halving")
 

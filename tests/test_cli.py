@@ -12,7 +12,7 @@ import deev
 from deev import oracle
 from deev.cli import main
 from deev.wigner import FORMS
-from deev.gridio import read_csv, read_verdict
+from deev.gridio import read_csv
 
 
 def write_config(tmp_path, name, cfg):
@@ -150,7 +150,8 @@ def test_verify_m0_circular_exits_0(tmp_path, capsys):
     cfg = write_config(tmp_path, "v.json", {"state": {"m": 0, "sigma_x": 1.0, "sigma_y": 1.0}})
     out = str(tmp_path / "v")
     assert main(["verify", "--config", cfg, "--out", out]) == 0
-    assert read_verdict(os.path.join(out, "discrepancy_standard.txt")).value == "match"
+    with open(os.path.join(out, "discrepancy_standard.txt"), encoding="ascii") as fh:
+        assert fh.read().splitlines()[-1] == "verdict=match"
     assert "overall: PASS" in capsys.readouterr().out
 
 
@@ -310,6 +311,34 @@ def test_wigner_overflow_names_state_m(tmp_path, threads, form):
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert run.returncode == 2
     assert run.stderr == f"error: state.m: the {form} closed form at m=400 overflows double precision on this grid\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_field_overflow_names_state_m(tmp_path, threads):
+    # psi's vortex factor overflows at m = 120 on this grid; numpy must not warn from any worker
+    axis = {"min": -1000.0, "max": 1000.0, "count": 21}
+    cfg = write_config(tmp_path, "c.json", {
+        "state": {"m": 120, "sigma_x": 1.0, "sigma_y": 1.0},
+        "grid": {"axis1": dict(axis, label="x"), "axis2": dict(axis, label="y")}})
+    src = os.path.dirname(os.path.dirname(deev.__file__))
+    out = tmp_path / "o"
+    run = subprocess.run([sys.executable, "-m", "deev.cli", "field", "--config", cfg,
+                          "--out", str(out), "--threads", threads],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr == "error: state.m: |psi|^2 at m=120 overflows double precision on this grid\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("field", "x0"), ("wigner", "x0"), ("wigner", "px0")])
+def test_collapsed_default_grid_names_state(tmp_path, capsys, command, key):
+    # at a center of 1e17 the default grid's 3-width span rounds away, so lo == hi
+    cfg = write_config(tmp_path, "c.json", {"state": {"m": 1, "sigma_x": 1.0, "sigma_y": 1.0, key: 1e17}})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: state: the default grid around the displaced center collapses")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["wigner", "verify"])

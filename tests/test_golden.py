@@ -12,7 +12,6 @@ import os
 import pytest
 
 from deev.cli import main
-from deev.gridio import read_verdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RECIPES = {
@@ -65,7 +64,8 @@ def verify_outcome(code, stdout, out):
     suites = [" ".join(line.split()[:2]) for line in lines if line.startswith(("PASS ", "FAIL "))]
     verdicts = [line for line in lines if line.startswith(("closed-form verdict:", "candidate-form verdict:",
                                                            "overall:"))]
-    reports = [read_verdict(str(out / f"discrepancy_{form}.txt")).value for form in ("standard", "candidate")]
+    reports = [(out / f"discrepancy_{form}.txt").read_text("ascii").splitlines()[-1].removeprefix("verdict=")
+               for form in ("standard", "candidate")]
     return "\n".join(suites + verdicts + reports + [f"exit={code}"])
 
 

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from deev import gridio
-from deev.gridio import (AxisSpec, DiscrepancyReport, Field2D, GridSpec, Verdict, read_csv,
-                         read_verdict, sample_field, write_csv, write_pgm, write_report)
+from deev.gridio import AxisSpec, Field2D, GridSpec, read_csv, sample_field, write_csv, write_pgm
 from deev.state import DeevParams, intensity_field, psi
+from deev.verify import CalibrationResult, DiscrepancyReport, Verdict, write_report
 from deev.wigner import FORMS, SlicePlane, sit, sit_field, wigner_slice
 
 
@@ -421,12 +421,9 @@ def test_failed_write_keeps_destination_and_leaves_no_temp(tmp_path, monkeypatch
 def report_fixture(verdict):
     return DiscrepancyReport(
         label="fixture",
-        probes=((0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8)),
-        closed_form=(1.0, 2.0),
-        oracle=(1.1, 2.2),
-        ratios=(1.1, 1.1),
+        calibration=CalibrationResult(constant=1.1, probes=((0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8)),
+                                      shape_values=(1.0, 2.0), oracle_values=(1.1, 2.2), ratios=(1.1, 1.1)),
         nominal_constant=1.0,
-        calibrated_constant=1.1,
         verdict=verdict,
         stable_under_halving=True,
     )
@@ -438,7 +435,7 @@ def test_report_round_trip(tmp_path):
         write_report(report_fixture(verdict), str(path))
         lines = path.read_text().splitlines()
         assert lines[-1] == f"verdict={verdict.value}"
-        assert read_verdict(str(path)) is verdict
+        assert Verdict(lines[-1].split("=", 1)[1]) is verdict
         assert any(l.startswith("probe0=") for l in lines)
         assert any(l.startswith("calibrated_constant=") for l in lines)
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from deev import oracle
-from deev.gridio import Verdict
-from deev.oracle import (OracleConvergenceError, QuadratureSpec, calibrate_constant_detailed,
-                         oracle_marginal_xy, oracle_norm, oracle_wigner, oracle_wigner_full)
+from deev.oracle import (OracleConvergenceError, QuadratureSpec, oracle_marginal_xy, oracle_norm,
+                         oracle_wigner, oracle_wigner_full)
 from deev.state import DeevParams, psi
-from deev.verify import adjudicate
+from deev.verify import Verdict, adjudicate, calibrate_constant_detailed
 from deev.wigner import FORMS, standard_constant, wigner4d, wigner4d_candidate
 
 Q = QuadratureSpec()
@@ -119,8 +118,8 @@ def test_shape_mismatch_report_holds_the_oracle_values():
     assert cal.spread >= 1e-6
     rep = adjudicate(p, Q, form="candidate")
     assert rep.verdict is Verdict.SHAPE
-    assert rep.probes == cal.probes
-    assert rep.oracle == tuple(oracle_wigner(p, *pt, q=Q) for pt in rep.probes)
+    assert rep.calibration.probes == cal.probes
+    assert rep.calibration.oracle_values == tuple(oracle_wigner(p, *pt, q=Q) for pt in cal.probes)
 
 
 def test_halving_self_consistency():

@@ -65,6 +65,9 @@ def test_vectorized_matches_scalar():
 def test_negative_order_rejected():
     with pytest.raises(ValueError):
         alp_eval(-1, 0.0, 1.0)
+    for alpha in (-1.0, -1.5, -3.0):       # the coefficient recurrence divides by k + alpha
+        with pytest.raises(ValueError, match="alpha > -1"):
+            alp_coeffs(2, alpha)
 
 
 def test_coeffs_examples():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import binom
 
+from deev import gridio, wigner
 from deev.gridio import AxisSpec, GridSpec
 from deev.state import DeevParams
 from deev.verify import canonical_slice_grid
@@ -251,6 +252,16 @@ def test_sit_field_m3_has_negative_values():
     f = sit_field(3, 5.0, 3.0, SIT_GRID)
     finite = f.values[np.isfinite(f.values)]
     assert finite.min() < 0
+
+
+def test_sit_field_builds_its_coefficients_once(monkeypatch):
+    calls = []
+    real = wigner.alp_coeffs
+    monkeypatch.setattr(wigner, "alp_coeffs", lambda m, alpha: calls.append(m) or real(m, alpha))
+    monkeypatch.setattr(gridio, "_BLOCK_NODES", 8 * 101)    # 13 row blocks of the 101-column grid
+    f = sit_field(6, 5.0, 3.0, SIT_GRID, threads=2)
+    assert calls == [6]
+    assert np.array_equal(f.values, sit(6, 5.0, 3.0, *SIT_GRID.meshgrid()), equal_nan=True)
 
 
 def test_sit_field_label_check():
