@@ -8,8 +8,10 @@ thread counts.
 
 import argparse
 import json
+import math
 import os
 import sys
+from contextlib import contextmanager
 
 from .coupling import (DcdcParams, bs_coupler, coupler_to_ellipticity, dcdc_coupler,
                        dcdc_time_for_ratio)
@@ -54,6 +56,15 @@ _SCHEMA = {
 }
 
 
+@contextmanager
+def _names(key, errors=ValueError):
+    """Re-raise a library error from the block as a config error naming ``key``."""
+    try:
+        yield
+    except errors as err:
+        raise ConfigError(f"{key}: {err}") from err
+
+
 def _value(v, kind, where):
     if kind is dict:
         return _check(v, where.removeprefix("config."))
@@ -67,6 +78,9 @@ def _value(v, kind, where):
         ok = (isinstance(v, (int, float)) and not isinstance(v, bool)
               and (kind is float or isinstance(v, int) or v.is_integer()))
         want = "an integer" if kind is int else "a number"
+        # json.load accepts NaN and Infinity, and a float cannot hold a huge integer
+        if ok and not abs(v) <= sys.float_info.max:
+            ok, want = False, "a finite number"
     if not ok:
         raise ConfigError(f"{where}: expected {want}, got {v!r}")
     return kind(v) if kind in (int, float) else v
@@ -105,30 +119,9 @@ def _state_params(cfg):
     m, sx, sy = kwargs.pop("m"), kwargs.pop("sigma_x"), kwargs.pop("sigma_y")
     if ("eta_x" in kwargs) != ("eta_y" in kwargs):
         raise ConfigError("state.eta_x/state.eta_y: give both eta_x and eta_y or neither")
-    try:
-        if "eta_x" in kwargs:
-            return DeevParams.from_sigmas(m, sx, sy, **kwargs)
-        return DeevParams.tied(m, sx, sy, **kwargs)
-    except ValueError as err:
-        raise ConfigError(f"state: {err}") from err
-
-
-def _tied(params, command):
-    """Reject untied weights for a command that evaluates the closed forms."""
-    try:
-        _require_tied(params, command)
-    except ValueError as err:
-        raise ConfigError(f"state.eta_x/state.eta_y: {err}") from err
-    return params
-
-
-def _normalized(params):
-    """Map an unrepresentable normalization constant to a config error."""
-    try:
-        params.norm_constant
-    except ValueError as err:
-        raise ConfigError(f"state: {err}") from err
-    return params
+    build = DeevParams.from_sigmas if "eta_x" in kwargs else DeevParams.tied
+    with _names("state"):
+        return build(m, sx, sy, **kwargs)
 
 
 def _grid(cfg):
@@ -137,26 +130,13 @@ def _grid(cfg):
     axes = []
     for name in ("axis1", "axis2"):
         a = cfg["grid"][name]
-        try:
+        with _names(f"grid.{name}"):
             axes.append(AxisSpec(label=a["label"], lo=a["min"], hi=a["max"], count=a["count"]))
-        except ValueError as err:
-            raise ConfigError(f"grid.{name}: {err}") from err
     return GridSpec(*axes)
 
 
-def _default_grid(build):
-    """Call ``build``; a default grid whose center swamps its width is a config error."""
-    try:
-        return build()
-    except ValueError as err:
-        raise ConfigError(f"state: the default grid around the displaced center collapses: {err}") from err
-
-
-def _quadrature(cfg):
-    try:
-        return QuadratureSpec(**cfg.get("quadrature", {}))
-    except ValueError as err:
-        raise ConfigError(f"quadrature: {err}") from err
+# a default grid whose center swamps its width
+_COLLAPSED = "state: the default grid around the displaced center collapses"
 
 
 def _out_dir(cfg, args):
@@ -173,59 +153,61 @@ def _write_pair(field, out_dir, stem, clamp):
     return csv_path, pgm_path
 
 
-def _clamp_value(args):
-    if args.clamp is None or args.clamp == "auto":
+def _clamp(value, key):
+    """Check a graymap clamp: 'auto' (or None) passes, anything else must be a number with 0 < v < inf."""
+    if value is None or value == "auto":
         return "auto"
     try:
-        v = float(args.clamp)
+        v = float(value)
     except ValueError:
-        raise ConfigError(f"--clamp: expected a number or 'auto', got {args.clamp!r}") from None
-    if not v > 0:
-        raise ConfigError("--clamp must be positive")
+        v = math.nan
+    if not 0 < v < math.inf:
+        raise ConfigError(f"{key}: expected a number with 0 < v < inf, got {value!r}")
     return v
 
 
 def cmd_field(args):
     cfg = load_config(args.config)
-    params = _normalized(_state_params(cfg))
+    clamp = _clamp(args.clamp, "--clamp")
+    params = _state_params(cfg)
+    with _names("state"):
+        params.norm_constant
     grid = _grid(cfg)
     if grid is None:
-        grid = _default_grid(lambda: GridSpec(
-            axis1=AxisSpec("x", params.x0 - 3.4 * params.sigma_x, params.x0 + 3.4 * params.sigma_x, 201),
-            axis2=AxisSpec("y", params.y0 - 3.4 * params.sigma_y, params.y0 + 3.4 * params.sigma_y, 201)))
+        with _names(_COLLAPSED):
+            grid = GridSpec(
+                axis1=AxisSpec("x", params.x0 - 3.4 * params.sigma_x, params.x0 + 3.4 * params.sigma_x, 201),
+                axis2=AxisSpec("y", params.y0 - 3.4 * params.sigma_y, params.y0 + 3.4 * params.sigma_y, 201))
     if (grid.axis1.label, grid.axis2.label) != ("x", "y"):
         raise ConfigError("field: grid axes must be labeled x and y")
     out = _out_dir(cfg, args)
-    try:
+    with _names("state.m", OverflowError):
         field = intensity_field(params, grid, threads=args.threads)
-    except OverflowError as err:
-        raise ConfigError(f"state.m: {err}") from err
-    for p in _write_pair(field, out, "intensity", _clamp_value(args)):
+    for p in _write_pair(field, out, "intensity", clamp):
         print(p)
     return 0
 
 
 def cmd_wigner(args):
     cfg = load_config(args.config)
-    params = _tied(_state_params(cfg), "wigner")
+    params = _state_params(cfg)
+    with _names("state.eta_x/state.eta_y"):
+        _require_tied(params, "wigner")
     wb = cfg.get("wigner", {})
     form = args.form or wb.get("form", STANDARD)
     plane_name = args.plane or wb.get("plane", "all")
-    planes = list(SlicePlane) if plane_name == "all" else [SlicePlane.from_name(plane_name)]
+    planes = list(SlicePlane) if plane_name == "all" else [SlicePlane[plane_name.upper()]]
     out = _out_dir(cfg, args)
-    clamp = _clamp_value(args)
-    grid_override = _grid(cfg)
+    clamp = _clamp(args.clamp, "--clamp")
+    override = _grid(cfg)
     # every grid is built before the first file is written
-    grids = [grid_override if grid_override is not None
-             and (grid_override.axis1.label, grid_override.axis2.label) == plane.axis_labels
-             else _default_grid(lambda: canonical_slice_grid(params, plane)) for plane in planes]
+    with _names(_COLLAPSED):
+        grids = [override if override is not None
+                 and (override.axis1.label, override.axis2.label) == plane.axis_labels
+                 else canonical_slice_grid(params, plane) for plane in planes]
     for plane, grid in zip(planes, grids):
-        try:
+        with _names("state.m", OverflowError):
             field = wigner_slice(params, plane, grid, form=form, threads=args.threads)
-        except OverflowError as err:
-            raise ConfigError(f"state.m: {err}") from err
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
         for p in _write_pair(field, out, f"wigner_{plane.name.lower()}_{form}", clamp):
             print(p)
     return 0
@@ -243,26 +225,19 @@ def cmd_sit(args):
         sx, sy = params.sigma_x, params.sigma_y
     else:
         sx = sy = 1.0
-    cap = sb.get("clamp", 1e12)
-    if not cap > 0:
-        raise ConfigError(f"sit.clamp: expected a positive number, got {cap!r}")
+    cap = _clamp(sb.get("clamp", 1e12), "sit.clamp")
     for m in orders:
-        try:
+        with _names("sit.m", (ValueError, OverflowError)):
             _sit_coeffs(m, sx, sy)
-        except (ValueError, OverflowError) as err:
-            raise ConfigError(f"sit.m: {err}") from err
     grid = _grid(cfg) or GridSpec(axis1=AxisSpec("r", -5.0, 5.0, 201), axis2=AxisSpec("s", -5.0, 5.0, 201))
     out = _out_dir(cfg, args)
-    clamp = _clamp_value(args)
+    clamp = _clamp(args.clamp, "--clamp")
     if clamp == "auto":
         clamp = cap
     for m in orders:
-        try:
+        # the grid's config error is not an OverflowError, so the outer name passes it through
+        with _names("sit.m", OverflowError), _names("grid"):
             field = sit_field(m, sx, sy, grid, form=form, clamp_cap=cap, threads=args.threads)
-        except OverflowError as err:
-            raise ConfigError(f"sit.m: {err}") from err
-        except ValueError as err:
-            raise ConfigError(f"grid: {err}") from err
         for p in _write_pair(field, out, f"sit_m{m}_{form}", clamp):
             print(p)
     return 0
@@ -270,20 +245,23 @@ def cmd_sit(args):
 
 def cmd_verify(args):
     cfg = load_config(args.config)
-    params = _tied(_normalized(_state_params(cfg)), "verify")
+    params = _state_params(cfg)
+    with _names("state"):
+        params.norm_constant
+    with _names("state.eta_x/state.eta_y"):
+        _require_tied(params, "verify")
     for form in FORMS:
         try:
             FORMS[form].nominal(params)
         except OverflowError:
             raise ConfigError(f"state.m: the {form} closed form's constant at m={params.m} "
                               "does not fit a double") from None
-    q = _quadrature(cfg)
+    with _names("quadrature"):
+        q = QuadratureSpec(**cfg.get("quadrature", {}))
     seed = cfg.get("seed", 2024)
     out = _out_dir(cfg, args)
-    try:
+    with _names("oracle", OracleConvergenceError):
         outcome = run_verify(params, q=q, out_dir=out, threads=args.threads, seed=seed)
-    except OracleConvergenceError as err:
-        raise ConfigError(f"oracle: {err}") from err
     for line in outcome.summary_lines():
         print(line)
     for p in outcome.report_paths:
@@ -308,7 +286,7 @@ def cmd_coupler(args):
     _check(cb, "coupler", {"kind": _SCHEMA["coupler"]["kind"], **_COUPLERS[cb["kind"]]})
     if cb["kind"] == "dcdc" and not ("t" in cb or "ratio" in cb):
         raise ConfigError("coupler: dcdc needs either 't' or 'ratio'")
-    try:
+    with _names("coupler"):
         if cb["kind"] == "bs":
             c = bs_coupler(cb["theta"], cb.get("phi", 0.0))
         else:
@@ -317,8 +295,6 @@ def cmd_coupler(args):
                 t = dcdc_time_for_ratio(cb["ratio"], cb["g"], cb["delta"])
                 print(f"t = {t:.15g}")
             c = dcdc_coupler(DcdcParams(g=cb["g"], delta=cb["delta"], t=t))
-    except ValueError as err:
-        raise ConfigError(f"coupler: {err}") from err
     _print_coupler(c)
     return 0
 
@@ -337,7 +313,8 @@ def build_parser():
                     "interference terms, and oracle verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, plane=False, m=False, form=False):
+    def common(p, run, plane=False, m=False, form=False):
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
         p.add_argument("--threads", type=_threads, default=None,
@@ -353,27 +330,18 @@ def build_parser():
             p.add_argument("--form", default=None, choices=list(FORMS),
                            help=f"closed form to sample (default from config, else {STANDARD})")
 
-    common(sub.add_parser("field", help="sample |psi|^2 and write CSV + PGM"))
-    common(sub.add_parser("wigner", help="sample 2D Wigner reductions"), plane=True, form=True)
-    common(sub.add_parser("sit", help="sample scaled interference terms"), m=True)
-    common(sub.add_parser("verify", help="run the oracle verification suites"))
-    common(sub.add_parser("coupler", help="print SU(2) coupler coefficients"))
+    common(sub.add_parser("field", help="sample |psi|^2 and write CSV + PGM"), cmd_field)
+    common(sub.add_parser("wigner", help="sample 2D Wigner reductions"), cmd_wigner, plane=True, form=True)
+    common(sub.add_parser("sit", help="sample scaled interference terms"), cmd_sit, m=True)
+    common(sub.add_parser("verify", help="run the oracle verification suites"), cmd_verify)
+    common(sub.add_parser("coupler", help="print SU(2) coupler coefficients"), cmd_coupler)
     return parser
-
-
-_COMMANDS = {
-    "field": cmd_field,
-    "wigner": cmd_wigner,
-    "sit": cmd_sit,
-    "verify": cmd_verify,
-    "coupler": cmd_coupler,
-}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

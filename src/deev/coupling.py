@@ -47,7 +47,7 @@ class ModeCoupler:
 
     def __post_init__(self):
         norm = abs(self.a1) ** 2 + abs(self.a2) ** 2
-        if abs(norm - 1.0) > _UNITARITY_TOL:
+        if not abs(norm - 1.0) <= _UNITARITY_TOL:  # a NaN norm fails too
             raise ValueError(f"|a1|^2 + |a2|^2 = {norm!r}, not unitary")
 
     def phase_condition_residual(self):

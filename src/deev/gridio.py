@@ -345,8 +345,8 @@ def write_pgm(field, destination, clamp="auto"):
             vmin, vmax = -1.0, 1.0
     else:
         clamp = float(clamp)
-        if not clamp > 0:
-            raise ValueError(f"clamp must be > 0, got {clamp}")
+        if not 0 < clamp < math.inf:
+            raise ValueError(f"clamp must be a number with 0 < clamp < inf, got {clamp}")
         vmin, vmax = -clamp, clamp
     span = vmax - vmin
 

@@ -194,14 +194,6 @@ class SlicePlane(Enum):
     def axis_labels(self):
         return self.value
 
-    @classmethod
-    def from_name(cls, name):
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(f"unknown slice plane {name!r}; expected one of "
-                             f"{[p.name.lower() for p in cls]}") from None
-
 
 def wigner_slice(params, plane, grid, form=STANDARD, threads=None):
     """Sample a 2D reduction of the 4D Wigner function over a grid.

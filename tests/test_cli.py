@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import deev
-from deev import oracle
+from deev import cli, oracle
 from deev.cli import main
 from deev.wigner import FORMS
 from deev.gridio import read_csv
@@ -392,6 +392,10 @@ TABLE_BASE = {
     (("coupler",), "kind", "prism", "coupler.kind"),
     (("quadrature",), "truncation_radius", 7.0, "quadrature.truncation_radius"),
     (("state",), "eta_x", 0.9, "state.eta_x"),                # untied weights: verify only
+    ((), "state", 3, "state: expected an object, got int"),
+    (("state",), "x0", math.inf, "state.x0: expected a finite number, got inf"),
+    (("quadrature",), "abs_tol", math.inf, "quadrature.abs_tol: expected a finite number, got inf"),
+    (("sit",), "clamp", math.inf, "sit.clamp: expected a finite number, got inf"),
 ])
 def test_config_table_rejects(tmp_path, capsys, block, key, value, name):
     cfg = copy.deepcopy(TABLE_BASE)
@@ -409,3 +413,65 @@ def test_config_table_rejects(tmp_path, capsys, block, key, value, name):
 def test_config_table_base_is_valid(tmp_path, capsys):
     path = write_config(tmp_path, "c.json", TABLE_BASE)
     assert main(["coupler", "--config", path]) == 0
+
+
+@pytest.mark.parametrize("coupler, message", [
+    ({"kind": "bs", "theta": math.nan}, "coupler.theta: expected a finite number, got nan"),
+    ({"kind": "dcdc", "g": math.inf, "delta": 0, "t": 0}, "coupler.g: expected a finite number, got inf"),
+    ({"kind": "dcdc", "g": 1, "delta": math.nan, "ratio": 2}, "coupler.delta: expected a finite number, got nan"),
+], ids=["bs-theta-nan", "dcdc-g-inf", "dcdc-delta-nan"])
+def test_coupler_non_finite_numbers_rejected_at_load(tmp_path, capsys, coupler, message):
+    # json.load reads the NaN and Infinity tokens that json.dumps writes
+    path = write_config(tmp_path, "c.json", {"coupler": coupler})
+    assert main(["coupler", "--config", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("field", {"state": {"m": 1, "sigma_x": 1.0}}, "state: missing required key(s) ['sigma_y']"),
+    ("sit", {"sit": {"form": "sum"}}, "sit: no vortex order given (sit.m in config or --m)"),
+    ("coupler", {"state": small_state(1)}, "config: missing 'coupler' block"),
+    ("coupler", {"coupler": {"kind": "dcdc", "g": 1.0, "delta": 0.0}},
+     "coupler: dcdc needs either 't' or 'ratio'"),
+    ("coupler", {"coupler": {"kind": "dcdc", "g": 1.0, "delta": 0.0, "ratio": 0}},
+     "coupler: ratio must be > 0, got 0.0"),
+], ids=["missing-key", "sit-no-order", "no-coupler", "dcdc-no-time", "dcdc-ratio-0"])
+def test_config_errors_name_their_block(tmp_path, capsys, command, cfg, message):
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    path, out = tmp_path / "missing.json", tmp_path / "o"
+    assert main(["field", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {path}: ")
+    assert not out.exists()
+
+
+def test_field_clamp_sets_the_graymap_range(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"state": small_state(1), "grid": small_grid(n=5)})
+    out = tmp_path / "o"
+    assert main(["field", "--config", cfg, "--out", str(out), "--clamp", "2.5"]) == 0
+    assert (out / "intensity.pgm").read_bytes().split(b"\n")[1].startswith(b"# map vmin=-2.5 vmax=2.5 ")
+
+
+@pytest.mark.parametrize("clamp", ["abc", "0", "-1", "inf", "nan"])
+def test_field_bad_clamp_rejected_before_sampling(tmp_path, capsys, monkeypatch, clamp):
+    monkeypatch.setattr(cli, "intensity_field", lambda *a, **k: pytest.fail("sampled before --clamp was checked"))
+    cfg = write_config(tmp_path, "c.json", {"state": small_state(1), "grid": small_grid(n=5)})
+    out = tmp_path / "o"
+    assert main(["field", "--config", cfg, "--out", str(out), f"--clamp={clamp}"]) == 2
+    assert capsys.readouterr().err == f"error: --clamp: expected a number with 0 < v < inf, got {clamp!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_sit_clamp_must_be_positive(tmp_path, capsys, cap):
+    cfg = write_config(tmp_path, "c.json", {"sit": {"m": 1, "clamp": cap}})
+    out = tmp_path / "o"
+    assert main(["sit", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: sit.clamp: expected a number with 0 < v < inf, got {float(cap)!r}\n"
+    assert not out.exists()

@@ -68,6 +68,11 @@ def test_coupler_requires_unitarity():
         ModeCoupler(a1=0.9, a2=0.9j)
 
 
+def test_coupler_rejects_nan_amplitudes():
+    with pytest.raises(ValueError, match="not unitary"):
+        ModeCoupler(complex("nan"), 0j)
+
+
 def test_ellipticity_examples():
     exact = ModeCoupler(a1=SQ2, a2=-1j * SQ2)
     ex, ey = coupler_to_ellipticity(exact)

@@ -114,6 +114,15 @@ def test_pgm_mapping_and_clipping(tmp_path):
         write_pgm(f, str(path), clamp=-1.0)
 
 
+def test_pgm_rejects_infinite_clamp(tmp_path):
+    f = Field2D(spec=GridSpec(axis1=AxisSpec("x", 0.0, 1.0, 5), axis2=AxisSpec("y", 0.0, 1.0, 5)),
+                values=np.zeros((5, 5)))
+    path = tmp_path / "f.pgm"
+    with pytest.raises(ValueError, match="clamp"):
+        write_pgm(f, str(path), clamp=math.inf)
+    assert not path.exists()
+
+
 def test_sample_field_thread_determinism():
     def fn(x, y):
         return np.sin(3 * x) * np.cos(2 * y) + x * y
