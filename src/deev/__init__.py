@@ -11,11 +11,11 @@ from .coupling import (DcdcParams, InfeasibleRatioError, ModeCoupler, bs_coupler
 from .gridio import AxisSpec, Field2D, GridSpec, read_csv, sample_field, write_csv, write_pgm
 from .oracle import OracleConvergenceError, QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from .special import alp_coeffs, alp_eval, gamma_half_integer
-from .state import DeevParams, VortexDecomposition, circular_decomposition, intensity_field, psi
+from .state import DeevParams, circular_decomposition, intensity_field, psi
 from .verify import (CalibrationResult, DiscrepancyReport, Verdict, calibrate_constant_detailed,
                      run_verify, write_report)
-from .wigner import (ScaledCoords, SlicePlane, candidate_constant, scaled_coords, sit,
-                     sit_field, standard_constant, wigner4d, wigner4d_candidate, wigner_slice)
+from .wigner import (SlicePlane, candidate_constant, sit, sit_field, standard_constant, wigner4d,
+                     wigner4d_candidate, wigner_slice)
 
 __version__ = "0.1.0"
 
@@ -23,8 +23,8 @@ __all__ = [
     "ModeCoupler", "DcdcParams", "InfeasibleRatioError", "bs_coupler", "dcdc_coupler",
     "coupler_to_ellipticity", "dcdc_time_for_ratio",
     "alp_eval", "alp_coeffs", "gamma_half_integer",
-    "DeevParams", "VortexDecomposition", "psi", "intensity_field", "circular_decomposition",
-    "ScaledCoords", "SlicePlane", "scaled_coords", "standard_constant", "candidate_constant",
+    "DeevParams", "psi", "intensity_field", "circular_decomposition",
+    "SlicePlane", "standard_constant", "candidate_constant",
     "wigner4d", "wigner4d_candidate", "wigner_slice", "sit", "sit_field",
     "QuadratureSpec", "OracleConvergenceError", "CalibrationResult",
     "oracle_wigner", "oracle_marginal_xy", "oracle_norm", "calibrate_constant_detailed",

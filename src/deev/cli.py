@@ -269,13 +269,13 @@ def cmd_verify(args):
     return outcome.exit_code
 
 
-def _print_coupler(c, prefix=""):
+def _print_coupler(c):
     ex, ey = coupler_to_ellipticity(c)
     # the +0.0 normalizes IEEE negative zeros out of the display
-    print(f"{prefix}a1 = {c.a1.real + 0.0:+.15g}{c.a1.imag + 0.0:+.15g}i")
-    print(f"{prefix}a2 = {c.a2.real + 0.0:+.15g}{c.a2.imag + 0.0:+.15g}i")
-    print(f"{prefix}|a1|^2 + |a2|^2 = {abs(c.a1) ** 2 + abs(c.a2) ** 2:.15g}")
-    print(f"{prefix}ellipticity (eta_x, eta_y) = ({ex:.15g}, {ey:.15g})")
+    print(f"a1 = {c.a1.real + 0.0:+.15g}{c.a1.imag + 0.0:+.15g}i")
+    print(f"a2 = {c.a2.real + 0.0:+.15g}{c.a2.imag + 0.0:+.15g}i")
+    print(f"|a1|^2 + |a2|^2 = {abs(c.a1) ** 2 + abs(c.a2) ** 2:.15g}")
+    print(f"ellipticity (eta_x, eta_y) = ({ex:.15g}, {ey:.15g})")
 
 
 def cmd_coupler(args):

@@ -50,14 +50,6 @@ class ModeCoupler:
         if not abs(norm - 1.0) <= _UNITARITY_TOL:  # a NaN norm fails too
             raise ValueError(f"|a1|^2 + |a2|^2 = {norm!r}, not unitary")
 
-    def phase_condition_residual(self):
-        """|a1* a2 + a1 a2*|; zero for phase-matched couplers.
-
-        Holds exactly for phi in {0, pi} beam splitters and for zero-detuning
-        directional couplers; nonzero otherwise.
-        """
-        return abs(self.a1.conjugate() * self.a2 + self.a1 * self.a2.conjugate())
-
 
 @dataclass(frozen=True)
 class DcdcParams:

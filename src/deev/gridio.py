@@ -58,9 +58,6 @@ class GridSpec:
     axis1: AxisSpec
     axis2: AxisSpec
 
-    def meshgrid(self):
-        return np.meshgrid(self.axis1.nodes(), self.axis2.nodes(), indexing="ij")
-
     @property
     def shape(self):
         return (self.axis1.count, self.axis2.count)

@@ -21,9 +21,11 @@ import numpy as np
 
 from .gridio import _fmt, sample_field
 
-__all__ = ["DeevParams", "VortexDecomposition", "psi", "intensity_field", "circular_decomposition"]
+__all__ = ["DeevParams", "psi", "intensity_field", "circular_decomposition"]
 
 SQRT2 = math.sqrt(2.0)
+# numpy builds Gauss-Hermite rules up to 370 nodes; it warns at 371 and gives NaN weights beyond
+_MAX_RULE_NODES = 370
 
 
 @dataclass(frozen=True)
@@ -110,9 +112,14 @@ class DeevParams:
         The squared-modulus integral reduces, after scaling x = sigma_x a,
         y = sigma_y b, to a degree-2m polynomial against exp(-a^2 - b^2),
         which an (m + 2)-node Gauss-Hermite rule integrates exactly. Raises
-        ValueError when the integral or N leaves the double range (large m).
+        ValueError when the integral or N leaves the double range (large m),
+        and before building the rule when m > 368 (numpy's largest rule).
         """
+        what = f"normalization of m={self.m}, sigma_x={self.sigma_x:g}, sigma_y={self.sigma_y:g}"
         n = self.m + 2
+        if n > _MAX_RULE_NODES:
+            raise ValueError(f"{what} needs a {n}-node Gauss-Hermite rule; "
+                             f"numpy's rules stop at {_MAX_RULE_NODES} nodes (m <= {_MAX_RULE_NODES - 2})")
         nodes, weights = np.polynomial.hermite.hermgauss(n)
         a, b = np.meshgrid(nodes, nodes, indexing="ij")
         wa, wb = np.meshgrid(weights, weights, indexing="ij")
@@ -122,9 +129,7 @@ class DeevParams:
             poly = ((hx * a) ** 2 + (hy * b) ** 2) ** self.m
             integral = self.sigma_x * self.sigma_y * float(np.sum(wa * wb * poly))
         if not (math.isfinite(integral) and integral > 0):
-            raise ValueError(f"normalization of m={self.m}, sigma_x={self.sigma_x:g}, "
-                             f"sigma_y={self.sigma_y:g} is not representable "
-                             f"(|psi|^2 integral = {integral!r})")
+            raise ValueError(f"{what} is not representable (|psi|^2 integral = {integral!r})")
         return 1.0 / math.sqrt(integral)
 
 
@@ -163,36 +168,18 @@ def intensity_field(params, grid, threads=None):
     return sample_field(fn, grid, threads=threads, metadata=meta)
 
 
-@dataclass(frozen=True)
-class VortexDecomposition:
-    """Coefficients c_k of the vortex factor over circular vortices.
+def circular_decomposition(params):
+    """Expand the elliptical vortex factor over circular vortices 0..m.
 
+    Returns the m + 1 complex coefficients c_k of
     ``[eta_x x + i s eta_y y]^m = sum_k c_k u^k v^(m-k)`` with u = x + iy,
     v = x - iy. The circular limit eta_x = eta_y keeps only k = m (for
     s = +1) or k = 0 (for s = -1).
     """
-
-    coefficients: tuple
-
-    @property
-    def m(self):
-        return len(self.coefficients) - 1
-
-    def vortex_value(self, x, y):
-        """Resummed vortex factor at centered coordinates (x, y)."""
-        u = np.asarray(x, dtype=complex) + 1j * np.asarray(y, dtype=float)
-        v = u.conjugate()
-        out = sum(c * u ** k * v ** (self.m - k) for k, c in enumerate(self.coefficients))
-        return out if np.ndim(out) else complex(out)
-
-
-def circular_decomposition(params):
-    """Expand the elliptical vortex factor over circular vortices 0..m."""
     m = params.m
     plus = 0.5 * (params.eta_x + params.sign * params.eta_y)
     minus = 0.5 * (params.eta_x - params.sign * params.eta_y)
-    cs = [complex(math.comb(m, k) * plus ** k * minus ** (m - k)) for k in range(m + 1)]
-    return VortexDecomposition(coefficients=tuple(cs))
+    return tuple(complex(math.comb(m, k) * plus ** k * minus ** (m - k)) for k in range(m + 1))
 
 
 def _param_metadata(params):

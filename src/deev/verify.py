@@ -158,12 +158,8 @@ class VerifyOutcome:
     report_paths: tuple
 
     @property
-    def all_passed(self):
-        return all(s.passed for s in self.suites)
-
-    @property
     def exit_code(self):
-        return 0 if self.all_passed else 1
+        return 0 if all(s.passed for s in self.suites) else 1
 
     def summary_lines(self):
         lines = [f"{'PASS' if s.passed else 'FAIL'} {s.name}: {s.detail}" for s in self.suites]

@@ -18,13 +18,18 @@ eta_x sigma_x = eta_y sigma_y:
   and agrees with the numerical Wigner transform (module ``oracle``) to
   machine precision for every parameter set tested.
 
-* :func:`wigner4d_candidate` -- an alternative closed-form candidate built
-  from the variables of :func:`scaled_coords` with an associated Laguerre
-  factor of order -1/2 in a single squared combination. Its reduced slices
-  show the striped structure with exactly m minima in the mixed planes, but
-  the oracle adjudication reports a shape mismatch against the Wigner
-  transform (see the verify command); it is retained for comparison and
-  for that adjudication, not as a validated quantity.
+* :func:`wigner4d_candidate` -- an alternative closed-form candidate with an
+  associated Laguerre factor of order -1/2 in a single squared combination.
+  In the eight shifted-and-scaled variables of its docstring it reads
+
+      W = K exp(-(x1^2+y1^2+px1^2+py1^2))
+          L_m^{-1/2}((px2 + py2 - x2 - y2)^2 / (sigma_x^2 + sigma_y^2))
+
+  with K = :func:`candidate_constant`. Its reduced slices show the striped
+  structure with exactly m minima in the mixed planes, but the oracle
+  adjudication reports a shape mismatch against the Wigner transform (see
+  the verify command); it is retained for comparison and for that
+  adjudication, not as a validated quantity.
 """
 
 import math
@@ -38,12 +43,10 @@ from .special import alp_coeffs, alp_eval, gamma_half_integer
 from .state import _param_metadata
 
 __all__ = [
-    "ScaledCoords",
     "SlicePlane",
     "ClosedForm",
     "FORMS",
     "SIT_FORMS",
-    "scaled_coords",
     "standard_constant",
     "candidate_constant",
     "wigner4d",
@@ -55,47 +58,6 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ScaledCoords:
-    """The eight shifted-and-scaled phase-space variables.
-
-    The first group carries the Gaussian factor, the second the argument of
-    the associated Laguerre factor of the candidate form:
-
-        x1 = (x - x0)/sigma_x          px1 = sigma_x (px - px0)/sqrt(2)
-        y1 = (y - y0)/sigma_y          py1 = sigma_y (py - py0)/sqrt(2)
-        x2 = sigma_y (x - x0)/(2 sigma_x)   px2 = sigma_y^3 (px - px0)/sqrt(2)
-        y2 = sigma_x (y - y0)/(2 sigma_y)   py2 = sigma_x^3 (py - py0)/sqrt(2)
-
-    All eight vanish at the displaced phase-space center.
-    """
-
-    x1: float
-    y1: float
-    px1: float
-    py1: float
-    x2: float
-    y2: float
-    px2: float
-    py2: float
-
-
-def scaled_coords(params, x, y, px, py):
-    sx, sy = params.sigma_x, params.sigma_y
-    dx, dy = x - params.x0, y - params.y0
-    dpx, dpy = px - params.px0, py - params.py0
-    return ScaledCoords(
-        x1=dx / sx,
-        y1=dy / sy,
-        px1=sx * dpx / SQRT2,
-        py1=sy * dpy / SQRT2,
-        x2=sy * dx / (2.0 * sx),
-        y2=sx * dy / (2.0 * sy),
-        px2=sy ** 3 * dpx / SQRT2,
-        py2=sx ** 3 * dpy / SQRT2,
-    )
 
 
 def standard_constant(m):
@@ -141,18 +103,28 @@ def wigner4d(params, x, y, px, py, constant=None):
 
 
 def wigner4d_candidate(params, x, y, px, py, constant=None):
-    """Candidate closed form over the :func:`scaled_coords` variables."""
+    """Candidate closed form (see the module docstring) in the variables
+
+        x1 = (x - x0)/sigma_x          px1 = sigma_x (px - px0)/sqrt(2)
+        y1 = (y - y0)/sigma_y          py1 = sigma_y (py - py0)/sqrt(2)
+        x2 = sigma_y (x - x0)/(2 sigma_x)   px2 = sigma_y^3 (px - px0)/sqrt(2)
+        y2 = sigma_x (y - y0)/(2 sigma_y)   py2 = sigma_x^3 (py - py0)/sqrt(2)
+
+    all eight of which vanish at the displaced phase-space center.
+    """
     _require_tied(params, "wigner4d_candidate")
     sx, sy = params.sigma_x, params.sigma_y
     if constant is None:
         constant = candidate_constant(params.m, sx, sy)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    px = np.asarray(px, dtype=float)
-    py = np.asarray(py, dtype=float)
-    c = scaled_coords(params, x, y, px, py)
-    gauss = np.exp(-(c.x1 ** 2 + c.y1 ** 2 + c.px1 ** 2 + c.py1 ** 2))
-    arg = (c.px2 + c.py2 - c.x2 - c.y2) ** 2 / (sx ** 2 + sy ** 2)
+    dx = np.asarray(x, dtype=float) - params.x0
+    dy = np.asarray(y, dtype=float) - params.y0
+    dpx = np.asarray(px, dtype=float) - params.px0
+    dpy = np.asarray(py, dtype=float) - params.py0
+    x1, y1, px1, py1 = dx / sx, dy / sy, sx * dpx / SQRT2, sy * dpy / SQRT2
+    x2, y2 = sy * dx / (2.0 * sx), sx * dy / (2.0 * sy)
+    px2, py2 = sy ** 3 * dpx / SQRT2, sx ** 3 * dpy / SQRT2
+    gauss = np.exp(-(x1 ** 2 + y1 ** 2 + px1 ** 2 + py1 ** 2))
+    arg = (px2 + py2 - x2 - y2) ** 2 / (sx ** 2 + sy ** 2)
     out = constant * gauss * alp_eval(params.m, -0.5, arg)
     return out if np.ndim(out) else float(out)
 
@@ -247,7 +219,8 @@ def _sit_coeffs(m, sigma_x, sigma_y):
         raise ValueError("beam widths must be positive")
     d = sigma_x ** 2 + sigma_y ** 2
     try:
-        cs = alp_coeffs(m, -0.5)
+        # 0.0 stands in for c_m = (-1)^m / m!, which is subnormal for every m >= 171
+        cs = alp_coeffs(m, -0.5) if m < 171 else [0.0]
         with np.errstate(all="ignore"):     # numpy scalar widths warn where floats raise
             ck = [c / d ** k for k, c in enumerate(cs)]
     except (OverflowError, ZeroDivisionError):

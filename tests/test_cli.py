@@ -1,7 +1,9 @@
 import copy
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import deev
-from deev import cli, oracle
+from deev import cli, oracle, wigner
 from deev.cli import main
 from deev.wigner import FORMS
 from deev.gridio import read_csv
@@ -112,7 +114,7 @@ def test_sit_m1_matches_closed_form(tmp_path):
     out = str(tmp_path / "s")
     assert main(["sit", "--config", cfg, "--out", out]) == 0
     f = read_csv(os.path.join(out, "sit_m1_sum.csv"))
-    rr, ss = f.spec.meshgrid()
+    rr, ss = np.meshgrid(f.spec.axis1.nodes(), f.spec.axis2.nodes(), indexing="ij")
     with np.errstate(invalid="ignore"):
         expect = 2 * rr * ss / (rr ** 2 + ss ** 2)
     mask = ~np.isnan(f.values)
@@ -277,6 +279,14 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_exported_names_resolve():
+    modules = [deev] + [importlib.import_module(f"deev.{info.name}")
+                        for info in pkgutil.iter_modules(deev.__path__)]
+    for module in modules:
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
+    assert len(set(deev.__all__)) == len(deev.__all__)
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_rejected_at_parse(tmp_path, capsys, threads):
     # argparse rejects the value before the command runs, so no worker starts
@@ -290,11 +300,33 @@ def test_threads_below_one_rejected_at_parse(tmp_path, capsys, threads):
 
 
 @pytest.mark.parametrize("command", ["field", "verify"])
-@pytest.mark.parametrize("m", [140, 200])
+@pytest.mark.parametrize("m", [140, 200, 369, 5000, 10 ** 20])
 def test_unrepresentable_normalization_exits_2(tmp_path, capsys, command, m):
+    # from m = 369 the (m + 2)-node rule is past numpy's largest Gauss-Hermite rule; a numpy
+    # warning on the way to the exit fails the test (pyproject.toml filterwarnings)
     cfg = write_config(tmp_path, "c.json", {"state": small_state(m), "grid": small_grid(n=5)})
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert f"m={m}" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: state: normalization of m={m}, ")
+    assert not out.exists()
+
+
+def test_largest_rule_normalizes_untied_m368(tmp_path):
+    state = {"m": 368, "sigma_x": 1.0, "sigma_y": 1.0, "eta_x": 0.05, "eta_y": 0.02}
+    cfg = write_config(tmp_path, "c.json", {"state": state, "grid": small_grid(n=5)})
+    assert main(["field", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("m", [171, 20000, 10 ** 6])
+def test_sit_rejects_subnormal_orders_before_exact_arithmetic(tmp_path, capsys, monkeypatch, m):
+    # c_m = (-1)^m / m! is subnormal for every m >= 171, whatever the widths
+    monkeypatch.setattr(wigner, "alp_coeffs", lambda *args: pytest.fail("exact coefficients built"))
+    cfg = write_config(tmp_path, "s.json", {"sit": {"m": m}})
+    out = tmp_path / "o"
+    assert main(["sit", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: sit.m: the SIT coefficients at m={m} leave the double "
+                                       "range for sigma_x^2 + sigma_y^2 = 2\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("form", ["standard", "candidate"])

@@ -12,11 +12,16 @@ from deev.coupling import (DcdcParams, InfeasibleRatioError, ModeCoupler, bs_cou
 SQ2 = math.sqrt(2.0) / 2.0
 
 
+def phase_residual(c):
+    """|a1* a2 + a1 a2*|; zero for phase-matched couplers."""
+    return abs(c.a1.conjugate() * c.a2 + c.a1 * c.a2.conjugate())
+
+
 def test_bs_fifty_fifty():
     c = bs_coupler(math.pi / 4, 0.0)
     assert c.a1 == pytest.approx(SQ2, abs=1e-15)
     assert c.a2 == pytest.approx(-1j * SQ2, abs=1e-15)
-    assert c.phase_condition_residual() < 1e-12
+    assert phase_residual(c) < 1e-12
 
 
 def test_bs_identity():
@@ -37,7 +42,7 @@ def test_dcdc_fifty_fifty():
     c = dcdc_coupler(DcdcParams(g=1.0, delta=0.0, t=math.pi / 4))
     assert c.a1 == pytest.approx(SQ2, abs=1e-15)
     assert c.a2 == pytest.approx(1j * SQ2, abs=1e-15)
-    assert c.phase_condition_residual() < 1e-12
+    assert phase_residual(c) < 1e-12
 
 
 def test_dcdc_zero_time():
@@ -154,9 +159,9 @@ def test_time_for_ratio_at_infimum_boundary():
 
 def test_phase_condition_scope():
     # holds for phi in {0, pi} and is violated at generic phi
-    assert bs_coupler(0.7, 0.0).phase_condition_residual() < 1e-12
-    assert bs_coupler(0.7, math.pi).phase_condition_residual() < 1e-12
-    assert bs_coupler(0.7, 1.0).phase_condition_residual() > 0.1
+    assert phase_residual(bs_coupler(0.7, 0.0)) < 1e-12
+    assert phase_residual(bs_coupler(0.7, math.pi)) < 1e-12
+    assert phase_residual(bs_coupler(0.7, 1.0)) > 0.1
 
 
 def brentq_time_for_ratio(ratio, g, delta):

@@ -9,33 +9,10 @@ from deev import gridio, wigner
 from deev.gridio import AxisSpec, GridSpec
 from deev.state import DeevParams
 from deev.verify import canonical_slice_grid
-from deev.wigner import (SlicePlane, candidate_constant, count_strict_minima, scaled_coords,
-                         sit, sit_field, standard_constant, wigner4d, wigner4d_candidate,
-                         wigner_slice)
+from deev.wigner import (SlicePlane, _sit_coeffs, candidate_constant, count_strict_minima, sit,
+                         sit_field, standard_constant, wigner4d, wigner4d_candidate, wigner_slice)
 
 SQRT2 = math.sqrt(2.0)
-
-
-# ---------------------------------------------------------------- scaled coords
-
-def test_scaled_coords_center():
-    p = DeevParams.tied(2, 5.0, 3.0, x0=2.0, y0=4.0, px0=0.3, py0=-0.2)
-    c = scaled_coords(p, 2.0, 4.0, 0.3, -0.2)
-    assert all(v == 0.0 for v in (c.x1, c.y1, c.px1, c.py1, c.x2, c.y2, c.px2, c.py2))
-
-
-def test_scaled_coords_unit_sigma():
-    p = DeevParams.tied(1, 1.0, 1.0)
-    c = scaled_coords(p, 1.0, 0.0, 0.0, 0.0)
-    assert (c.x1, c.x2) == (1.0, 0.5)
-    assert c.y1 == c.px1 == c.py1 == c.y2 == c.px2 == c.py2 == 0.0
-
-
-def test_scaled_coords_momentum_example():
-    p = DeevParams.tied(1, 5.0, 3.0)
-    c = scaled_coords(p, 0.0, 0.0, 0.2, 0.0)
-    assert c.px1 == pytest.approx(5.0 * 0.2 / SQRT2, rel=1e-15)
-    assert c.px2 == pytest.approx(27.0 * 0.2 / SQRT2, rel=1e-15)
 
 
 # ---------------------------------------------------------------- closed forms
@@ -185,6 +162,8 @@ def test_sit_out_of_double_range_raises_overflow():
     with pytest.raises(OverflowError, match="m=100 overflows double precision on this grid"):
         sit(100, 1.0, 1.0, np.array([0.0, 1e3]), np.array([0.0, 1e3]))
     assert math.isfinite(sit(100, 1.0, 1.0, 5.0, 4.0))
+    # the last order whose c_m = (-1)^m / m! is a normal double
+    assert len(_sit_coeffs(170, 0.1, 0.1)) == 171
 
 
 def test_sit_origin_nan_and_axis_zero():
@@ -261,7 +240,8 @@ def test_sit_field_builds_its_coefficients_once(monkeypatch):
     monkeypatch.setattr(gridio, "_BLOCK_NODES", 8 * 101)    # 13 row blocks of the 101-column grid
     f = sit_field(6, 5.0, 3.0, SIT_GRID, threads=2)
     assert calls == [6]
-    assert np.array_equal(f.values, sit(6, 5.0, 3.0, *SIT_GRID.meshgrid()), equal_nan=True)
+    rr, ss = np.meshgrid(SIT_GRID.axis1.nodes(), SIT_GRID.axis2.nodes(), indexing="ij")
+    assert np.array_equal(f.values, sit(6, 5.0, 3.0, rr, ss), equal_nan=True)
 
 
 def test_sit_field_label_check():
@@ -275,7 +255,6 @@ def _candidate_2d_formulas(p, plane, a1, a2):
     """The six reduced expressions written out directly (regression oracle
     for the pinned candidate form)."""
     from deev.special import alp_eval
-    from deev.wigner import candidate_constant, scaled_coords
 
     sx, sy = p.sigma_x, p.sigma_y
     K = candidate_constant(p.m, sx, sy)
@@ -283,15 +262,20 @@ def _candidate_2d_formulas(p, plane, a1, a2):
     coords = {"x": p.x0, "y": p.y0, "px": p.px0, "py": p.py0}
     coords[plane.axis_labels[0]] = a1
     coords[plane.axis_labels[1]] = a2
-    c = scaled_coords(p, coords["x"], coords["y"], coords["px"], coords["py"])
+    dx, dy = coords["x"] - p.x0, coords["y"] - p.y0
+    dpx, dpy = coords["px"] - p.px0, coords["py"] - p.py0
+    # the eight shifted-and-scaled variables of the candidate form's docstring
+    x1, y1, px1, py1 = dx / sx, dy / sy, sx * dpx / SQRT2, sy * dpy / SQRT2
+    x2, y2 = sy * dx / (2.0 * sx), sx * dy / (2.0 * sy)
+    px2, py2 = sy ** 3 * dpx / SQRT2, sx ** 3 * dpy / SQRT2
     gauss_terms = {
-        SlicePlane.XY: (c.x1, c.y1), SlicePlane.PXPY: (c.px1, c.py1),
-        SlicePlane.XPX: (c.x1, c.px1), SlicePlane.YPY: (c.y1, c.py1),
-        SlicePlane.XPY: (c.x1, c.py1), SlicePlane.YPX: (c.y1, c.px1)}
+        SlicePlane.XY: (x1, y1), SlicePlane.PXPY: (px1, py1),
+        SlicePlane.XPX: (x1, px1), SlicePlane.YPY: (y1, py1),
+        SlicePlane.XPY: (x1, py1), SlicePlane.YPX: (y1, px1)}
     alp_args = {
-        SlicePlane.XY: (c.y2 + c.x2) ** 2, SlicePlane.PXPY: (c.py2 + c.px2) ** 2,
-        SlicePlane.XPX: (c.px2 - c.x2) ** 2, SlicePlane.YPY: (c.py2 - c.y2) ** 2,
-        SlicePlane.XPY: (c.py2 - c.x2) ** 2, SlicePlane.YPX: (c.px2 - c.y2) ** 2}
+        SlicePlane.XY: (y2 + x2) ** 2, SlicePlane.PXPY: (py2 + px2) ** 2,
+        SlicePlane.XPX: (px2 - x2) ** 2, SlicePlane.YPY: (py2 - y2) ** 2,
+        SlicePlane.XPY: (py2 - x2) ** 2, SlicePlane.YPX: (px2 - y2) ** 2}
     g1, g2 = gauss_terms[plane]
     return K * math.exp(-(g1 ** 2 + g2 ** 2)) * alp_eval(p.m, -0.5, alp_args[plane] / d)
 
