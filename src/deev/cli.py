@@ -12,23 +12,47 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-
-from .coupling import (DcdcParams, bs_coupler, coupler_to_ellipticity, dcdc_coupler,
-                       dcdc_time_for_ratio)
-from .gridio import AxisSpec, GridSpec, write_csv, write_pgm
-from .oracle import OracleConvergenceError, QuadratureSpec
-from .state import DeevParams, intensity_field
-from .verify import canonical_slice_grid, run_verify
-from .wigner import FORMS, SIT_FORMS, STANDARD, SlicePlane, _require_tied, _sit_coeffs, sit_field, wigner_slice
+from importlib import import_module
 
 __all__ = ["main", "ConfigError", "load_config"]
+
+# module -> the names this module calls from it. A command binds only the modules it
+# uses (``_load``), so ``coupler`` and ``--help`` load no numpy. A patch of a name here
+# (a test's monkeypatch, the benchmark's tracer) replaces it; one installed first is kept.
+_IMPORTS = {
+    "coupling": ("DcdcParams", "bs_coupler", "coupler_to_ellipticity", "dcdc_coupler", "dcdc_time_for_ratio"),
+    "gridio": ("AxisSpec", "GridSpec", "write_csv", "write_pgm"),
+    "oracle": ("OracleConvergenceError", "QuadratureSpec"),
+    "state": ("DeevParams", "intensity_field"),
+    "verify": ("run_verify",),
+    "wigner": ("FORMS", "SlicePlane", "_require_tied", "_sit_coeffs", "canonical_slice_grid",
+               "sit_field", "wigner_slice"),
+}
+
+
+def _load(*modules):
+    for module_name in modules:
+        module = import_module(f".{module_name}", __package__)
+        for name in _IMPORTS[module_name]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    for module_name, names in _IMPORTS.items():
+        if name in names:
+            _load(module_name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
     pass
 
 
-_PLANES = tuple(p.name.lower() for p in SlicePlane) + ("all",)
+# literal so that the parser needs no numpy; a test pins them to ``wigner``
+_PLANES = ("xy", "pxpy", "xpx", "ypy", "xpy", "ypx", "all")
+_FORMS = ("standard", "candidate")
+_SIT_FORMS = ("sum", "difference")
 _AXIS = {"label": (str, True), "min": (float, True), "max": (float, True), "count": (int, True)}
 _COUPLERS = {
     "bs": {"theta": (float, True), "phi": (float, False)},
@@ -49,8 +73,8 @@ _SCHEMA = {
     "grid.axis1": _AXIS,
     "grid.axis2": _AXIS,
     "quadrature": {"abs_tol": (float, False), "rel_tol": (float, False)},
-    "sit": {"m": (list, False), "form": (SIT_FORMS, False), "clamp": (float, False)},
-    "wigner": {"plane": (_PLANES, False), "form": (tuple(FORMS), False)},
+    "sit": {"m": (list, False), "form": (_SIT_FORMS, False), "clamp": (float, False)},
+    "wigner": {"plane": (_PLANES, False), "form": (_FORMS, False)},
     "coupler": {"kind": (tuple(_COUPLERS), True),
                 **{k: (t, False) for row in _COUPLERS.values() for k, (t, _) in row.items()}},
 }
@@ -167,6 +191,7 @@ def _clamp(value, key):
 
 
 def cmd_field(args):
+    _load("state", "gridio")
     cfg = load_config(args.config)
     clamp = _clamp(args.clamp, "--clamp")
     params = _state_params(cfg)
@@ -189,12 +214,13 @@ def cmd_field(args):
 
 
 def cmd_wigner(args):
+    _load("state", "gridio", "wigner")
     cfg = load_config(args.config)
     params = _state_params(cfg)
     with _names("state.eta_x/state.eta_y"):
         _require_tied(params, "wigner")
     wb = cfg.get("wigner", {})
-    form = args.form or wb.get("form", STANDARD)
+    form = args.form or wb.get("form", _FORMS[0])
     plane_name = args.plane or wb.get("plane", "all")
     planes = list(SlicePlane) if plane_name == "all" else [SlicePlane[plane_name.upper()]]
     out = _out_dir(cfg, args)
@@ -214,6 +240,7 @@ def cmd_wigner(args):
 
 
 def cmd_sit(args):
+    _load("state", "gridio", "wigner")
     cfg = load_config(args.config)
     sb = cfg.get("sit", {})
     orders = [args.m] if args.m is not None else sb.get("m")
@@ -244,6 +271,7 @@ def cmd_sit(args):
 
 
 def cmd_verify(args):
+    _load("state", "wigner", "oracle", "verify")
     cfg = load_config(args.config)
     params = _state_params(cfg)
     with _names("state"):
@@ -279,6 +307,7 @@ def _print_coupler(c):
 
 
 def cmd_coupler(args):
+    _load("coupling")
     cfg = load_config(args.config)
     if "coupler" not in cfg:
         raise ConfigError("config: missing 'coupler' block")
@@ -327,8 +356,8 @@ def build_parser():
         if m:
             p.add_argument("--m", type=int, default=None, help="vortex order (overrides config)")
         if form:
-            p.add_argument("--form", default=None, choices=list(FORMS),
-                           help=f"closed form to sample (default from config, else {STANDARD})")
+            p.add_argument("--form", default=None, choices=_FORMS,
+                           help=f"closed form to sample (default from config, else {_FORMS[0]})")
 
     common(sub.add_parser("field", help="sample |psi|^2 and write CSV + PGM"), cmd_field)
     common(sub.add_parser("wigner", help="sample 2D Wigner reductions"), cmd_wigner, plane=True, form=True)

@@ -12,9 +12,10 @@ Gauss-Hermite rule in u/sigma_x, v/sigma_y integrates it over the whole
 plane, with no truncation box. Each evaluation computes the n-node and the
 2n-node results and reports their difference as the error bound; n doubles
 until the bound meets max(abs_tol, rel_tol * |value|), or the per-axis node
-budget of 360 is spent. The starting n grows with m and with the momentum
-offset from the state's center (the plane wave's frequency in u/sigma_x,
-v/sigma_y).
+budget of 360 is spent. The starting n grows with m and with the kernel's
+frequency in u/sigma_x, v/sigma_y: the momentum offset from the state's
+center for the plane wave, and 12 for the marginal's Dirichlet kernels
+whatever the widths (the center's momentum cancels), so its start is m + 64.
 
 The transform of a pure state is real; the imaginary part of the computed
 integral is retained as a convergence diagnostic and must stay below
@@ -168,7 +169,7 @@ def oracle_marginal_xy(params, x, y, q=QuadratureSpec()):
         params,
         kernel_u=dirichlet(pu, params.px0),
         kernel_v=dirichlet(pv, params.py0),
-        x=x, y=y, n=params.m + 48, q=qm,
+        x=x, y=y, n=params.m + 64, q=qm,
     )
     return val.real
 

@@ -28,14 +28,11 @@ import numpy as np
 from .gridio import AxisSpec, GridSpec, _atomic_write, _fmt
 from .oracle import QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from .state import psi
-from .wigner import (CANDIDATE, FORMS, STANDARD, SlicePlane, count_strict_minima, wigner4d,
-                     wigner_slice)
+from .wigner import (CANDIDATE, FORMS, STANDARD, SlicePlane, canonical_slice_grid,
+                     count_strict_minima, wigner4d, wigner_slice)
 
 __all__ = ["SuiteResult", "VerifyOutcome", "CalibrationResult", "Verdict", "DiscrepancyReport",
-           "run_verify", "adjudicate", "calibrate_constant_detailed", "write_report",
-           "canonical_slice_grid"]
-
-SQRT2 = math.sqrt(2.0)
+           "run_verify", "adjudicate", "calibrate_constant_detailed", "write_report"]
 
 _PROBE_OFFSETS = (
     (0.31, 0.22, -0.27, 0.18),
@@ -167,25 +164,6 @@ class VerifyOutcome:
         lines.append(f"candidate-form verdict: {self.candidate_report.verdict.value}")
         lines.append(f"overall: {'PASS' if self.exit_code == 0 else 'FAIL'}")
         return lines
-
-
-def canonical_slice_grid(params, plane, count=301):
-    """Symmetric grid around the displaced center, 3 widths per axis.
-
-    Position half-widths are 3 sigma; momentum half-widths 3 sqrt(2)/sigma,
-    wide enough for the slow momentum decay of the candidate form.
-    """
-    half = {
-        "x": (params.x0, 3.0 * params.sigma_x),
-        "y": (params.y0, 3.0 * params.sigma_y),
-        "px": (params.px0, 3.0 * SQRT2 / params.sigma_x),
-        "py": (params.py0, 3.0 * SQRT2 / params.sigma_y),
-    }
-    axes = []
-    for label in plane.axis_labels:
-        c, h = half[label]
-        axes.append(AxisSpec(label=label, lo=c - h, hi=c + h, count=count))
-    return GridSpec(axis1=axes[0], axis2=axes[1])
 
 
 def adjudicate(params, q=QuadratureSpec(), form=STANDARD):

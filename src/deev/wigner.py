@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gridio import _fmt, sample_field
+from .gridio import AxisSpec, GridSpec, _fmt, sample_field
 from .special import alp_coeffs, alp_eval, gamma_half_integer
 from .state import _param_metadata
 
@@ -52,6 +52,7 @@ __all__ = [
     "wigner4d",
     "wigner4d_candidate",
     "wigner_slice",
+    "canonical_slice_grid",
     "sit",
     "sit_field",
     "count_strict_minima",
@@ -165,6 +166,25 @@ class SlicePlane(Enum):
     @property
     def axis_labels(self):
         return self.value
+
+
+def canonical_slice_grid(params, plane, count=301):
+    """Symmetric grid around the displaced center, 3 widths per axis.
+
+    Position half-widths are 3 sigma; momentum half-widths 3 sqrt(2)/sigma,
+    wide enough for the slow momentum decay of the candidate form.
+    """
+    half = {
+        "x": (params.x0, 3.0 * params.sigma_x),
+        "y": (params.y0, 3.0 * params.sigma_y),
+        "px": (params.px0, 3.0 * SQRT2 / params.sigma_x),
+        "py": (params.py0, 3.0 * SQRT2 / params.sigma_y),
+    }
+    axes = []
+    for label in plane.axis_labels:
+        c, h = half[label]
+        axes.append(AxisSpec(label=label, lo=c - h, hi=c + h, count=count))
+    return GridSpec(axis1=axes[0], axis2=axes[1])
 
 
 def wigner_slice(params, plane, grid, form=STANDARD, threads=None):

@@ -7,6 +7,7 @@ per-layer metrics. The tracer is only imported here, never edited.
 
 import importlib
 import importlib.util
+import json
 import os
 
 import pytest
@@ -35,3 +36,18 @@ def test_verify_calls_go_through_the_patched_names(tmp_path):
             "gridio.write_report"} <= names
     calibrations = {s.id for s in tracer.spans if s.name == "oracle.calibrate"}
     assert any(s.name == "oracle.wigner" and s.parent in calibrations for s in tracer.spans)
+
+
+def test_cli_calls_go_through_the_patched_names(tmp_path):
+    # each command looks its library functions up in deev.cli's globals at call time
+    from deev import cli
+
+    ratio = tmp_path / "ratio.json"
+    ratio.write_text(json.dumps({"coupler": {"kind": "dcdc", "g": 1.0, "delta": 0.2, "ratio": 1.5}}))
+    field = os.path.join(ROOT, "configs", "fig2_intensity.json")
+    with tracing.Tracer() as tracer:
+        assert cli.main(["field", "--config", field, "--out", str(tmp_path / "o")]) == 0
+        assert cli.main(["coupler", "--config", str(ratio)]) == 0
+    names = {s.name for s in tracer.spans}
+    assert {"state.intensity_field", "gridio.write_csv", "gridio.write_pgm", "coupling.solve",
+            "coupling.dcdc_coupler", "coupling.ellipticity"} <= names

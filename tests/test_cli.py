@@ -279,6 +279,58 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+# runs ``python -m deev.cli <argv>`` in this process, then prints the modules it loaded
+_MODULES_AFTER = """
+import json, runpy, sys
+sys.argv = ["deev"] + json.loads(sys.argv[1])
+try:
+    runpy.run_module("deev.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def modules_after(argv):
+    src = os.path.dirname(os.path.dirname(deev.__file__))
+    root = os.path.dirname(src)
+    out = subprocess.run([sys.executable, "-c", _MODULES_AFTER, json.dumps(argv)], cwd=root,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_loads_no_numpy():
+    src = os.path.dirname(os.path.dirname(deev.__file__))
+    code = "import sys, deev; print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'deev')))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['deev']"
+
+
+@pytest.mark.parametrize("argv, used", [(["--help"], "deev"),
+                                        (["coupler", "--config", "configs/coupler_dcdc_5050.json"],
+                                         "deev.coupling")], ids=["help", "coupler"])
+def test_help_and_coupler_load_no_numpy(argv, used):
+    loaded = modules_after(argv)
+    assert used in loaded
+    assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+
+
+def test_wigner_loads_no_verify_or_oracle(tmp_path):
+    loaded = modules_after(["wigner", "--config", "configs/fig3_wigner_standard.json",
+                            "--plane", "xy", "--out", str(tmp_path / "o")])
+    assert "deev.wigner" in loaded
+    assert "deev.verify" not in loaded and "deev.oracle" not in loaded
+    assert (tmp_path / "o" / "wigner_xy_standard.csv").exists()
+
+
+def test_cli_literal_choices_match_the_library():
+    assert cli._PLANES == tuple(p.name.lower() for p in wigner.SlicePlane) + ("all",)
+    assert cli._FORMS == tuple(wigner.FORMS)
+    assert cli._SIT_FORMS == wigner.SIT_FORMS
+
+
 def test_exported_names_resolve():
     modules = [deev] + [importlib.import_module(f"deev.{info.name}")
                         for info in pkgutil.iter_modules(deev.__path__)]

@@ -72,6 +72,21 @@ def test_marginal_random_points_match_intensity():
         assert oracle_marginal_xy(p, x, y, Q) == pytest.approx(abs(psi(p, x, y)) ** 2, abs=1e-5)
 
 
+def test_marginal_starts_at_its_converging_rule(monkeypatch):
+    # the start depends on m alone; it must already meet the tolerance at n and 2n
+    rules = []
+    rule = oracle._rule
+    monkeypatch.setattr(oracle, "_rule", lambda n: rules.append(n) or rule(n))
+    rng = np.random.default_rng(15)
+    for m in range(61):
+        sx, sy = np.exp(rng.uniform(np.log(0.7), np.log(5.0), 2))
+        x0, y0, px0, py0 = rng.uniform(-2.0, 2.0, 4)
+        p = DeevParams.tied(m, sx, sy, x0=x0, y0=y0, px0=px0, py0=py0)
+        rules.clear()
+        oracle_marginal_xy(p, x0 + sx * rng.uniform(-1.0, 1.0), y0 + sy * rng.uniform(-1.0, 1.0), Q)
+        assert len(rules) == 2, (m, rules)
+
+
 def test_norm_is_one():
     for m, sx, sy in [(0, 1.0, 1.0), (3, 5.0, 3.0), (2, 2.0, 0.7)]:
         p = DeevParams.tied(m, sx, sy, x0=1.0)

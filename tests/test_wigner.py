@@ -8,9 +8,9 @@ from scipy.special import binom
 from deev import gridio, wigner
 from deev.gridio import AxisSpec, GridSpec
 from deev.state import DeevParams
-from deev.verify import canonical_slice_grid
-from deev.wigner import (SlicePlane, _sit_coeffs, candidate_constant, count_strict_minima, sit,
-                         sit_field, standard_constant, wigner4d, wigner4d_candidate, wigner_slice)
+from deev.wigner import (SlicePlane, _sit_coeffs, candidate_constant, canonical_slice_grid,
+                         count_strict_minima, sit, sit_field, standard_constant, wigner4d,
+                         wigner4d_candidate, wigner_slice)
 
 SQRT2 = math.sqrt(2.0)
 
