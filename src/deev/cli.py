@@ -25,7 +25,7 @@ _IMPORTS = {
     "oracle": ("OracleConvergenceError", "QuadratureSpec"),
     "state": ("DeevParams", "intensity_field"),
     "verify": ("run_verify",),
-    "wigner": ("FORMS", "SlicePlane", "_require_tied", "_sit_coeffs", "canonical_slice_grid",
+    "wigner": ("SlicePlane", "_require_tied", "_sit_coeffs", "canonical_slice_grid",
                "sit_field", "wigner_slice"),
 }
 
@@ -167,14 +167,34 @@ def _out_dir(cfg, args):
     return args.out or cfg.get("out_dir", ".")
 
 
-def _write_pair(field, out_dir, stem, clamp):
-    # created with the first file, so a command rejected before it leaves no output directory
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, stem + ".csv")
-    pgm_path = os.path.join(out_dir, stem + ".pgm")
-    write_csv(field, csv_path)
-    write_pgm(field, pgm_path, clamp=clamp)
-    return csv_path, pgm_path
+@contextmanager
+def _outputs(out_dir, clamp):
+    """Yield ``write(field, stem)``, which writes ``stem``.csv and .pgm into ``out_dir``.
+
+    The paths are printed when the block ends. If it raises, the files written are
+    removed, and ``out_dir`` too if the block created it, so a failed command leaves no output.
+    """
+    existed = os.path.isdir(out_dir)
+    paths = []
+
+    def write(field, stem):
+        os.makedirs(out_dir, exist_ok=True)
+        stem = os.path.join(out_dir, stem)
+        write_csv(field, stem + ".csv")
+        paths.append(stem + ".csv")
+        write_pgm(field, stem + ".pgm", clamp=clamp)
+        paths.append(stem + ".pgm")
+
+    try:
+        yield write
+    except BaseException:
+        for path in set(paths):     # a repeated order writes its files twice
+            os.remove(path)
+        if not existed and os.path.isdir(out_dir):
+            os.rmdir(out_dir)
+        raise
+    for path in paths:
+        print(path)
 
 
 def _clamp(value, key):
@@ -205,11 +225,10 @@ def cmd_field(args):
                 axis2=AxisSpec("y", params.y0 - 3.4 * params.sigma_y, params.y0 + 3.4 * params.sigma_y, 201))
     if (grid.axis1.label, grid.axis2.label) != ("x", "y"):
         raise ConfigError("field: grid axes must be labeled x and y")
-    out = _out_dir(cfg, args)
     with _names("state.m", OverflowError):
         field = intensity_field(params, grid, threads=args.threads)
-    for p in _write_pair(field, out, "intensity", clamp):
-        print(p)
+    with _outputs(_out_dir(cfg, args), clamp) as write:
+        write(field, "intensity")
     return 0
 
 
@@ -223,7 +242,6 @@ def cmd_wigner(args):
     form = args.form or wb.get("form", _FORMS[0])
     plane_name = args.plane or wb.get("plane", "all")
     planes = list(SlicePlane) if plane_name == "all" else [SlicePlane[plane_name.upper()]]
-    out = _out_dir(cfg, args)
     clamp = _clamp(args.clamp, "--clamp")
     override = _grid(cfg)
     # every grid is built before the first file is written
@@ -231,11 +249,11 @@ def cmd_wigner(args):
         grids = [override if override is not None
                  and (override.axis1.label, override.axis2.label) == plane.axis_labels
                  else canonical_slice_grid(params, plane) for plane in planes]
-    for plane, grid in zip(planes, grids):
-        with _names("state.m", OverflowError):
-            field = wigner_slice(params, plane, grid, form=form, threads=args.threads)
-        for p in _write_pair(field, out, f"wigner_{plane.name.lower()}_{form}", clamp):
-            print(p)
+    with _outputs(_out_dir(cfg, args), clamp) as write:
+        for plane, grid in zip(planes, grids):
+            with _names("state.m", OverflowError):
+                field = wigner_slice(params, plane, grid, form=form, threads=args.threads)
+            write(field, f"wigner_{plane.name.lower()}_{form}")
     return 0
 
 
@@ -257,16 +275,15 @@ def cmd_sit(args):
         with _names("sit.m", (ValueError, OverflowError)):
             _sit_coeffs(m, sx, sy)
     grid = _grid(cfg) or GridSpec(axis1=AxisSpec("r", -5.0, 5.0, 201), axis2=AxisSpec("s", -5.0, 5.0, 201))
-    out = _out_dir(cfg, args)
     clamp = _clamp(args.clamp, "--clamp")
     if clamp == "auto":
         clamp = cap
-    for m in orders:
-        # the grid's config error is not an OverflowError, so the outer name passes it through
-        with _names("sit.m", OverflowError), _names("grid"):
-            field = sit_field(m, sx, sy, grid, form=form, clamp_cap=cap, threads=args.threads)
-        for p in _write_pair(field, out, f"sit_m{m}_{form}", clamp):
-            print(p)
+    with _outputs(_out_dir(cfg, args), clamp) as write:
+        for m in orders:
+            # the grid's config error is not an OverflowError, so the outer name passes it through
+            with _names("sit.m", OverflowError), _names("grid"):
+                field = sit_field(m, sx, sy, grid, form=form, clamp_cap=cap, threads=args.threads)
+            write(field, f"sit_m{m}_{form}")
     return 0
 
 
@@ -278,17 +295,11 @@ def cmd_verify(args):
         params.norm_constant
     with _names("state.eta_x/state.eta_y"):
         _require_tied(params, "verify")
-    for form in FORMS:
-        try:
-            FORMS[form].nominal(params)
-        except OverflowError:
-            raise ConfigError(f"state.m: the {form} closed form's constant at m={params.m} "
-                              "does not fit a double") from None
     with _names("quadrature"):
         q = QuadratureSpec(**cfg.get("quadrature", {}))
     seed = cfg.get("seed", 2024)
     out = _out_dir(cfg, args)
-    with _names("oracle", OracleConvergenceError):
+    with _names("state.m", OverflowError), _names("oracle", OracleConvergenceError):
         outcome = run_verify(params, q=q, out_dir=out, threads=args.threads, seed=seed)
     for line in outcome.summary_lines():
         print(line)

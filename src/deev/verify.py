@@ -28,7 +28,7 @@ import numpy as np
 from .gridio import AxisSpec, GridSpec, _atomic_write, _fmt
 from .oracle import QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from .state import psi
-from .wigner import (CANDIDATE, FORMS, STANDARD, SlicePlane, canonical_slice_grid,
+from .wigner import (CANDIDATE, FORMS, STANDARD, SlicePlane, _finite, canonical_slice_grid,
                      count_strict_minima, wigner4d, wigner_slice)
 
 __all__ = ["SuiteResult", "VerifyOutcome", "CalibrationResult", "Verdict", "DiscrepancyReport",
@@ -134,7 +134,7 @@ def write_report(report, destination):
     lines.append(f"nominal_constant={_fmt(report.nominal_constant)}")
     lines.append(f"calibrated_constant={_fmt(cal.constant)}")
     dev = math.inf if cal.constant == 0 else max(abs(r / cal.constant - 1.0) for r in cal.ratios)
-    lines.append(f"max_relative_deviation={_fmt(dev) if math.isfinite(dev) else 'inf'}")
+    lines.append(f"max_relative_deviation={_fmt(dev)}")
     lines.append(f"stable_under_halving={'true' if report.stable_under_halving else 'false'}")
     lines.append(f"verdict={report.verdict.value}")
     _atomic_write(destination, [("\n".join(lines) + "\n").encode("ascii")])
@@ -181,6 +181,8 @@ def adjudicate(params, q=QuadratureSpec(), form=STANDARD):
     nominal = FORMS[form].nominal(params)
     shape = FORMS[form].shape
     cal = calibrate_constant_detailed(params, q=q, shape=shape)
+    # the report prints the form at its nominal constant, nominal * shape, at each probe
+    _finite([nominal * sv for sv in cal.shape_values], form, params.m)
     cal2 = calibrate_constant_detailed(params, q=q.halved(), shape=shape)
     fits, fits2 = (c.spread < 1e-6 for c in (cal, cal2))
     # stable: neither calibration fits, or both fit with the same constant
@@ -215,9 +217,11 @@ def _marginal_suite(params, q, n_points, rng):
         x = params.x0 + a * params.sigma_x
         y = params.y0 + b * params.sigma_y
         quad = oracle_marginal_xy(params, x, y, q)
-        worst = max(worst, abs(quad - abs(psi(params, x, y)) ** 2))
+        # |psi|^2 scales as 1/(sigma_x sigma_y), so the tolerance applies to the scaled deviation
+        worst = max(worst, params.sigma_x * params.sigma_y * abs(quad - abs(psi(params, x, y)) ** 2))
     ok = worst <= 1e-5
-    return SuiteResult("marginal", ok, f"max |marginal - |psi|^2| = {worst:.3e} over {n_points} points (tol 1e-5)")
+    return SuiteResult("marginal", ok, f"max sigma_x sigma_y |marginal - |psi|^2| = {worst:.3e} "
+                                       f"over {n_points} points (tol 1e-5)")
 
 
 def _equivalence_suite(params, q, n_points, rng):

@@ -33,6 +33,7 @@ eta_x sigma_x = eta_y sigma_y:
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,12 +68,16 @@ def standard_constant(m):
 
 
 def candidate_constant(m, sigma_x, sigma_y):
-    """Nominal constant of the candidate form.
+    """Nominal constant of the candidate form; OverflowError naming m if it does not fit a double.
 
     2^(m-4) m! / (pi sqrt(pi) Gamma(m + 1/2)) * (-2 (sigma_x^2 + sigma_y^2))^m
     """
-    base = 2.0 ** (m - 4) * math.factorial(m) / (math.pi * math.sqrt(math.pi) * gamma_half_integer(m))
-    return base * (-2.0 * (sigma_x ** 2 + sigma_y ** 2)) ** m
+    with suppress(OverflowError):       # an int too large for a float, or a float power
+        base = 2.0 ** (m - 4) * math.factorial(m) / (math.pi * math.sqrt(math.pi) * gamma_half_integer(m))
+        constant = base * (-2.0 * (sigma_x ** 2 + sigma_y ** 2)) ** m
+        if np.finfo(float).tiny <= abs(constant) < math.inf:     # a normal double
+            return constant
+    raise OverflowError(f"the candidate closed form's constant at m={m} does not fit a double")
 
 
 def _require_tied(params, what):
@@ -84,23 +89,32 @@ def _require_tied(params, what):
         )
 
 
+def _finite(out, form, m):
+    """Return W, which is finite everywhere: a non-finite value is an overflow."""
+    if not np.isfinite(out).all():
+        raise OverflowError(f"the {form} closed form at m={m} overflows double precision on this grid")
+    return out if np.ndim(out) else float(out)
+
+
 def wigner4d(params, x, y, px, py, constant=None):
-    """Validated closed-form Wigner function; scalar or array arguments."""
+    """Validated closed-form Wigner function; scalar or array arguments; OverflowError if not finite."""
     _require_tied(params, "wigner4d")
     if constant is None:
         constant = standard_constant(params.m)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    px = np.asarray(px, dtype=float)
-    py = np.asarray(py, dtype=float)
-    a = (x - params.x0) / params.sigma_x
-    b = (y - params.y0) / params.sigma_y
-    p = params.sigma_x * (px - params.px0)
-    q = params.sigma_y * (py - params.py0)
-    s = params.sign
-    arg = (a + s * q) ** 2 + (b - s * p) ** 2
-    out = constant * np.exp(-(a * a + b * b + p * p + q * q)) * alp_eval(params.m, 0.0, arg)
-    return out if np.ndim(out) else float(out)
+    # set here, not by a caller: worker threads do not inherit errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        px = np.asarray(px, dtype=float)
+        py = np.asarray(py, dtype=float)
+        a = (x - params.x0) / params.sigma_x
+        b = (y - params.y0) / params.sigma_y
+        p = params.sigma_x * (px - params.px0)
+        q = params.sigma_y * (py - params.py0)
+        s = params.sign
+        arg = (a + s * q) ** 2 + (b - s * p) ** 2
+        out = constant * np.exp(-(a * a + b * b + p * p + q * q)) * alp_eval(params.m, 0.0, arg)
+    return _finite(out, STANDARD, params.m)
 
 
 def wigner4d_candidate(params, x, y, px, py, constant=None):
@@ -111,23 +125,25 @@ def wigner4d_candidate(params, x, y, px, py, constant=None):
         x2 = sigma_y (x - x0)/(2 sigma_x)   px2 = sigma_y^3 (px - px0)/sqrt(2)
         y2 = sigma_x (y - y0)/(2 sigma_y)   py2 = sigma_x^3 (py - py0)/sqrt(2)
 
-    all eight of which vanish at the displaced phase-space center.
+    all eight of which vanish at the displaced phase-space center. Overflow raises as in wigner4d.
     """
     _require_tied(params, "wigner4d_candidate")
     sx, sy = params.sigma_x, params.sigma_y
     if constant is None:
         constant = candidate_constant(params.m, sx, sy)
-    dx = np.asarray(x, dtype=float) - params.x0
-    dy = np.asarray(y, dtype=float) - params.y0
-    dpx = np.asarray(px, dtype=float) - params.px0
-    dpy = np.asarray(py, dtype=float) - params.py0
-    x1, y1, px1, py1 = dx / sx, dy / sy, sx * dpx / SQRT2, sy * dpy / SQRT2
-    x2, y2 = sy * dx / (2.0 * sx), sx * dy / (2.0 * sy)
-    px2, py2 = sy ** 3 * dpx / SQRT2, sx ** 3 * dpy / SQRT2
-    gauss = np.exp(-(x1 ** 2 + y1 ** 2 + px1 ** 2 + py1 ** 2))
-    arg = (px2 + py2 - x2 - y2) ** 2 / (sx ** 2 + sy ** 2)
-    out = constant * gauss * alp_eval(params.m, -0.5, arg)
-    return out if np.ndim(out) else float(out)
+    # set here, not by a caller: worker threads do not inherit errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = np.asarray(x, dtype=float) - params.x0
+        dy = np.asarray(y, dtype=float) - params.y0
+        dpx = np.asarray(px, dtype=float) - params.px0
+        dpy = np.asarray(py, dtype=float) - params.py0
+        x1, y1, px1, py1 = dx / sx, dy / sy, sx * dpx / SQRT2, sy * dpy / SQRT2
+        x2, y2 = sy * dx / (2.0 * sx), sx * dy / (2.0 * sy)
+        px2, py2 = sy ** 3 * dpx / SQRT2, sx ** 3 * dpy / SQRT2
+        gauss = np.exp(-(x1 ** 2 + y1 ** 2 + px1 ** 2 + py1 ** 2))
+        arg = (px2 + py2 - x2 - y2) ** 2 / (sx ** 2 + sy ** 2)
+        out = constant * gauss * alp_eval(params.m, -0.5, arg)
+    return _finite(out, CANDIDATE, params.m)
 
 
 @dataclass(frozen=True)
@@ -191,8 +207,8 @@ def wigner_slice(params, plane, grid, form=STANDARD, threads=None):
     """Sample a 2D reduction of the 4D Wigner function over a grid.
 
     The grid axis labels must match the plane. ``form`` names the closed
-    form in :data:`FORMS`, evaluated with its nominal constant. Raises
-    OverflowError when the form leaves the double range (large m).
+    form in :data:`FORMS`, evaluated with its nominal constant. The form
+    raises OverflowError when it leaves the double range (large m).
     """
     if form not in FORMS:
         raise ValueError(f"form must be one of {sorted(FORMS)}, got {form!r}")
@@ -202,23 +218,13 @@ def wigner_slice(params, plane, grid, form=STANDARD, threads=None):
         raise ValueError(f"grid labels {got} do not match plane {plane.name} (needs {want})")
     pinned = {"x": params.x0, "y": params.y0, "px": params.px0, "py": params.py0}
     fn4d = FORMS[form].evaluate
-    overflow = f"the {form} closed form at m={params.m} overflows double precision on this grid"
-    try:
-        constant = FORMS[form].nominal(params)
-    except OverflowError:
-        raise OverflowError(overflow) from None
+    constant = FORMS[form].nominal(params)
 
     def fn(a1, a2):
         coords = dict(pinned)
         coords[want[0]] = a1
         coords[want[1]] = a2
-        # W is finite everywhere, so a non-finite value is an overflow. The
-        # errstate is set here because worker threads do not inherit it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = fn4d(params, coords["x"], coords["y"], coords["px"], coords["py"], constant=constant)
-        if not np.isfinite(w).all():
-            raise OverflowError(overflow)
-        return w
+        return fn4d(params, coords["x"], coords["y"], coords["px"], coords["py"], constant=constant)
 
     meta = _param_metadata(params)
     meta["quantity"] = "wigner"

@@ -197,9 +197,10 @@ def test_verify_shape_mismatch_fails_through_adjudication(tmp_path, capsys, monk
     assert "closed-form verdict: shape-mismatch" in lines
 
 
-@pytest.mark.parametrize("m", [90, 120])
-def test_verify_candidate_constant_overflow_names_state_m(tmp_path, capsys, m):
-    cfg = write_config(tmp_path, "v.json", {"state": {"m": m, "sigma_x": 1.0, "sigma_y": 1.0}})
+# m = 90 and 120 overflow gamma_half_integer's (2m)!; at m = 64, sigma = 100 the product is inf
+@pytest.mark.parametrize("m, sigma", [(90, 1.0), (120, 1.0), (64, 100.0)], ids=["90", "120", "64-sigma100"])
+def test_verify_candidate_constant_overflow_names_state_m(tmp_path, capsys, m, sigma):
+    cfg = write_config(tmp_path, "v.json", {"state": {"m": m, "sigma_x": sigma, "sigma_y": sigma}})
     out = tmp_path / "v"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"error: state.m: the candidate closed form's constant at m={m} "
@@ -394,7 +395,10 @@ def test_wigner_overflow_names_state_m(tmp_path, threads, form):
                           "--out", str(tmp_path / "o"), "--threads", threads],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert run.returncode == 2
-    assert run.stderr == f"error: state.m: the {form} closed form at m=400 overflows double precision on this grid\n"
+    # the candidate's constant overflows first, with the message verify prints for it too
+    message = {"standard": "the standard closed form at m=400 overflows double precision on this grid",
+               "candidate": "the candidate closed form's constant at m=400 does not fit a double"}[form]
+    assert run.stderr == f"error: state.m: {message}\n"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

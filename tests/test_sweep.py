@@ -1,0 +1,179 @@
+"""Every input the CLI accepts ends in an answer or a named exit 2.
+
+Each command runs in process through ``cli.main`` on configs drawn by
+hypothesis (derandomized, so every run draws the same inputs). A run must end
+one of two ways:
+
+* exit 0 with finite output (the SIT keeps its documented +-inf and NaN),
+  every written file printed and nothing printed that was not written;
+* exit 2 with ``error: <block.key>: ...`` on stderr, nothing on stdout and
+  no ``--out`` directory.
+
+A traceback or a numpy warning fails the test, and so does exit 1, except
+for ``verify``'s documented minima-count failure. The pinned examples are
+inputs that once broke this.
+"""
+
+import io
+import json
+import os
+import re
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
+
+from deev import cli
+from deev.gridio import read_csv
+
+SWEEP = settings(derandomize=True, deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+_KEY = re.compile(r"error: (--clamp|[a-z_]+)([.][a-z_0-9]+)*(/[a-z_.0-9]+)?: \S")
+# the blocks a config names, and the oracle's convergence failure
+_ROOTS = set(cli._SCHEMA) | {"--clamp", "oracle"}
+_REPORTS = ("discrepancy_standard.txt", "discrepancy_candidate.txt")
+_PLANE_AXES = {"xy": ("x", "y"), "pxpy": ("px", "py"), "xpx": ("x", "px"),
+               "ypy": ("y", "py"), "xpy": ("x", "py"), "ypx": ("y", "px")}
+
+
+def check_run(command, cfg, *flags):
+    """Run one command in a fresh directory and assert that it ends in an answer or a named exit 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            rc = cli.main([command, "--config", path, "--out", out, *flags])
+        printed, err = stdout.getvalue().splitlines(), stderr.getvalue()
+        event(f"exit {rc} {err.split(':')[1] if rc == 2 else ''}")   # --hypothesis-show-statistics
+        if rc == 2:
+            named = _KEY.match(err)
+            assert named and named.group(1) in _ROOTS, err
+            assert printed == [] and not os.path.exists(out), (err, printed)
+            return
+        assert err == ""
+        if command == "verify":
+            _check_verify(rc, printed, out)
+            return
+        assert rc == 0
+        assert set(printed) == {os.path.join(out, name) for name in os.listdir(out)}
+        for p in printed:
+            if p.endswith(".csv") and command != "sit":
+                assert np.isfinite(read_csv(p).values).all(), p
+
+
+def _check_verify(rc, printed, out):
+    fails = [line.split(":")[0] for line in printed if line.startswith("FAIL ")]
+    assert fails in ([], ["FAIL minima-count"]), printed
+    assert rc == (1 if fails else 0)
+    assert printed[-2:] == [os.path.join(out, name) for name in _REPORTS]
+    for name in _REPORTS:
+        with open(os.path.join(out, name), encoding="ascii") as fh:
+            lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+        for line in lines[:-2]:     # the probes, constants and deviation; not the two flags
+            value = line.partition("=")[2]
+            assert np.isfinite([float(v) for v in value.split(":")]).all(), (name, line)
+
+
+# each range is drawn whole, and also near its usual values, so that many runs reach an answer
+widths = st.one_of(st.floats(-0.5, 0.5), st.floats(-4.0, 4.0)).map(lambda e: 10.0 ** e)
+shifts = st.one_of(st.just(0.0), st.floats(-10.0, 10.0), st.floats(-1e8, 1e8))
+
+
+@st.composite
+def states(draw, max_m):
+    m = draw(st.one_of(st.integers(0, 8), st.integers(0, max_m)))
+    state = {"m": m, "sigma_x": draw(widths), "sigma_y": draw(widths),
+             "sign": draw(st.sampled_from([1, -1]))}
+    for key in ("x0", "y0", "px0", "py0"):
+        state[key] = draw(shifts)
+    if draw(st.integers(0, 3)) == 0:
+        state["eta_x"], state["eta_y"] = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+    return state
+
+
+@st.composite
+def grids(draw, labels):
+    """A tiny explicit grid: 2-7 nodes per axis, any center, half-widths 1e-4 to 1e4."""
+    grid = {}
+    for name, label in zip(("axis1", "axis2"), labels):
+        center, half = draw(shifts), draw(widths)
+        grid[name] = {"label": label, "min": center - half, "max": center + half,
+                      "count": draw(st.integers(2, 7))}
+    return grid
+
+
+threads = st.sampled_from([[], ["--threads", "1"], ["--threads", "2"]])
+
+
+@settings(SWEEP, max_examples=60)
+@given(state=states(400), grid=st.one_of(st.none(), grids(("x", "y"))), flags=threads)
+def test_field_sweep(state, grid, flags):
+    cfg = {"state": state} if grid is None else {"state": state, "grid": grid}
+    check_run("field", cfg, *flags)
+
+
+@settings(SWEEP, max_examples=100)
+@given(data=st.data(), state=states(400), form=st.sampled_from(["standard", "candidate"]), flags=threads)
+def test_wigner_sweep(data, state, form, flags):
+    plane = data.draw(st.sampled_from(sorted(_PLANE_AXES)))
+    grid = data.draw(grids(_PLANE_AXES[plane]))
+    check_run("wigner", {"state": state, "grid": grid}, "--plane", plane, "--form", form, *flags)
+
+
+@settings(SWEEP, max_examples=4)
+@given(state=states(400), form=st.sampled_from(["standard", "candidate"]))
+# the xy slice fits, a later candidate slice overflows: nothing may be left behind
+@example(state={"m": 12, "sigma_x": 0.0005131937684477312, "sigma_y": 9331.750516901184, "sign": -1,
+                "x0": -19062760.41137252, "y0": 3661415.118361576, "px0": -0.46066655972722625,
+                "py0": -98.98104090157928}, form="candidate")
+def test_wigner_all_planes_on_default_grids(state, form):
+    check_run("wigner", {"state": state}, "--plane", "all", "--form", form)
+
+
+_WIDE_RS = {"axis1": {"label": "r", "min": -1000.0, "max": 1000.0, "count": 11},
+            "axis2": {"label": "s", "min": -1000.0, "max": 1000.0, "count": 11}}
+
+
+@settings(SWEEP, max_examples=60)
+@given(orders=st.lists(st.one_of(st.integers(1, 8), st.integers(-2, 400)), min_size=1, max_size=3),
+       state=st.one_of(st.none(), states(3)), grid=st.one_of(st.none(), grids(("r", "s"))),
+       flags=threads)
+# order 1 fits, order 100 overflows on this grid: nothing may be left behind
+@example(orders=[1, 100], state=None, grid=_WIDE_RS, flags=[])
+# and a repeated order's files are removed once
+@example(orders=[2, 2, 100], state=None, grid=_WIDE_RS, flags=[])
+def test_sit_sweep(orders, state, grid, flags):
+    cfg = {"sit": {"m": orders}}
+    if state is not None:
+        cfg["state"] = state
+    if grid is not None:
+        cfg["grid"] = grid
+    check_run("sit", cfg, *flags)
+
+
+def _tied(m, sigma_x, sigma_y):
+    return {"m": m, "sigma_x": sigma_x, "sigma_y": sigma_y}
+
+
+@settings(SWEEP, max_examples=25)
+@given(state=states(40))
+# the candidate form overflows on the minima-count grid (a traceback)
+@example(state=_tied(15, 0.0331, 9648.0))
+@example(state=_tied(40, 0.185, 27.1))
+# alp_eval's recurrence reaches inf - inf at every calibration probe (a NaN report)
+@example(state=_tied(40, 61.1, 0.00597))
+# the candidate's constant is inf (a traceback)
+@example(state=_tied(64, 100.0, 100.0))
+# the marginal's deviation is large only in the unit of length (a wrong FAIL)
+@example(state=_tied(10, 2.08e-4, 0.431))
+# the candidate at its nominal constant overflows at a calibration probe (inf in a report)
+@example(state=_tied(14, 1e4, 1.0))
+def test_verify_sweep(state):
+    check_run("verify", {"state": state})

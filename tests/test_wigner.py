@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,26 @@ def test_vortex_sign_mirrors_momentum():
         x, y, px, py = rng.uniform(-2, 2, 4)
         assert wigner4d(minus, x, y, px, py) == pytest.approx(
             wigner4d(plus, x, y, -px, -py), rel=1e-13, abs=1e-18)
+
+
+def test_candidate_overflow_raises_without_warning():
+    # alp_eval's recurrence reaches inf - inf at this state's first calibration probe
+    p = DeevParams.tied(40, 61.1, 0.00597)
+    pt = p.phase_point(0.31, 0.22, -0.27, 0.18)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^the candidate closed form at m=40 overflows "):
+            wigner4d_candidate(p, *pt)
+        with pytest.raises(OverflowError, match=r"^the candidate closed form at m=40 overflows "):
+            wigner.FORMS["candidate"].shape(p, *pt)
+
+
+@pytest.mark.parametrize("m, sigma", [(64, 100.0), (90, 1.0), (50, 1e-4)])
+def test_candidate_constant_raises_when_not_a_double(m, sigma):
+    # at m = 64 the product overflows to inf, at m = 90 (2m)! is too large for a float,
+    # and at m = 50 the product underflows to 0 (which would sample an all-zero slice)
+    with pytest.raises(OverflowError, match=f"^the candidate closed form's constant at m={m} does not fit"):
+        candidate_constant(m, sigma, sigma)
 
 
 # ---------------------------------------------------------------- slices
