@@ -19,7 +19,7 @@ _EXPORTS = {
                  "coupler_to_ellipticity", "dcdc_time_for_ratio"),
     "special": ("alp_eval", "alp_coeffs", "gamma_half_integer"),
     "state": ("DeevParams", "psi", "intensity_field", "circular_decomposition"),
-    "wigner": ("SlicePlane", "standard_constant", "candidate_constant",
+    "wigner": ("PLANES", "standard_constant", "candidate_constant",
                "wigner4d", "wigner4d_candidate", "wigner_slice", "sit", "sit_field"),
     "oracle": ("QuadratureSpec", "OracleConvergenceError", "oracle_wigner", "oracle_marginal_xy", "oracle_norm"),
     "gridio": ("AxisSpec", "GridSpec", "Field2D", "sample_field", "write_csv", "read_csv", "write_pgm"),

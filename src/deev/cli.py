@@ -25,7 +25,7 @@ _IMPORTS = {
     "oracle": ("OracleConvergenceError", "QuadratureSpec"),
     "state": ("DeevParams", "intensity_field"),
     "verify": ("run_verify",),
-    "wigner": ("SlicePlane", "_require_tied", "_sit_coeffs", "canonical_slice_grid",
+    "wigner": ("PLANES", "_require_tied", "_sit_coeffs", "canonical_slice_grid",
                "sit_field", "wigner_slice"),
 }
 
@@ -60,8 +60,8 @@ _COUPLERS = {
 }
 
 # {block: {key: (type, required)}}. A type is float, int, str, dict (a nested
-# block with its own row), list (one integer or a list of them) or a tuple of
-# allowed values. Numbers are converted to the named type.
+# block with its own row), list (one integer or a list of distinct ones) or a
+# tuple of allowed values. Numbers are converted to the named type.
 _SCHEMA = {
     "config": {**dict.fromkeys(("state", "coupler", "grid", "quadrature", "sit", "wigner"),
                                (dict, False)),
@@ -93,7 +93,10 @@ def _value(v, kind, where):
     if kind is dict:
         return _check(v, where.removeprefix("config."))
     if kind is list:
-        return [_value(x, int, where) for x in (v if isinstance(v, list) else [v])]
+        items = [_value(x, int, where) for x in (v if isinstance(v, list) else [v])]
+        if len(set(items)) < len(items):
+            raise ConfigError(f"{where}: expected distinct integers, got {v!r}")
+        return items
     if isinstance(kind, tuple):
         ok, want = v in kind, f"one of {list(kind)}"
     elif kind is str:
@@ -188,7 +191,7 @@ def _outputs(out_dir, clamp):
     try:
         yield write
     except BaseException:
-        for path in set(paths):     # a repeated order writes its files twice
+        for path in paths:
             os.remove(path)
         if not existed and os.path.isdir(out_dir):
             os.rmdir(out_dir)
@@ -223,9 +226,8 @@ def cmd_field(args):
             grid = GridSpec(
                 axis1=AxisSpec("x", params.x0 - 3.4 * params.sigma_x, params.x0 + 3.4 * params.sigma_x, 201),
                 axis2=AxisSpec("y", params.y0 - 3.4 * params.sigma_y, params.y0 + 3.4 * params.sigma_y, 201))
-    if (grid.axis1.label, grid.axis2.label) != ("x", "y"):
-        raise ConfigError("field: grid axes must be labeled x and y")
-    with _names("state.m", OverflowError):
+    # the grid's config error is not an OverflowError, so the outer name passes it through
+    with _names("state.m", OverflowError), _names("grid"):
         field = intensity_field(params, grid, threads=args.threads)
     with _outputs(_out_dir(cfg, args), clamp) as write:
         write(field, "intensity")
@@ -241,19 +243,19 @@ def cmd_wigner(args):
     wb = cfg.get("wigner", {})
     form = args.form or wb.get("form", _FORMS[0])
     plane_name = args.plane or wb.get("plane", "all")
-    planes = list(SlicePlane) if plane_name == "all" else [SlicePlane[plane_name.upper()]]
+    planes = list(PLANES) if plane_name == "all" else [plane_name]
     clamp = _clamp(args.clamp, "--clamp")
     override = _grid(cfg)
     # every grid is built before the first file is written
     with _names(_COLLAPSED):
         grids = [override if override is not None
-                 and (override.axis1.label, override.axis2.label) == plane.axis_labels
+                 and (override.axis1.label, override.axis2.label) == PLANES[plane]
                  else canonical_slice_grid(params, plane) for plane in planes]
     with _outputs(_out_dir(cfg, args), clamp) as write:
         for plane, grid in zip(planes, grids):
             with _names("state.m", OverflowError):
-                field = wigner_slice(params, plane, grid, form=form, threads=args.threads)
-            write(field, f"wigner_{plane.name.lower()}_{form}")
+                field = wigner_slice(params, grid, form=form, threads=args.threads)
+            write(field, f"wigner_{plane}_{form}")
     return 0
 
 

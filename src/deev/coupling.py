@@ -8,7 +8,7 @@ phase of the state.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "ModeCoupler",
@@ -38,32 +38,29 @@ class InfeasibleRatioError(ValueError):
         self.infimum = infimum
 
 
-@dataclass(frozen=True)
-class ModeCoupler:
+class ModeCoupler(namedtuple("ModeCoupler", "a1 a2")):
     """Validated SU(2) amplitude pair (a1, a2)."""
 
-    a1: complex
-    a2: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        norm = abs(self.a1) ** 2 + abs(self.a2) ** 2
+    def __new__(cls, a1, a2):
+        norm = abs(a1) ** 2 + abs(a2) ** 2
         if not abs(norm - 1.0) <= _UNITARITY_TOL:  # a NaN norm fails too
             raise ValueError(f"|a1|^2 + |a2|^2 = {norm!r}, not unitary")
+        return super().__new__(cls, a1, a2)
 
 
-@dataclass(frozen=True)
-class DcdcParams:
+class DcdcParams(namedtuple("DcdcParams", "g delta t")):
     """Directional-coupler drive: strength g, half-detuning delta, time t."""
 
-    g: float
-    delta: float
-    t: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.g > 0:
-            raise ValueError(f"coupling strength g must be > 0, got {self.g!r}")
-        if self.t < 0:
-            raise ValueError(f"interaction time t must be >= 0, got {self.t!r}")
+    def __new__(cls, g, delta, t):
+        if not g > 0:
+            raise ValueError(f"coupling strength g must be > 0, got {g!r}")
+        if t < 0:
+            raise ValueError(f"interaction time t must be >= 0, got {t!r}")
+        return super().__new__(cls, g, delta, t)
 
     @property
     def omega(self):

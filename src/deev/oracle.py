@@ -154,10 +154,12 @@ def oracle_marginal_xy(params, x, y, q=QuadratureSpec()):
     numerically over (u, v) at reduced tolerance, and returns the quadrature
     value. The analytic identity makes it equal |psi(x, y)|^2 up to the
     box's Gaussian tails; the verify marginal suite judges the agreement.
+    The absolute tolerance is divided by sigma_x sigma_y, the scale of
+    |psi|^2, so convergence does not depend on the unit of length.
     """
     pu = 6.0 / params.sigma_x
     pv = 6.0 / params.sigma_y
-    qm = replace(q, abs_tol=max(q.abs_tol * 1e3, 1e-10))
+    qm = replace(q, abs_tol=max(q.abs_tol * 1e3, 1e-10) / (params.sigma_x * params.sigma_y))
 
     def dirichlet(limit, center):
         def k(t):

@@ -6,7 +6,6 @@ interference terms.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,6 +44,8 @@ def alp_coeffs(m, alpha):
     c_0 = prod_i (alpha + i) / i and c_k = -c_{k-1} (m - k + 1) / (k (k + alpha)),
     which needs alpha > -1.
     """
+    from fractions import Fraction      # here, not at the top: only the SIT builds exact coefficients
+
     _check_order(m)
     if not alpha > -1:
         raise ValueError(f"alp_coeffs needs alpha > -1, got {alpha!r}")

@@ -147,11 +147,14 @@ def psi(params, x, y):
 
 
 def intensity_field(params, grid, threads=None):
-    """Sample |psi|^2 over a grid; zero at the displaced vortex core for m >= 1.
+    """Sample |psi|^2 over an (x, y) grid; zero at the displaced vortex core for m >= 1.
 
     Raises OverflowError when psi's vortex factor leaves the double range
     on the grid (large m at large radius).
     """
+    got = (grid.axis1.label, grid.axis2.label)
+    if got != ("x", "y"):
+        raise ValueError(f"intensity grids use axes ('x', 'y'), got {got}")
     meta = _param_metadata(params)
     meta["quantity"] = "intensity"
 

@@ -28,8 +28,8 @@ import numpy as np
 from .gridio import AxisSpec, GridSpec, _atomic_write, _fmt
 from .oracle import QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from .state import psi
-from .wigner import (CANDIDATE, FORMS, STANDARD, SlicePlane, _finite, canonical_slice_grid,
-                     count_strict_minima, wigner4d, wigner_slice)
+from .wigner import (CANDIDATE, FORMS, STANDARD, _finite, canonical_slice_grid, count_strict_minima,
+                     wigner4d, wigner_slice)
 
 __all__ = ["SuiteResult", "VerifyOutcome", "CalibrationResult", "Verdict", "DiscrepancyReport",
            "run_verify", "adjudicate", "calibrate_constant_detailed", "write_report"]
@@ -243,13 +243,13 @@ def _equivalence_suite(params, q, n_points, rng):
 
 def _symmetry_suite(params):
     # width swap transposes the position slice
-    grid = canonical_slice_grid(params, SlicePlane.XY, count=101)
-    base = wigner_slice(params, SlicePlane.XY, grid)
+    grid = canonical_slice_grid(params, "xy", count=101)
+    base = wigner_slice(params, grid)
     swapped = params.swapped()
     grid_t = GridSpec(
         axis1=AxisSpec("x", grid.axis2.lo, grid.axis2.hi, grid.axis2.count),
         axis2=AxisSpec("y", grid.axis1.lo, grid.axis1.hi, grid.axis1.count))
-    swapped_field = wigner_slice(swapped, SlicePlane.XY, grid_t)
+    swapped_field = wigner_slice(swapped, grid_t)
     dev_swap = float(np.max(np.abs(swapped_field.values - base.values.T)))
 
     # displacement covariance: shifted parameters evaluate the centered form
@@ -269,14 +269,13 @@ def _symmetry_suite(params):
 
 def _minima_suite(params, threads=None):
     counts = {}
-    for plane in (SlicePlane.XPX, SlicePlane.YPX):
+    for plane in ("xpx", "ypx"):
         grid = canonical_slice_grid(params, plane, count=301)
         for form in FORMS:
-            f = wigner_slice(params, plane, grid, form=form, threads=threads)
-            counts[(plane.name, form)] = count_strict_minima(f)
-    ok = all(counts[(pl, STANDARD)] == params.m for pl in ("XPX", "YPX"))
-    detail = "; ".join(
-        f"{pl.lower()} {form}={counts[(pl, form)]}" for pl in ("XPX", "YPX") for form in FORMS)
+            f = wigner_slice(params, grid, form=form, threads=threads)
+            counts[(plane, form)] = count_strict_minima(f)
+    ok = all(counts[(plane, STANDARD)] == params.m for plane in ("xpx", "ypx"))
+    detail = "; ".join(f"{plane} {form}={n}" for (plane, form), n in counts.items())
     return SuiteResult("minima-count", ok, f"claim expects {params.m}: {detail}")
 
 

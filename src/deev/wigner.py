@@ -30,12 +30,14 @@ eta_x sigma_x = eta_y sigma_y:
   adjudication reports a shape mismatch against the Wigner transform (see
   the verify command); it is retained for comparison and for that
   adjudication, not as a validated quantity.
+
+A 2D slice is named by its grid's axis labels, one of the six pairs in
+:data:`PLANES` (``"xpx"`` is the grid labeled ``("x", "px")``).
 """
 
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -44,9 +46,9 @@ from .special import alp_coeffs, alp_eval, gamma_half_integer
 from .state import _param_metadata
 
 __all__ = [
-    "SlicePlane",
     "ClosedForm",
     "FORMS",
+    "PLANES",
     "SIT_FORMS",
     "standard_constant",
     "candidate_constant",
@@ -167,25 +169,15 @@ STANDARD, CANDIDATE = FORMS
 
 SIT_FORMS = ("sum", "difference")
 
-
-class SlicePlane(Enum):
-    """The six 2D reductions; the two off-plane variables pin to their
-    displacement values."""
-
-    XY = ("x", "y")
-    PXPY = ("px", "py")
-    XPX = ("x", "px")
-    YPY = ("y", "py")
-    XPY = ("x", "py")
-    YPX = ("y", "px")
-
-    @property
-    def axis_labels(self):
-        return self.value
+# the six 2D reductions by their grids' axis labels; the other two variables pin to the center
+PLANES = {"xy": ("x", "y"), "pxpy": ("px", "py"), "xpx": ("x", "px"),
+          "ypy": ("y", "py"), "xpy": ("x", "py"), "ypx": ("y", "px")}
+_PLANE_OF = {labels: name for name, labels in PLANES.items()}
 
 
 def canonical_slice_grid(params, plane, count=301):
-    """Symmetric grid around the displaced center, 3 widths per axis.
+    """Symmetric grid around the displaced center, 3 widths per axis, on the
+    plane named ``plane`` (a key of :data:`PLANES`).
 
     Position half-widths are 3 sigma; momentum half-widths 3 sqrt(2)/sigma,
     wide enough for the slow momentum decay of the candidate form.
@@ -197,38 +189,37 @@ def canonical_slice_grid(params, plane, count=301):
         "py": (params.py0, 3.0 * SQRT2 / params.sigma_y),
     }
     axes = []
-    for label in plane.axis_labels:
+    for label in PLANES[plane]:
         c, h = half[label]
         axes.append(AxisSpec(label=label, lo=c - h, hi=c + h, count=count))
     return GridSpec(axis1=axes[0], axis2=axes[1])
 
 
-def wigner_slice(params, plane, grid, form=STANDARD, threads=None):
-    """Sample a 2D reduction of the 4D Wigner function over a grid.
+def wigner_slice(params, grid, form=STANDARD, threads=None):
+    """Sample the 2D reduction of the 4D Wigner function that the grid's axis labels name.
 
-    The grid axis labels must match the plane. ``form`` names the closed
-    form in :data:`FORMS`, evaluated with its nominal constant. The form
-    raises OverflowError when it leaves the double range (large m).
+    The labels must be one of the pairs in :data:`PLANES`. ``form`` names the
+    closed form in :data:`FORMS`, evaluated with its nominal constant. The
+    form raises OverflowError when it leaves the double range (large m).
     """
     if form not in FORMS:
         raise ValueError(f"form must be one of {sorted(FORMS)}, got {form!r}")
-    want = plane.axis_labels
-    got = (grid.axis1.label, grid.axis2.label)
-    if got != want:
-        raise ValueError(f"grid labels {got} do not match plane {plane.name} (needs {want})")
+    labels = (grid.axis1.label, grid.axis2.label)
+    if labels not in _PLANE_OF:
+        raise ValueError(f"grid labels {labels} name no plane; use one of {list(PLANES.values())}")
     pinned = {"x": params.x0, "y": params.y0, "px": params.px0, "py": params.py0}
     fn4d = FORMS[form].evaluate
     constant = FORMS[form].nominal(params)
 
     def fn(a1, a2):
         coords = dict(pinned)
-        coords[want[0]] = a1
-        coords[want[1]] = a2
+        coords[labels[0]] = a1
+        coords[labels[1]] = a2
         return fn4d(params, coords["x"], coords["y"], coords["px"], coords["py"], constant=constant)
 
     meta = _param_metadata(params)
     meta["quantity"] = "wigner"
-    meta["plane"] = plane.name.lower()
+    meta["plane"] = _PLANE_OF[labels]
     meta["form"] = form
     meta["constant"] = _fmt(constant)
     return sample_field(fn, grid, threads=threads, metadata=meta)

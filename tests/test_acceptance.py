@@ -23,7 +23,7 @@ from deev.gridio import AxisSpec, GridSpec
 from deev.oracle import QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from deev.state import DeevParams, intensity_field, psi
 from deev.verify import Verdict, canonical_slice_grid, run_verify
-from deev.wigner import SlicePlane, count_strict_minima, sit, wigner4d, wigner_slice
+from deev.wigner import count_strict_minima, sit, wigner4d, wigner_slice
 
 Q = QuadratureSpec()
 SIGMA_SETS = [(1.0, 1.0), (5.0, 3.0), (2.0, 0.7)]
@@ -137,9 +137,9 @@ def _minima_counts(form):
     counts = {}
     for m in (3, 4):
         p = DeevParams.tied(m, 5.0, 3.0)
-        for plane in (SlicePlane.XPX, SlicePlane.YPX):
+        for plane in ("xpx", "ypx"):
             grid = canonical_slice_grid(p, plane, count=301)
-            counts[(m, plane.name)] = count_strict_minima(wigner_slice(p, plane, grid, form=form))
+            counts[(m, plane.upper())] = count_strict_minima(wigner_slice(p, grid, form=form))
     return counts
 
 

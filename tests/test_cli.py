@@ -45,10 +45,12 @@ def test_field_command(tmp_path, capsys):
     assert field.values[i, j] <= 1e-20
 
 
-def test_field_rejects_wrong_labels(tmp_path):
+def test_field_rejects_wrong_labels(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"state": small_state(),
                                             "grid": small_grid(l1="r", l2="s")})
     assert main(["field", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: grid: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -316,6 +318,7 @@ def test_help_and_coupler_load_no_numpy(argv, used):
     loaded = modules_after(argv)
     assert used in loaded
     assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+    assert "dataclasses" not in loaded
 
 
 def test_wigner_loads_no_verify_or_oracle(tmp_path):
@@ -327,7 +330,7 @@ def test_wigner_loads_no_verify_or_oracle(tmp_path):
 
 
 def test_cli_literal_choices_match_the_library():
-    assert cli._PLANES == tuple(p.name.lower() for p in wigner.SlicePlane) + ("all",)
+    assert cli._PLANES == tuple(wigner.PLANES) + ("all",)
     assert cli._FORMS == tuple(wigner.FORMS)
     assert cli._SIT_FORMS == wigner.SIT_FORMS
 
@@ -484,6 +487,7 @@ TABLE_BASE = {
     (("state",), "x0", math.inf, "state.x0: expected a finite number, got inf"),
     (("quadrature",), "abs_tol", math.inf, "quadrature.abs_tol: expected a finite number, got inf"),
     (("sit",), "clamp", math.inf, "sit.clamp: expected a finite number, got inf"),
+    (("sit",), "m", [1, 1], "sit.m: expected distinct integers, got [1, 1]"),
 ])
 def test_config_table_rejects(tmp_path, capsys, block, key, value, name):
     cfg = copy.deepcopy(TABLE_BASE)

@@ -15,7 +15,7 @@ from deev import gridio
 from deev.gridio import AxisSpec, Field2D, GridSpec, read_csv, sample_field, write_csv, write_pgm
 from deev.state import DeevParams, intensity_field, psi
 from deev.verify import CalibrationResult, DiscrepancyReport, Verdict, write_report
-from deev.wigner import FORMS, SlicePlane, sit, sit_field, wigner_slice
+from deev.wigner import FORMS, PLANES, sit, sit_field, wigner_slice
 
 
 def grid(c1=4, c2=3):
@@ -176,10 +176,10 @@ def test_sampling_is_block_invariant(monkeypatch, c1, c2):
     p = psi(params, *mesh(g))
     assert got.tobytes() == (p.real ** 2 + p.imag ** 2).tobytes()
 
-    for plane, labels in ((SlicePlane.XY, ("x", "y")), (SlicePlane.XPY, ("x", "py"))):
+    for labels in (PLANES["xy"], PLANES["xpy"]):
         g = GridSpec(AxisSpec(labels[0], -4.0, 4.5, c1), AxisSpec(labels[1], -3.0, 2.5, c2))
         for form in FORMS:
-            got = _blocked_samples(lambda t: wigner_slice(params, plane, g, form=form, threads=t).values)
+            got = _blocked_samples(lambda t: wigner_slice(params, g, form=form, threads=t).values)
             a1, a2 = mesh(g)
             coords = {"x": params.x0, "y": params.y0, "px": params.px0, "py": params.py0,
                       labels[0]: a1, labels[1]: a2}

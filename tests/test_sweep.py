@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from deev import cli
 from deev.gridio import read_csv
+from deev.wigner import PLANES
 
 SWEEP = settings(derandomize=True, deadline=None, database=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -35,8 +36,6 @@ _KEY = re.compile(r"error: (--clamp|[a-z_]+)([.][a-z_0-9]+)*(/[a-z_.0-9]+)?: \S"
 # the blocks a config names, and the oracle's convergence failure
 _ROOTS = set(cli._SCHEMA) | {"--clamp", "oracle"}
 _REPORTS = ("discrepancy_standard.txt", "discrepancy_candidate.txt")
-_PLANE_AXES = {"xy": ("x", "y"), "pxpy": ("px", "py"), "xpx": ("x", "px"),
-               "ypy": ("y", "py"), "xpy": ("x", "py"), "ypx": ("y", "px")}
 
 
 def check_run(command, cfg, *flags):
@@ -112,8 +111,12 @@ def grids(draw, labels):
 threads = st.sampled_from([[], ["--threads", "1"], ["--threads", "2"]])
 
 
+# any two of the six axis labels; only ("x", "y") is an intensity grid, and the rest exit 2 naming grid
+labels = st.lists(st.sampled_from(["x", "y", "px", "py", "r", "s"]), min_size=2, max_size=2)
+
+
 @settings(SWEEP, max_examples=60)
-@given(state=states(400), grid=st.one_of(st.none(), grids(("x", "y"))), flags=threads)
+@given(state=states(400), grid=st.one_of(st.none(), grids(("x", "y")), labels.flatmap(grids)), flags=threads)
 def test_field_sweep(state, grid, flags):
     cfg = {"state": state} if grid is None else {"state": state, "grid": grid}
     check_run("field", cfg, *flags)
@@ -122,8 +125,8 @@ def test_field_sweep(state, grid, flags):
 @settings(SWEEP, max_examples=100)
 @given(data=st.data(), state=states(400), form=st.sampled_from(["standard", "candidate"]), flags=threads)
 def test_wigner_sweep(data, state, form, flags):
-    plane = data.draw(st.sampled_from(sorted(_PLANE_AXES)))
-    grid = data.draw(grids(_PLANE_AXES[plane]))
+    plane = data.draw(st.sampled_from(sorted(PLANES)))
+    grid = data.draw(grids(PLANES[plane]))
     check_run("wigner", {"state": state, "grid": grid}, "--plane", plane, "--form", form, *flags)
 
 
@@ -175,5 +178,7 @@ def _tied(m, sigma_x, sigma_y):
 @example(state=_tied(10, 2.08e-4, 0.431))
 # the candidate at its nominal constant overflows at a calibration probe (inf in a report)
 @example(state=_tied(14, 1e4, 1.0))
+# the marginal's absolute tolerance was not scaled with |psi|^2 (an oracle exit)
+@example(state=_tied(30, 0.0328, 0.00458))
 def test_verify_sweep(state):
     check_run("verify", {"state": state})

@@ -9,7 +9,7 @@ from scipy.special import binom
 from deev import gridio, wigner
 from deev.gridio import AxisSpec, GridSpec
 from deev.state import DeevParams
-from deev.wigner import (SlicePlane, _sit_coeffs, candidate_constant, canonical_slice_grid,
+from deev.wigner import (PLANES, _sit_coeffs, candidate_constant, canonical_slice_grid,
                          count_strict_minima, sit, sit_field, standard_constant, wigner4d,
                          wigner4d_candidate, wigner_slice)
 
@@ -90,8 +90,8 @@ def test_candidate_constant_raises_when_not_a_double(m, sigma):
 
 def test_slice_equals_pinned_form():
     p = DeevParams.tied(3, 5.0, 3.0, px0=0.1)
-    grid = canonical_slice_grid(p, SlicePlane.XPY, count=21)
-    f = wigner_slice(p, SlicePlane.XPY, grid)
+    grid = canonical_slice_grid(p, "xpy", count=21)
+    f = wigner_slice(p, grid)
     xs, pys = grid.axis1.nodes(), grid.axis2.nodes()
     for i in (0, 7, 20):
         for j in (3, 11):
@@ -100,21 +100,23 @@ def test_slice_equals_pinned_form():
 
 def test_slice_grid_label_mismatch():
     p = DeevParams.tied(1, 1.0, 1.0)
-    grid = canonical_slice_grid(p, SlicePlane.XY)
+    # the reversed pair (px, x) names no plane
+    xpx = canonical_slice_grid(p, "xpx")
+    grid = GridSpec(axis1=xpx.axis2, axis2=xpx.axis1)
     with pytest.raises(ValueError, match="labels"):
-        wigner_slice(p, SlicePlane.XPX, grid)
+        wigner_slice(p, grid)
 
 
 def test_slice_bad_form():
     p = DeevParams.tied(1, 1.0, 1.0)
     with pytest.raises(ValueError, match="form"):
-        wigner_slice(p, SlicePlane.XY, canonical_slice_grid(p, SlicePlane.XY), form="printed")
+        wigner_slice(p, canonical_slice_grid(p, "xy"), form="printed")
 
 
 def test_circular_xy_slice_rotation_invariant():
     p = DeevParams.tied(2, 1.5, 1.5)
     grid = GridSpec(axis1=AxisSpec("x", -4.5, 4.5, 81), axis2=AxisSpec("y", -4.5, 4.5, 81))
-    f = wigner_slice(p, SlicePlane.XY, grid)
+    f = wigner_slice(p, grid)
     rotated = np.rot90(f.values)
     assert np.max(np.abs(rotated - f.values)) <= 1e-10
 
@@ -123,8 +125,8 @@ def test_sigma_swap_transposes_xy_slice():
     p = DeevParams.tied(3, 5.0, 3.0)
     g1 = GridSpec(axis1=AxisSpec("x", -15.0, 15.0, 61), axis2=AxisSpec("y", -9.0, 9.0, 51))
     g2 = GridSpec(axis1=AxisSpec("x", -9.0, 9.0, 51), axis2=AxisSpec("y", -15.0, 15.0, 61))
-    f = wigner_slice(p, SlicePlane.XY, g1)
-    fs = wigner_slice(p.swapped(), SlicePlane.XY, g2)
+    f = wigner_slice(p, g1)
+    fs = wigner_slice(p.swapped(), g2)
     assert np.max(np.abs(fs.values - f.values.T)) <= 1e-10
 
 
@@ -133,9 +135,9 @@ def test_candidate_slice_minima_counts():
     # mixed planes; the validated form's rings do not (adjudicated in verify)
     for m, expect in ((1, 1), (2, 2), (3, 3), (4, 4)):
         p = DeevParams.tied(m, 5.0, 3.0)
-        for plane in (SlicePlane.XPX, SlicePlane.YPX):
+        for plane in ("xpx", "ypx"):
             grid = canonical_slice_grid(p, plane, count=301)
-            f = wigner_slice(p, plane, grid, form="candidate")
+            f = wigner_slice(p, grid, form="candidate")
             assert count_strict_minima(f) == expect, (m, plane)
 
 
@@ -281,8 +283,8 @@ def _candidate_2d_formulas(p, plane, a1, a2):
     K = candidate_constant(p.m, sx, sy)
     d = sx ** 2 + sy ** 2
     coords = {"x": p.x0, "y": p.y0, "px": p.px0, "py": p.py0}
-    coords[plane.axis_labels[0]] = a1
-    coords[plane.axis_labels[1]] = a2
+    coords[PLANES[plane][0]] = a1
+    coords[PLANES[plane][1]] = a2
     dx, dy = coords["x"] - p.x0, coords["y"] - p.y0
     dpx, dpy = coords["px"] - p.px0, coords["py"] - p.py0
     # the eight shifted-and-scaled variables of the candidate form's docstring
@@ -290,13 +292,13 @@ def _candidate_2d_formulas(p, plane, a1, a2):
     x2, y2 = sy * dx / (2.0 * sx), sx * dy / (2.0 * sy)
     px2, py2 = sy ** 3 * dpx / SQRT2, sx ** 3 * dpy / SQRT2
     gauss_terms = {
-        SlicePlane.XY: (x1, y1), SlicePlane.PXPY: (px1, py1),
-        SlicePlane.XPX: (x1, px1), SlicePlane.YPY: (y1, py1),
-        SlicePlane.XPY: (x1, py1), SlicePlane.YPX: (y1, px1)}
+        "xy": (x1, y1), "pxpy": (px1, py1),
+        "xpx": (x1, px1), "ypy": (y1, py1),
+        "xpy": (x1, py1), "ypx": (y1, px1)}
     alp_args = {
-        SlicePlane.XY: (y2 + x2) ** 2, SlicePlane.PXPY: (py2 + px2) ** 2,
-        SlicePlane.XPX: (px2 - x2) ** 2, SlicePlane.YPY: (py2 - y2) ** 2,
-        SlicePlane.XPY: (py2 - x2) ** 2, SlicePlane.YPX: (px2 - y2) ** 2}
+        "xy": (y2 + x2) ** 2, "pxpy": (py2 + px2) ** 2,
+        "xpx": (px2 - x2) ** 2, "ypy": (py2 - y2) ** 2,
+        "xpy": (py2 - x2) ** 2, "ypx": (px2 - y2) ** 2}
     g1, g2 = gauss_terms[plane]
     return K * math.exp(-(g1 ** 2 + g2 ** 2)) * alp_eval(p.m, -0.5, alp_args[plane] / d)
 
@@ -306,9 +308,9 @@ def test_pinned_candidate_slices_reproduce_reduced_forms():
     # in the four mixed planes, purely from pinning the 4D expression
     p = DeevParams.tied(3, 5.0, 3.0, x0=1.0, py0=0.2)
     rng = np.random.default_rng(14)
-    for plane in SlicePlane:
+    for plane in PLANES:
         grid = canonical_slice_grid(p, plane, count=15)
-        f = wigner_slice(p, plane, grid, form="candidate")
+        f = wigner_slice(p, grid, form="candidate")
         n1, n2 = grid.axis1.nodes(), grid.axis2.nodes()
         for _ in range(10):
             i, j = rng.integers(0, 15, 2)
