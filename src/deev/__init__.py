@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 # module -> the public names it provides
 _EXPORTS = {
-    "coupling": ("ModeCoupler", "DcdcParams", "InfeasibleRatioError", "bs_coupler", "dcdc_coupler",
-                 "coupler_to_ellipticity", "dcdc_time_for_ratio"),
+    "coupling": ("ModeCoupler", "DcdcParams", "bs_coupler", "dcdc_coupler", "coupler_to_ellipticity",
+                 "dcdc_time_for_ratio"),
     "special": ("alp_eval", "alp_coeffs", "gamma_half_integer"),
     "state": ("DeevParams", "psi", "intensity_field", "circular_decomposition"),
     "wigner": ("PLANES", "standard_constant", "candidate_constant",

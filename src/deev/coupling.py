@@ -13,7 +13,6 @@ from collections import namedtuple
 __all__ = [
     "ModeCoupler",
     "DcdcParams",
-    "InfeasibleRatioError",
     "bs_coupler",
     "dcdc_coupler",
     "coupler_to_ellipticity",
@@ -21,21 +20,6 @@ __all__ = [
 ]
 
 _UNITARITY_TOL = 1e-12
-
-
-class InfeasibleRatioError(ValueError):
-    """No coupler time achieves the requested |a1|/|a2| ratio.
-
-    ``infimum`` carries the smallest achievable ratio (delta/g).
-    """
-
-    def __init__(self, ratio, infimum):
-        super().__init__(
-            f"no time t > 0 gives |a1|/|a2| = {ratio:g}; "
-            f"the achievable infimum is delta/g = {infimum:g}"
-        )
-        self.ratio = ratio
-        self.infimum = infimum
 
 
 class ModeCoupler(namedtuple("ModeCoupler", "a1 a2")):
@@ -107,7 +91,8 @@ def dcdc_time_for_ratio(ratio, g, delta):
         raise ValueError(f"coupling strength g must be > 0, got {g!r}")
     infimum = abs(delta) / g
     if ratio < infimum:
-        raise InfeasibleRatioError(ratio, infimum)
+        raise ValueError(f"no time t > 0 gives |a1|/|a2| = {ratio:g}; "
+                         f"the achievable infimum is delta/g = {infimum:g}")
     omega = math.hypot(delta, g)
     # the clamp absorbs rounding at ratio == infimum, where Omega t = pi/2
     rg = ratio * g

@@ -12,10 +12,12 @@ Gauss-Hermite rule in u/sigma_x, v/sigma_y integrates it over the whole
 plane, with no truncation box. Each evaluation computes the n-node and the
 2n-node results and reports their difference as the error bound; n doubles
 until the bound meets max(abs_tol, rel_tol * |value|), or the per-axis node
-budget of 360 is spent. The starting n grows with m and with the kernel's
-frequency in u/sigma_x, v/sigma_y: the momentum offset from the state's
-center for the plane wave, and 12 for the marginal's Dirichlet kernels
-whatever the widths (the center's momentum cancels), so its start is m + 64.
+budget of 360 is spent; a rule whose value is not finite (the integrand
+overflows at extreme widths) raises OverflowError at once. The starting n
+grows with m and with the kernel's frequency in u/sigma_x, v/sigma_y: the
+momentum offset from the state's center for the plane wave, and 12 for the
+marginal's Dirichlet kernels whatever the widths (the center's momentum
+cancels), so its start is m + 64.
 
 The transform of a pure state is real; the imaginary part of the computed
 integral is retained as a convergence diagnostic and must stay below
@@ -82,17 +84,25 @@ def _rule(n):
     return s, w
 
 
-def _self_checked(integral, n, q):
+def _self_checked(integral, n, q, m):
     """Evaluate ``integral(n)`` and ``integral(2n)``, doubling n until they agree.
 
     Returns the 2n-node value and |I_n - I_2n|. No rule uses more than
     ``_MAX_NODES`` nodes per axis; when that budget is spent,
     :class:`OracleConvergenceError` carries the best value and its bound.
+    A rule whose value is not finite raises OverflowError naming the state's m.
     """
+    def checked(k):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = integral(k)
+        if not np.isfinite(value):
+            raise OverflowError(f"the oracle's integrand at m={m} overflows double precision")
+        return value
+
     n = min(n, _MAX_NODES // 2)
-    coarse = integral(n)
+    coarse = checked(n)
     while True:
-        fine = integral(2 * n)
+        fine = checked(2 * n)
         err = abs(fine - coarse)
         if err <= max(q.abs_tol, q.rel_tol * abs(fine)):
             return fine, err
@@ -122,7 +132,7 @@ def _transform_integral(params, kernel_u, kernel_v, x, y, n, q):
         f = np.conj(a) * a[::-1, ::-1]
         return sx * sy * ((w * kernel_u(u)) @ f @ (w * kernel_v(v))) / math.pi ** 2
 
-    return _self_checked(integral, n, q)
+    return _self_checked(integral, n, q, params.m)
 
 
 def oracle_wigner_full(params, x, y, px, py, q=QuadratureSpec()):
@@ -190,5 +200,5 @@ def oracle_norm(params, q=QuadratureSpec()):
         p = psi(params, params.x0 + sx * s[:, None], params.y0 + sy * s[None, :])
         return sx * sy * (w @ (p.real ** 2 + p.imag ** 2) @ w)
 
-    val, _ = _self_checked(integral, params.m + 8, q)
+    val, _ = _self_checked(integral, params.m + 8, q, params.m)
     return float(val)

@@ -54,11 +54,11 @@ class DeevParams:
             raise ValueError(f"vorticity m must be a nonnegative integer, got {self.m!r}")
         if self.sign not in (+1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if not (self.eta_x ** 2 + self.eta_y ** 2 > 0):
-            raise ValueError("eta_x and eta_y cannot both vanish")
         for name in ("eta_x", "eta_y", "zeta_x", "zeta_y", "x0", "y0", "px0", "py0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.eta_x == 0 and self.eta_y == 0:
+            raise ValueError("eta_x and eta_y cannot both vanish")
 
     @classmethod
     def from_sigmas(cls, m, sigma_x, sigma_y, eta_x, eta_y, **kwargs):

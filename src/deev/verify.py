@@ -25,11 +25,11 @@ from enum import Enum
 
 import numpy as np
 
-from .gridio import AxisSpec, GridSpec, _atomic_write, _fmt
+from .gridio import _atomic_write, _fmt
 from .oracle import QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from .state import psi
-from .wigner import (CANDIDATE, FORMS, STANDARD, _finite, canonical_slice_grid, count_strict_minima,
-                     wigner4d, wigner_slice)
+from .wigner import (CANDIDATE, FORMS, STANDARD, _closed_form, _finite, canonical_slice_grid,
+                     count_strict_minima, wigner4d, wigner_slice)
 
 __all__ = ["SuiteResult", "VerifyOutcome", "CalibrationResult", "Verdict", "DiscrepancyReport",
            "run_verify", "adjudicate", "calibrate_constant_detailed", "write_report"]
@@ -62,21 +62,22 @@ class CalibrationResult:
         return (max(self.ratios) - min(self.ratios)) / max(abs(r) for r in self.ratios)
 
 
-def calibrate_constant_detailed(params, q=QuadratureSpec(), *, shape):
-    """Fit the overall constant of a closed-form shape against the oracle.
+def calibrate_constant_detailed(params, q=QuadratureSpec(), form=STANDARD):
+    """Fit the overall constant of a closed form against the oracle.
 
-    ``shape`` maps (params, x, y, px, py) to the constant-free closed form
-    (``wigner.FORMS[name].shape``). Probes are deterministic scaled offsets
-    from the displaced center, skipping points where either value is below
-    1e-8 in magnitude. The result is returned whatever the ratios' spread;
+    ``form`` is a key of ``wigner.FORMS``; each probe evaluates that form at
+    constant 1 (its shape). Probes are deterministic scaled offsets from the
+    displaced center, skipping points where either value is below 1e-8 in
+    magnitude. The result is returned whatever the ratios' spread;
     :func:`adjudicate` decides whether a constant calibration exists.
     """
+    evaluate = _closed_form(form).evaluate
     probes, shapes, oracles = [], [], []
     for offsets in _PROBE_OFFSETS:
         if len(probes) == _N_PROBES:
             break
         pt = params.phase_point(*offsets)
-        sv = float(shape(params, *pt))
+        sv = float(evaluate(params, *pt, constant=1.0))
         if abs(sv) < 1e-8:
             continue
         ov = oracle_wigner(params, *pt, q=q)
@@ -150,8 +151,7 @@ class SuiteResult:
 @dataclass(frozen=True)
 class VerifyOutcome:
     suites: tuple
-    standard_report: DiscrepancyReport
-    candidate_report: DiscrepancyReport
+    reports: dict           # form -> DiscrepancyReport, in FORMS order
     report_paths: tuple
 
     @property
@@ -160,8 +160,8 @@ class VerifyOutcome:
 
     def summary_lines(self):
         lines = [f"{'PASS' if s.passed else 'FAIL'} {s.name}: {s.detail}" for s in self.suites]
-        lines.append(f"closed-form verdict: {self.standard_report.verdict.value}")
-        lines.append(f"candidate-form verdict: {self.candidate_report.verdict.value}")
+        lines.append(f"closed-form verdict: {self.reports[STANDARD].verdict.value}")
+        lines.append(f"candidate-form verdict: {self.reports[CANDIDATE].verdict.value}")
         lines.append(f"overall: {'PASS' if self.exit_code == 0 else 'FAIL'}")
         return lines
 
@@ -176,14 +176,11 @@ def adjudicate(params, q=QuadratureSpec(), form=STANDARD):
     differs. Stability under tolerance halving is checked by re-running at
     half tolerances.
     """
-    if form not in FORMS:
-        raise ValueError(f"unknown form {form!r}")
-    nominal = FORMS[form].nominal(params)
-    shape = FORMS[form].shape
-    cal = calibrate_constant_detailed(params, q=q, shape=shape)
+    nominal = _closed_form(form).nominal(params)
+    cal = calibrate_constant_detailed(params, q=q, form=form)
     # the report prints the form at its nominal constant, nominal * shape, at each probe
     _finite([nominal * sv for sv in cal.shape_values], form, params.m)
-    cal2 = calibrate_constant_detailed(params, q=q.halved(), shape=shape)
+    cal2 = calibrate_constant_detailed(params, q=q.halved(), form=form)
     fits, fits2 = (c.spread < 1e-6 for c in (cal, cal2))
     # stable: neither calibration fits, or both fit with the same constant
     stable = fits == fits2 and (not fits or abs(cal.constant / cal2.constant - 1.0) < 1e-6)
@@ -245,11 +242,9 @@ def _symmetry_suite(params):
     # width swap transposes the position slice
     grid = canonical_slice_grid(params, "xy", count=101)
     base = wigner_slice(params, grid)
+    # swapped() exchanges the widths and centers, so its grid is this one transposed
     swapped = params.swapped()
-    grid_t = GridSpec(
-        axis1=AxisSpec("x", grid.axis2.lo, grid.axis2.hi, grid.axis2.count),
-        axis2=AxisSpec("y", grid.axis1.lo, grid.axis1.hi, grid.axis1.count))
-    swapped_field = wigner_slice(swapped, grid_t)
+    swapped_field = wigner_slice(swapped, canonical_slice_grid(swapped, "xy", count=101))
     dev_swap = float(np.max(np.abs(swapped_field.values - base.values.T)))
 
     # displacement covariance: shifted parameters evaluate the centered form
@@ -304,8 +299,7 @@ def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024)
     for form, path in zip(FORMS, paths):
         write_report(reports[form], path)
 
-    outcome = VerifyOutcome(suites=tuple(suites), standard_report=std_report,
-                            candidate_report=cand_report, report_paths=paths)
+    outcome = VerifyOutcome(suites=tuple(suites), reports=reports, report_paths=paths)
     summary_path = os.path.join(out_dir, "verify_summary.txt")
     _atomic_write(summary_path, [("\n".join(outcome.summary_lines()) + "\n").encode("ascii")])
     return outcome

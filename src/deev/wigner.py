@@ -135,6 +135,7 @@ def wigner4d_candidate(params, x, y, px, py, constant=None):
         constant = candidate_constant(params.m, sx, sy)
     # set here, not by a caller: worker threads do not inherit errstate
     with np.errstate(over="ignore", invalid="ignore"):
+        sx, sy = np.float64(sx), np.float64(sy)     # a float power raises OverflowError; these give inf
         dx = np.asarray(x, dtype=float) - params.x0
         dy = np.asarray(y, dtype=float) - params.y0
         dpx = np.asarray(px, dtype=float) - params.px0
@@ -155,10 +156,6 @@ class ClosedForm:
     evaluate: object    # (params, x, y, px, py, constant=None) -> W
     nominal: object     # params -> overall constant
 
-    def shape(self, params, x, y, px, py):
-        """The constant-free form (overall constant 1), for calibration."""
-        return self.evaluate(params, x, y, px, py, constant=1.0)
-
 
 FORMS = {
     "standard": ClosedForm(wigner4d, lambda p: standard_constant(p.m)),
@@ -166,6 +163,14 @@ FORMS = {
                             lambda p: candidate_constant(p.m, p.sigma_x, p.sigma_y)),
 }
 STANDARD, CANDIDATE = FORMS
+
+
+def _closed_form(name):
+    """The :class:`ClosedForm` keyed ``name`` in :data:`FORMS`; ValueError for any other name."""
+    if name not in FORMS:
+        raise ValueError(f"form must be one of {sorted(FORMS)}, got {name!r}")
+    return FORMS[name]
+
 
 SIT_FORMS = ("sum", "difference")
 
@@ -202,14 +207,13 @@ def wigner_slice(params, grid, form=STANDARD, threads=None):
     closed form in :data:`FORMS`, evaluated with its nominal constant. The
     form raises OverflowError when it leaves the double range (large m).
     """
-    if form not in FORMS:
-        raise ValueError(f"form must be one of {sorted(FORMS)}, got {form!r}")
+    closed = _closed_form(form)
     labels = (grid.axis1.label, grid.axis2.label)
     if labels not in _PLANE_OF:
         raise ValueError(f"grid labels {labels} name no plane; use one of {list(PLANES.values())}")
     pinned = {"x": params.x0, "y": params.y0, "px": params.px0, "py": params.py0}
-    fn4d = FORMS[form].evaluate
-    constant = FORMS[form].nominal(params)
+    fn4d = closed.evaluate
+    constant = closed.nominal(params)
 
     def fn(a1, a2):
         coords = dict(pinned)
@@ -234,11 +238,12 @@ def _sit_coeffs(m, sigma_x, sigma_y):
         raise ValueError(f"SIT needs m >= 1 (no interference terms exist below); got {m!r}")
     if not (sigma_x > 0 and sigma_y > 0):
         raise ValueError("beam widths must be positive")
-    d = sigma_x ** 2 + sigma_y ** 2
+    d = math.inf        # unless the sum below fits a double
     try:
         # 0.0 stands in for c_m = (-1)^m / m!, which is subnormal for every m >= 171
         cs = alp_coeffs(m, -0.5) if m < 171 else [0.0]
         with np.errstate(all="ignore"):     # numpy scalar widths warn where floats raise
+            d = sigma_x ** 2 + sigma_y ** 2
             ck = [c / d ** k for k, c in enumerate(cs)]
     except (OverflowError, ZeroDivisionError):
         cs = ck = [math.inf]                # fails the check below

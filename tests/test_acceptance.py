@@ -81,7 +81,7 @@ def test_criterion_3_oracle_adjudication_elliptic(tmp_path):
         p = DeevParams.tied(m, 5.0, 3.0)
         out = str(tmp_path / f"m{m}")
         outcome = run_verify(p, q=Q, out_dir=out, seed=2024)
-        rep = outcome.standard_report
+        rep = outcome.reports["standard"]
         verdicts.append(rep.verdict.value)
         assert rep.verdict in (Verdict.MATCH, Verdict.CONSTANT_ONLY)
         assert rep.stable_under_halving

@@ -8,7 +8,7 @@ from deev.oracle import (OracleConvergenceError, QuadratureSpec, oracle_marginal
                          oracle_wigner, oracle_wigner_full)
 from deev.state import DeevParams, psi
 from deev.verify import Verdict, adjudicate, calibrate_constant_detailed
-from deev.wigner import FORMS, standard_constant, wigner4d, wigner4d_candidate
+from deev.wigner import standard_constant, wigner4d
 
 Q = QuadratureSpec()
 
@@ -101,24 +101,29 @@ def test_norm_untied_state():
 def test_calibration_recovers_exact_constant():
     for m in (0, 1, 2, 3):
         p = DeevParams.tied(m, 1.0, 1.0)
-        cal = calibrate_constant_detailed(p, Q, shape=FORMS["standard"].shape)
+        cal = calibrate_constant_detailed(p, Q, form="standard")
         assert cal.spread < 1e-6
         assert cal.constant == pytest.approx(standard_constant(m), rel=1e-9)
 
 
 def test_calibration_elliptic_stable():
     p = DeevParams.tied(3, 5.0, 3.0)
-    c1 = calibrate_constant_detailed(p, Q, shape=FORMS["standard"].shape).constant
-    c2 = calibrate_constant_detailed(p, Q.halved(), shape=FORMS["standard"].shape).constant
+    c1 = calibrate_constant_detailed(p, Q, form="standard").constant
+    c2 = calibrate_constant_detailed(p, Q.halved(), form="standard").constant
     assert c1 == pytest.approx(c2, rel=1e-9)
     assert c1 == pytest.approx(standard_constant(3), rel=1e-9)
+
+
+@pytest.mark.parametrize("call", [calibrate_constant_detailed, adjudicate])
+def test_forms_are_named_by_key(call):
+    with pytest.raises(ValueError, match=r"^form must be one of \['candidate', 'standard'\], got 'shape'$"):
+        call(DeevParams.tied(1, 1.0, 1.0), Q, form="shape")
 
 
 def test_candidate_form_is_shape_mismatched():
     for m in (0, 2):
         p = DeevParams.tied(m, 5.0, 3.0)
-        cal = calibrate_constant_detailed(p, Q, shape=lambda pp, x, y, px, py:
-                                          wigner4d_candidate(pp, x, y, px, py, constant=1.0))
+        cal = calibrate_constant_detailed(p, Q, form="candidate")
         assert cal.spread >= 1e-6
 
 
@@ -128,7 +133,7 @@ def test_shape_mismatch_report_holds_the_oracle_values():
     # differ in the last digit: probe 3 here)
     p = DeevParams.tied(2, 3.3570825953412484, 2.612793450391342,
                         x0=-1.4710365831323013, px0=0.9446745793730726, sign=+1)
-    cal = calibrate_constant_detailed(p, Q, shape=FORMS["candidate"].shape)
+    cal = calibrate_constant_detailed(p, Q, form="candidate")
     assert len(cal.probes) == 5
     assert cal.spread >= 1e-6
     rep = adjudicate(p, Q, form="candidate")

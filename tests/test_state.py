@@ -35,6 +35,14 @@ def test_validation():
         DeevParams.from_sigmas(1, -1.0, 2.0, eta_x=1.0, eta_y=1.0)
 
 
+@pytest.mark.parametrize("sigma", [1e-160, 1e200])
+def test_weights_whose_squares_leave_the_double_range(sigma):
+    # eta = 1/(sqrt(2) sigma): its square overflows at 1e-160 and underflows to 0 at 1e200,
+    # but only weights that are both zero vanish
+    p = DeevParams.tied(1, sigma, sigma)
+    assert p.eta_x == p.eta_y == 1.0 / (math.sqrt(2) * sigma)
+
+
 def test_sigma_accessors():
     p = DeevParams(m=0, eta_x=1.0, eta_y=1.0, zeta_x=0.5 * math.log(5.0), zeta_y=0.0)
     assert p.sigma_x == pytest.approx(5.0, rel=1e-15)

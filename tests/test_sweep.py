@@ -7,7 +7,8 @@ one of two ways:
 * exit 0 with finite output (the SIT keeps its documented +-inf and NaN),
   every written file printed and nothing printed that was not written;
 * exit 2 with ``error: <block.key>: ...`` on stderr, nothing on stdout and
-  no ``--out`` directory.
+  no ``--out`` directory; the message is the library's own, not a bare
+  errno pair such as ``(34, 'Numerical result out of range')``.
 
 A traceback or a numpy warning fails the test, and so does exit 1, except
 for ``verify``'s documented minima-count failure. The pinned examples are
@@ -33,6 +34,7 @@ from deev.wigner import PLANES
 SWEEP = settings(derandomize=True, deadline=None, database=None,
                  suppress_health_check=[HealthCheck.too_slow])
 _KEY = re.compile(r"error: (--clamp|[a-z_]+)([.][a-z_0-9]+)*(/[a-z_.0-9]+)?: \S")
+_ERRNO = re.compile(r": \(\d+, '")
 # the blocks a config names, and the oracle's convergence failure
 _ROOTS = set(cli._SCHEMA) | {"--clamp", "oracle"}
 _REPORTS = ("discrepancy_standard.txt", "discrepancy_candidate.txt")
@@ -54,6 +56,7 @@ def check_run(command, cfg, *flags):
         if rc == 2:
             named = _KEY.match(err)
             assert named and named.group(1) in _ROOTS, err
+            assert not _ERRNO.search(err), err
             assert printed == [] and not os.path.exists(out), (err, printed)
             return
         assert err == ""
@@ -80,8 +83,10 @@ def _check_verify(rc, printed, out):
             assert np.isfinite([float(v) for v in value.split(":")]).all(), (name, line)
 
 
-# each range is drawn whole, and also near its usual values, so that many runs reach an answer
-widths = st.one_of(st.floats(-0.5, 0.5), st.floats(-4.0, 4.0)).map(lambda e: 10.0 ** e)
+# each range is drawn whole, and also near its usual values, so that many runs reach an answer;
+# the widths' exponents reach across the double range
+widths = st.one_of(st.floats(-0.5, 0.5), st.floats(-4.0, 4.0),
+                   st.floats(-200.0, 200.0)).map(lambda e: 10.0 ** e)
 shifts = st.one_of(st.just(0.0), st.floats(-10.0, 10.0), st.floats(-1e8, 1e8))
 
 
@@ -115,8 +120,14 @@ threads = st.sampled_from([[], ["--threads", "1"], ["--threads", "2"]])
 labels = st.lists(st.sampled_from(["x", "y", "px", "py", "r", "s"]), min_size=2, max_size=2)
 
 
+def _tied(m, sigma_x, sigma_y):
+    return {"m": m, "sigma_x": sigma_x, "sigma_y": sigma_y}
+
+
 @settings(SWEEP, max_examples=60)
 @given(state=states(400), grid=st.one_of(st.none(), grids(("x", "y")), labels.flatmap(grids)), flags=threads)
+# eta_x ** 2 overflows as a float power (a traceback)
+@example(state=_tied(1, 1e-160, 1e-160), grid=None, flags=[])
 def test_field_sweep(state, grid, flags):
     cfg = {"state": state} if grid is None else {"state": state, "grid": grid}
     check_run("field", cfg, *flags)
@@ -136,6 +147,11 @@ def test_wigner_sweep(data, state, form, flags):
 @example(state={"m": 12, "sigma_x": 0.0005131937684477312, "sigma_y": 9331.750516901184, "sign": -1,
                 "x0": -19062760.41137252, "y0": 3661415.118361576, "px0": -0.46066655972722625,
                 "py0": -98.98104090157928}, form="candidate")
+# eta_x ** 2 or eta_y ** 2 overflows as a float power (a traceback)
+@example(state=_tied(1, 1e-160, 1e-160), form="standard")
+@example(state=_tied(0, 1.0, 1e-155), form="standard")
+# sigma_y ** 3 overflows as a float power in the candidate form (an errno message)
+@example(state=_tied(1, 1e150, 1e150), form="candidate")
 def test_wigner_all_planes_on_default_grids(state, form):
     check_run("wigner", {"state": state}, "--plane", "all", "--form", form)
 
@@ -152,6 +168,8 @@ _WIDE_RS = {"axis1": {"label": "r", "min": -1000.0, "max": 1000.0, "count": 11},
 @example(orders=[1, 100], state=None, grid=_WIDE_RS, flags=[])
 # and a repeated order's files are removed once
 @example(orders=[2, 2, 100], state=None, grid=_WIDE_RS, flags=[])
+# sigma_x ** 2 overflows as a float power (an errno message)
+@example(orders=[1], state=_tied(1, 1e200, 1.0), grid=None, flags=[])
 def test_sit_sweep(orders, state, grid, flags):
     cfg = {"sit": {"m": orders}}
     if state is not None:
@@ -159,10 +177,6 @@ def test_sit_sweep(orders, state, grid, flags):
     if grid is not None:
         cfg["grid"] = grid
     check_run("sit", cfg, *flags)
-
-
-def _tied(m, sigma_x, sigma_y):
-    return {"m": m, "sigma_x": sigma_x, "sigma_y": sigma_y}
 
 
 @settings(SWEEP, max_examples=25)
@@ -180,5 +194,13 @@ def _tied(m, sigma_x, sigma_y):
 @example(state=_tied(14, 1e4, 1.0))
 # the marginal's absolute tolerance was not scaled with |psi|^2 (an oracle exit)
 @example(state=_tied(30, 0.0328, 0.00458))
+# eta_x ** 2 or eta_y ** 2 overflows as a float power (a traceback)
+@example(state=_tied(1, 1e-160, 1e-160))
+@example(state=_tied(0, 1.0, 1e-155))
+# the oracle's rules overflow and the doubling runs to its budget (a warning, then nan)
+@example(state=_tied(1, 1e-150, 1e-150))
+@example(state=_tied(0, 1.0, 1e-154))
+# sigma_y ** 3 overflows as a float power in the candidate form (an errno message)
+@example(state=_tied(1, 1e150, 1e150))
 def test_verify_sweep(state):
     check_run("verify", {"state": state})

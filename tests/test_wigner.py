@@ -75,7 +75,7 @@ def test_candidate_overflow_raises_without_warning():
         with pytest.raises(OverflowError, match=r"^the candidate closed form at m=40 overflows "):
             wigner4d_candidate(p, *pt)
         with pytest.raises(OverflowError, match=r"^the candidate closed form at m=40 overflows "):
-            wigner.FORMS["candidate"].shape(p, *pt)
+            wigner.FORMS["candidate"].evaluate(p, *pt, constant=1.0)
 
 
 @pytest.mark.parametrize("m, sigma", [(64, 100.0), (90, 1.0), (50, 1e-4)])
