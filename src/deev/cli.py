@@ -24,7 +24,7 @@ _IMPORTS = {
     "gridio": ("AxisSpec", "GridSpec", "write_csv", "write_pgm"),
     "oracle": ("OracleConvergenceError", "QuadratureSpec"),
     "state": ("DeevParams", "intensity_field"),
-    "verify": ("run_verify",),
+    "verify": ("_suite_grids", "run_verify"),
     "wigner": ("PLANES", "_require_tied", "_sit_coeffs", "canonical_slice_grid",
                "sit_field", "wigner_slice"),
 }
@@ -301,6 +301,8 @@ def cmd_verify(args):
         q = QuadratureSpec(**cfg.get("quadrature", {}))
     seed = cfg.get("seed", 2024)
     out = _out_dir(cfg, args)
+    with _names(_COLLAPSED):
+        _suite_grids(params)    # before any suite runs, so that a collapsed grid writes nothing
     with _names("state.m", OverflowError), _names("oracle", OracleConvergenceError):
         outcome = run_verify(params, q=q, out_dir=out, threads=args.threads, seed=seed)
     for line in outcome.summary_lines():

@@ -1,27 +1,31 @@
 """Independent numerical Wigner transform of the position-space wavefunction.
 
-This module only measures: it integrates ``psi`` directly,
+This module only measures: it integrates ``psi``,
 
     W(x, y, px, py) = (1/pi^2) integral psi*(x+u, y+v) psi(x-u, y-v)
-                      exp(2i (px u + py v)) du dv.
+                      exp(2i (px u + py v)) du dv,
 
-Every integrand here is the exact Gaussian envelope
-exp(-u^2/sigma_x^2 - v^2/sigma_y^2) times an entire function (a polynomial
-of degree 2m times a plane wave or a sinc kernel), so a tensor
-Gauss-Hermite rule in u/sigma_x, v/sigma_y integrates it over the whole
-plane, with no truncation box. Each evaluation computes the n-node and the
-2n-node results and reports their difference as the error bound; n doubles
-until the bound meets max(abs_tol, rel_tol * |value|), or the per-axis node
-budget of 360 is spent; a rule whose value is not finite (the integrand
-overflows at extreme widths) raises OverflowError at once. The starting n
-grows with m and with the kernel's frequency in u/sigma_x, v/sigma_y: the
-momentum offset from the state's center for the plane wave, and 12 for the
-marginal's Dirichlet kernels whatever the widths (the center's momentum
-cancels), so its start is m + 64.
+in the state's own frame. The transform is covariant under translation, so
+it integrates the undisplaced state (``DeevParams.centered``) at the point's
+offset from the center, in t = u/sigma_x, w = v/sigma_y: the kernels are
+exp(2iPt), exp(2iQw) with P = sigma_x (px - px0), Q = sigma_y (py - py0),
+and sigma_x sigma_y brings the integrand to O(1) whatever the widths and the
+displacement. The displacement of psi is checked by the marginal suite (raw
+|psi|^2), its plane wave (which cancels there) only by tests/test_state.py.
+
+Every integrand is exp(-t^2 - w^2) times an entire function (a polynomial of
+degree 2m times a plane wave or a sinc kernel), so a tensor Gauss-Hermite
+rule in t, w integrates it over the whole plane, with no truncation box.
+Each evaluation computes the n-node and the 2n-node results and reports
+their difference as the error bound; n doubles until the bound meets
+max(abs_tol, rel_tol * |value|), or the per-axis node budget of 360 is
+spent; a rule whose value is not finite (the integrand overflows at extreme
+widths) raises OverflowError at once. The starting n grows with m and with
+the kernel's frequency: max(|P|, |Q|) for the plane wave, and 12 for the
+marginal's Dirichlet kernels, so its start stays m + 64.
 
 The transform of a pure state is real; the imaginary part of the computed
-integral is retained as a convergence diagnostic and must stay below
-10 * abs_tol.
+integral is kept as a convergence diagnostic and must stay below 10 * abs_tol.
 
 Which points are compared, against what, and how closely they must agree
 is decided in ``deev.verify``.
@@ -120,30 +124,30 @@ class WignerQuadResult:
     error_bound: float
 
 
-def _transform_integral(params, kernel_u, kernel_v, x, y, n, q):
-    """(1/pi^2) integral of psi*(x+u, y+v) psi(x-u, y-v) K(u) K(v), from n nodes per axis."""
+def _transform_integral(params, kernel_t, kernel_w, x, y, n, q):
+    """(sigma_x sigma_y/pi^2) integral of c*(X+u, Y+v) c(X-u, Y-v) K(t) K(w) dt dw, from n nodes per axis.
+
+    c is the centered state's ``psi``, (X, Y) = (x - x0, y - y0), (u, v) = (sigma_x t, sigma_y w).
+    """
     sx, sy = params.sigma_x, params.sigma_y
+    dx, dy = x - params.x0, y - params.y0
 
     def integral(k):
-        s, w = _rule(k)
-        u, v = sx * s, sy * s
-        a = psi(params, x + u[:, None], y + v[None, :])
-        # the nodes are symmetric, so psi(x - u, y - v) is `a` reversed on both axes
+        s, w = _rule(k)     # the nodes s serve as both t and w
+        a = psi(params.centered, dx + sx * s[:, None], dy + sy * s[None, :])
+        # the nodes are symmetric, so c(X - u, Y - v) is `a` reversed on both axes
         f = np.conj(a) * a[::-1, ::-1]
-        return sx * sy * ((w * kernel_u(u)) @ f @ (w * kernel_v(v))) / math.pi ** 2
+        return sx * sy * ((w * kernel_t(s)) @ f @ (w * kernel_w(s))) / math.pi ** 2
 
     return _self_checked(integral, n, q, params.m)
 
 
 def oracle_wigner_full(params, x, y, px, py, q=QuadratureSpec()):
     """Numerical Wigner transform with diagnostics."""
-    offset = max(abs(px - params.px0) * params.sigma_x, abs(py - params.py0) * params.sigma_y)
+    P, Q = params.sigma_x * (px - params.px0), params.sigma_y * (py - params.py0)
     val, err = _transform_integral(
-        params,
-        kernel_u=lambda u: np.exp(2j * px * u),
-        kernel_v=lambda v: np.exp(2j * py * v),
-        x=x, y=y, n=params.m + 16 + 2 * math.ceil(2.0 * offset), q=q,
-    )
+        params, lambda t: np.exp(2j * P * t), lambda w: np.exp(2j * Q * w),
+        x, y, n=params.m + 16 + 2 * math.ceil(2.0 * max(abs(P), abs(Q))), q=q)
     res = WignerQuadResult(value=val.real, imag_residue=abs(val.imag), error_bound=err)
     if res.imag_residue > 10.0 * q.abs_tol:
         raise OracleConvergenceError("imaginary residue exceeds the realness bound",
@@ -159,31 +163,17 @@ def oracle_wigner(params, x, y, px, py, q=QuadratureSpec()):
 def oracle_marginal_xy(params, x, y, q=QuadratureSpec()):
     """Momentum marginal of the Wigner transform at (x, y).
 
-    Integrates W over the momentum box |px - px0| <= 6/sigma_x,
-    |py - py0| <= 6/sigma_y analytically in p (Dirichlet kernels), then
-    numerically over (u, v) at reduced tolerance, and returns the quadrature
-    value. The analytic identity makes it equal |psi(x, y)|^2 up to the
-    box's Gaussian tails; the verify marginal suite judges the agreement.
-    The absolute tolerance is divided by sigma_x sigma_y, the scale of
-    |psi|^2, so convergence does not depend on the unit of length.
+    Integrates W over the momentum box |P|, |Q| <= 6 analytically (Dirichlet
+    kernels), then numerically over (t, w) at reduced tolerance, and divides
+    by sigma_x sigma_y. The analytic identity makes it equal |psi(x, y)|^2 up
+    to the box's Gaussian tails; the verify marginal suite judges the agreement.
     """
-    pu = 6.0 / params.sigma_x
-    pv = 6.0 / params.sigma_y
-    qm = replace(q, abs_tol=max(q.abs_tol * 1e3, 1e-10) / (params.sigma_x * params.sigma_y))
+    def dirichlet(t):       # the integral of exp(2iPt) over |P| <= 6
+        return 12.0 * np.sinc(12.0 * t / np.pi)
 
-    def dirichlet(limit, center):
-        def k(t):
-            # integral of exp(2i p t) over |p - center| <= limit
-            return 2.0 * limit * np.sinc(2.0 * limit * t / np.pi) * np.exp(2j * center * t)
-        return k
-
-    val, _ = _transform_integral(
-        params,
-        kernel_u=dirichlet(pu, params.px0),
-        kernel_v=dirichlet(pv, params.py0),
-        x=x, y=y, n=params.m + 64, q=qm,
-    )
-    return val.real
+    val, _ = _transform_integral(params, dirichlet, dirichlet, x, y, n=params.m + 64,
+                                 q=replace(q, abs_tol=max(q.abs_tol * 1e3, 1e-10)))
+    return val.real / (params.sigma_x * params.sigma_y)
 
 
 def oracle_norm(params, q=QuadratureSpec()):
@@ -197,7 +187,7 @@ def oracle_norm(params, q=QuadratureSpec()):
 
     def integral(k):
         s, w = _rule(k)
-        p = psi(params, params.x0 + sx * s[:, None], params.y0 + sy * s[None, :])
+        p = psi(params.centered, sx * s[:, None], sy * s[None, :])
         return sx * sy * (w @ (p.real ** 2 + p.imag ** 2) @ w)
 
     val, _ = _self_checked(integral, params.m + 8, q, params.m)

@@ -106,6 +106,11 @@ class DeevParams:
                        x0=self.y0, y0=self.x0, px0=self.py0, py0=self.px0)
 
     @cached_property
+    def centered(self):
+        """The undisplaced state: these parameters with x0 = y0 = px0 = py0 = 0 (built once)."""
+        return replace(self, x0=0.0, y0=0.0, px0=0.0, py0=0.0)
+
+    @cached_property
     def norm_constant(self):
         """N such that the spatial distribution integrates to 1.
 

@@ -20,7 +20,7 @@ Both counts are reported; the suite verdict follows the validated form.
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -238,44 +238,45 @@ def _equivalence_suite(params, q, n_points, rng):
                        f"max relative deviation = {worst:.3e} over {n_points} points (tol 1e-6)")
 
 
-def _symmetry_suite(params):
+def _symmetry_suite(params, grid):
     # width swap transposes the position slice
-    grid = canonical_slice_grid(params, "xy", count=101)
     base = wigner_slice(params, grid)
     # swapped() exchanges the widths and centers, so its grid is this one transposed
     swapped = params.swapped()
-    swapped_field = wigner_slice(swapped, canonical_slice_grid(swapped, "xy", count=101))
+    swapped_field = wigner_slice(swapped, canonical_slice_grid(swapped, "xy", count=grid.axis1.count))
     dev_swap = float(np.max(np.abs(swapped_field.values - base.values.T)))
 
     # displacement covariance: shifted parameters evaluate the centered form
-    centered = replace(params, x0=0.0, y0=0.0, px0=0.0, py0=0.0)
     rng = np.random.default_rng(7)
     dev_disp = 0.0
     for _ in range(50):
         a, b, p, qq = rng.uniform(-2.0, 2.0, 4)
         pt = params.phase_point(a, b, p, qq)
         shifted = (pt[0] - params.x0, pt[1] - params.y0, pt[2] - params.px0, pt[3] - params.py0)
-        dev_disp = max(dev_disp, abs(wigner4d(params, *pt) - wigner4d(centered, *shifted)))
+        dev_disp = max(dev_disp, abs(wigner4d(params, *pt) - wigner4d(params.centered, *shifted)))
     ok = dev_swap <= 1e-10 and dev_disp <= 1e-12
     return SuiteResult("symmetry", ok,
                        f"swap-transpose dev = {dev_swap:.3e} (tol 1e-10), "
                        f"displacement dev = {dev_disp:.3e} (tol 1e-12)")
 
 
-def _minima_suite(params, threads=None):
-    counts = {}
-    for plane in ("xpx", "ypx"):
-        grid = canonical_slice_grid(params, plane, count=301)
-        for form in FORMS:
-            f = wigner_slice(params, grid, form=form, threads=threads)
-            counts[(plane, form)] = count_strict_minima(f)
+def _minima_suite(params, grids, threads=None):
+    counts = {(plane, form): count_strict_minima(wigner_slice(params, grids[plane], form=form, threads=threads))
+              for plane in ("xpx", "ypx") for form in FORMS}
     ok = all(counts[(plane, STANDARD)] == params.m for plane in ("xpx", "ypx"))
     detail = "; ".join(f"{plane} {form}={n}" for (plane, form), n in counts.items())
     return SuiteResult("minima-count", ok, f"claim expects {params.m}: {detail}")
 
 
+def _suite_grids(params):
+    """The symmetry and (m >= 1) minima-count suites' canonical grids by plane; ValueError if one collapses."""
+    planes = ("xy", "xpx", "ypx") if params.m >= 1 else ("xy",)
+    return {plane: canonical_slice_grid(params, plane, count=101 if plane == "xy" else 301) for plane in planes}
+
+
 def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024):
     """Run all suites, write report files, and return the outcome."""
+    grids = _suite_grids(params)
     rng = np.random.default_rng(seed)
     reports = {form: adjudicate(params, q, form=form) for form in FORMS}
     std_report, cand_report = reports[STANDARD], reports[CANDIDATE]
@@ -284,7 +285,7 @@ def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024)
         _normalization_suite(params, q),
         _marginal_suite(params, q, 6, rng),
         _equivalence_suite(params, q, 20, rng),
-        _symmetry_suite(params),
+        _symmetry_suite(params, grids["xy"]),
     ]
     suites.append(SuiteResult(
         "adjudication",
@@ -292,7 +293,7 @@ def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024)
         f"closed form verdict = {std_report.verdict.value}, stable = {std_report.stable_under_halving}; "
         f"candidate verdict = {cand_report.verdict.value}"))
     if params.m >= 1:
-        suites.append(_minima_suite(params, threads=threads))
+        suites.append(_minima_suite(params, grids, threads=threads))
 
     os.makedirs(out_dir, exist_ok=True)
     paths = tuple(os.path.join(out_dir, f"discrepancy_{form}.txt") for form in FORMS)

@@ -421,7 +421,8 @@ def test_field_overflow_names_state_m(tmp_path, threads):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, key", [("field", "x0"), ("wigner", "x0"), ("wigner", "px0")])
+@pytest.mark.parametrize("command, key", [("field", "x0"), ("wigner", "x0"), ("wigner", "px0"),
+                                          ("verify", "x0"), ("verify", "px0")])
 def test_collapsed_default_grid_names_state(tmp_path, capsys, command, key):
     # at a center of 1e17 the default grid's 3-width span rounds away, so lo == hi
     cfg = write_config(tmp_path, "c.json", {"state": {"m": 1, "sigma_x": 1.0, "sigma_y": 1.0, key: 1e17}})

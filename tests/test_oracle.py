@@ -87,6 +87,22 @@ def test_marginal_starts_at_its_converging_rule(monkeypatch):
         assert len(rules) == 2, (m, rules)
 
 
+def test_displaced_states_in_width_units():
+    # displacements up to 1e8 widths: integrating at absolute coordinates lost the digits
+    # of x + u and of the plane waves' cancellation, so the rule did not converge
+    rng = np.random.default_rng(0)
+    for _ in range(24):
+        m = int(rng.integers(0, 13))
+        sx, sy = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        d = np.where(rng.random(4) < 0.5, 0.0, rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-2.0, 8.0, 4))
+        p = DeevParams.tied(m, sx, sy, x0=d[0] * sx, y0=d[1] * sy, px0=d[2] / sx, py0=d[3] / sy)
+        pt = p.phase_point(*rng.normal(0.0, 1.5, 4))
+        assert abs(wigner4d(p, *pt) - oracle_wigner(p, *pt, q=Q)) * math.pi ** 2 <= 1e-12, (p, pt)
+        assert oracle_norm(p, Q) == pytest.approx(1.0, abs=1e-8), p
+        marginal = oracle_marginal_xy(p, *pt[:2], Q)
+        assert sx * sy * abs(marginal - abs(psi(p, *pt[:2])) ** 2) <= 1e-5, (p, pt)
+
+
 def test_norm_is_one():
     for m, sx, sy in [(0, 1.0, 1.0), (3, 5.0, 3.0), (2, 2.0, 0.7)]:
         p = DeevParams.tied(m, sx, sy, x0=1.0)
