@@ -1,5 +1,10 @@
 """Command-line front end: field, wigner, sit, verify, coupler.
 
+One table, ``_COMMANDS``, names each command's handler, help text, modules and own
+flags. ``main`` reads the config, checks ``--clamp``, resolves the output directory
+and runs the handler; every error it names, an output directory that cannot be made
+included, exits 2 as ``error: <key>: <message>``.
+
 Configuration is a strict JSON document; unknown keys anywhere are
 rejected (exit code 2) so a typo cannot silently fall back to a default.
 Outputs are written atomically and are byte-identical across runs and
@@ -166,10 +171,6 @@ def _grid(cfg):
 _COLLAPSED = "state: the default grid around the displaced center collapses"
 
 
-def _out_dir(cfg, args):
-    return args.out or cfg.get("out_dir", ".")
-
-
 @contextmanager
 def _outputs(out_dir, clamp):
     """Yield ``write(field, stem)``, which writes ``stem``.csv and .pgm into ``out_dir``.
@@ -213,10 +214,7 @@ def _clamp(value, key):
     return v
 
 
-def cmd_field(args):
-    _load("state", "gridio")
-    cfg = load_config(args.config)
-    clamp = _clamp(args.clamp, "--clamp")
+def cmd_field(cfg, args):
     params = _state_params(cfg)
     with _names("state"):
         params.norm_constant
@@ -229,14 +227,12 @@ def cmd_field(args):
     # the grid's config error is not an OverflowError, so the outer name passes it through
     with _names("state.m", OverflowError), _names("grid"):
         field = intensity_field(params, grid, threads=args.threads)
-    with _outputs(_out_dir(cfg, args), clamp) as write:
+    with _outputs(args.out, args.clamp) as write:
         write(field, "intensity")
     return 0
 
 
-def cmd_wigner(args):
-    _load("state", "gridio", "wigner")
-    cfg = load_config(args.config)
+def cmd_wigner(cfg, args):
     params = _state_params(cfg)
     with _names("state.eta_x/state.eta_y"):
         _require_tied(params, "wigner")
@@ -244,14 +240,13 @@ def cmd_wigner(args):
     form = args.form or wb.get("form", _FORMS[0])
     plane_name = args.plane or wb.get("plane", "all")
     planes = list(PLANES) if plane_name == "all" else [plane_name]
-    clamp = _clamp(args.clamp, "--clamp")
     override = _grid(cfg)
     # every grid is built before the first file is written
     with _names(_COLLAPSED):
         grids = [override if override is not None
                  and (override.axis1.label, override.axis2.label) == PLANES[plane]
                  else canonical_slice_grid(params, plane) for plane in planes]
-    with _outputs(_out_dir(cfg, args), clamp) as write:
+    with _outputs(args.out, args.clamp) as write:
         for plane, grid in zip(planes, grids):
             with _names("state.m", OverflowError):
                 field = wigner_slice(params, grid, form=form, threads=args.threads)
@@ -259,9 +254,7 @@ def cmd_wigner(args):
     return 0
 
 
-def cmd_sit(args):
-    _load("state", "gridio", "wigner")
-    cfg = load_config(args.config)
+def cmd_sit(cfg, args):
     sb = cfg.get("sit", {})
     orders = [args.m] if args.m is not None else sb.get("m")
     if orders is None:
@@ -277,10 +270,7 @@ def cmd_sit(args):
         with _names("sit.m", (ValueError, OverflowError)):
             _sit_coeffs(m, sx, sy)
     grid = _grid(cfg) or GridSpec(axis1=AxisSpec("r", -5.0, 5.0, 201), axis2=AxisSpec("s", -5.0, 5.0, 201))
-    clamp = _clamp(args.clamp, "--clamp")
-    if clamp == "auto":
-        clamp = cap
-    with _outputs(_out_dir(cfg, args), clamp) as write:
+    with _outputs(args.out, cap if args.clamp == "auto" else args.clamp) as write:
         for m in orders:
             # the grid's config error is not an OverflowError, so the outer name passes it through
             with _names("sit.m", OverflowError), _names("grid"):
@@ -289,9 +279,7 @@ def cmd_sit(args):
     return 0
 
 
-def cmd_verify(args):
-    _load("state", "wigner", "oracle", "verify")
-    cfg = load_config(args.config)
+def cmd_verify(cfg, args):
     params = _state_params(cfg)
     with _names("state"):
         params.norm_constant
@@ -300,11 +288,10 @@ def cmd_verify(args):
     with _names("quadrature"):
         q = QuadratureSpec(**cfg.get("quadrature", {}))
     seed = cfg.get("seed", 2024)
-    out = _out_dir(cfg, args)
     with _names(_COLLAPSED):
         _suite_grids(params)    # before any suite runs, so that a collapsed grid writes nothing
     with _names("state.m", OverflowError), _names("oracle", OracleConvergenceError):
-        outcome = run_verify(params, q=q, out_dir=out, threads=args.threads, seed=seed)
+        outcome = run_verify(params, q=q, out_dir=args.out, threads=args.threads, seed=seed)
     for line in outcome.summary_lines():
         print(line)
     for p in outcome.report_paths:
@@ -321,9 +308,7 @@ def _print_coupler(c):
     print(f"ellipticity (eta_x, eta_y) = ({ex:.15g}, {ey:.15g})")
 
 
-def cmd_coupler(args):
-    _load("coupling")
-    cfg = load_config(args.config)
+def cmd_coupler(cfg, args):
     if "coupler" not in cfg:
         raise ConfigError("config: missing 'coupler' block")
     cb = cfg["coupler"]
@@ -350,42 +335,56 @@ def _threads(text):
     return n
 
 
+# flag -> its add_argument keywords. Every command takes the three harness flags, which
+# the benchmark passes to each command alike; ``coupler`` ignores --out and --threads.
+_FLAGS = {
+    "--config": dict(required=True, help="path to the JSON run configuration"),
+    "--out": dict(default=None, help="output directory (overrides config out_dir)"),
+    "--threads": dict(type=_threads, default=None,
+                      help="row-parallel sampling threads (default: available parallelism)"),
+    "--clamp": dict(default=None, help="graymap clamp half-range, a number or 'auto' (default auto)"),
+    "--plane": dict(default=None, choices=_PLANES, help="which 2D reduction to sample (default: all)"),
+    "--m": dict(type=int, default=None, help="vortex order (overrides config)"),
+    "--form": dict(default=None, choices=_FORMS,
+                   help=f"closed form to sample (default from config, else {_FORMS[0]})"),
+}
+
+# command -> (handler, help, the modules it calls, the flags it reads beyond the harness flags)
+_COMMANDS = {
+    "field": (cmd_field, "sample |psi|^2 and write CSV + PGM", ("state", "gridio"), ("--clamp",)),
+    "wigner": (cmd_wigner, "sample 2D Wigner reductions", ("state", "gridio", "wigner"),
+               ("--clamp", "--plane", "--form")),
+    "sit": (cmd_sit, "sample scaled interference terms", ("state", "gridio", "wigner"), ("--clamp", "--m")),
+    "verify": (cmd_verify, "run the oracle verification suites", ("state", "wigner", "oracle", "verify"), ()),
+    "coupler": (cmd_coupler, "print SU(2) coupler coefficients", ("coupling",), ()),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="deev",
         description="Displaced elliptical-elliptical vortex states: fields, Wigner slices, "
                     "interference terms, and oracle verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, run, plane=False, m=False, form=False):
-        p.set_defaults(run=run)
-        p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
-        p.add_argument("--threads", type=_threads, default=None,
-                       help="row-parallel sampling threads (default: available parallelism)")
-        p.add_argument("--clamp", default=None,
-                       help="graymap clamp half-range, a number or 'auto' (default auto)")
-        if plane:
-            p.add_argument("--plane", default=None, choices=_PLANES,
-                           help="which 2D reduction to sample (default: all)")
-        if m:
-            p.add_argument("--m", type=int, default=None, help="vortex order (overrides config)")
-        if form:
-            p.add_argument("--form", default=None, choices=_FORMS,
-                           help=f"closed form to sample (default from config, else {_FORMS[0]})")
-
-    common(sub.add_parser("field", help="sample |psi|^2 and write CSV + PGM"), cmd_field)
-    common(sub.add_parser("wigner", help="sample 2D Wigner reductions"), cmd_wigner, plane=True, form=True)
-    common(sub.add_parser("sit", help="sample scaled interference terms"), cmd_sit, m=True)
-    common(sub.add_parser("verify", help="run the oracle verification suites"), cmd_verify)
-    common(sub.add_parser("coupler", help="print SU(2) coupler coefficients"), cmd_coupler)
+    for command, (_, text, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag in ("--config", "--out", "--threads") + flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    run, _, modules, flags = _COMMANDS[args.command]
     try:
-        return args.run(args)
+        cfg = load_config(args.config)
+        if "--clamp" in flags:
+            args.clamp = _clamp(args.clamp, "--clamp")
+        args.out, out_key = (args.out, "--out") if args.out else (cfg.get("out_dir", "."), "out_dir")
+        _load(*modules)
+        # a handler's only OSError is an output directory that cannot be made or written
+        with _names(out_key, OSError):
+            return run(cfg, args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

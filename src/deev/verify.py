@@ -238,12 +238,13 @@ def _equivalence_suite(params, q, n_points, rng):
                        f"max relative deviation = {worst:.3e} over {n_points} points (tol 1e-6)")
 
 
-def _symmetry_suite(params, grid):
+def _symmetry_suite(params, grid, threads=None):
     # width swap transposes the position slice
-    base = wigner_slice(params, grid)
+    base = wigner_slice(params, grid, threads=threads)
     # swapped() exchanges the widths and centers, so its grid is this one transposed
     swapped = params.swapped()
-    swapped_field = wigner_slice(swapped, canonical_slice_grid(swapped, "xy", count=grid.axis1.count))
+    swapped_field = wigner_slice(swapped, canonical_slice_grid(swapped, "xy", count=grid.axis1.count),
+                                 threads=threads)
     dev_swap = float(np.max(np.abs(swapped_field.values - base.values.T)))
 
     # displacement covariance: shifted parameters evaluate the centered form
@@ -285,7 +286,7 @@ def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024)
         _normalization_suite(params, q),
         _marginal_suite(params, q, 6, rng),
         _equivalence_suite(params, q, 20, rng),
-        _symmetry_suite(params, grids["xy"]),
+        _symmetry_suite(params, grids["xy"], threads=threads),
     ]
     suites.append(SuiteResult(
         "adjudication",

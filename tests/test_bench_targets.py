@@ -1,8 +1,10 @@
-"""The benchmark tracer's patch targets stay in place.
+"""The benchmark's patch targets and command lines stay valid.
 
 ``bench/tracing.py`` wraps each ``(module, attribute)`` of its BOUNDARIES by
 name; a renamed or moved function would silently drop its span from the
-per-layer metrics. The tracer is only imported here, never edited.
+per-layer metrics. ``bench/workloads.py`` sends the same harness flags to
+every command, so an edit of the CLI's command table must keep accepting
+them. The benchmark files are only imported here, never edited.
 """
 
 import importlib
@@ -16,9 +18,17 @@ from deev.state import DeevParams
 from deev.verify import run_verify
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_spec = importlib.util.spec_from_file_location("bench_tracing", os.path.join(ROOT, "bench", "tracing.py"))
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", os.path.join(ROOT, "bench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _bench_module("tracing")
+workloads = _bench_module("workloads")
 
 
 @pytest.mark.parametrize("module, attr", [b[:2] for b in tracing.BOUNDARIES],
@@ -51,3 +61,11 @@ def test_cli_calls_go_through_the_patched_names(tmp_path):
     names = {s.name for s in tracer.spans}
     assert {"state.intensity_field", "gridio.write_csv", "gridio.write_pgm", "coupling.solve",
             "coupling.dcdc_coupler", "coupling.ellipticity"} <= names
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_parser_accepts_every_benchmark_argv(tmp_path, workload):
+    from deev import cli
+
+    for cmd in workloads.make_pass(workload, 1, ROOT, str(tmp_path), 2):
+        assert cli.build_parser().parse_args(cmd.argv).command == cmd.argv[0]

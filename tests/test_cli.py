@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import deev
-from deev import cli, oracle, wigner
+from deev import cli, gridio, oracle, wigner
 from deev.cli import main
+from deev.state import DeevParams
+from deev.verify import run_verify
 from deev.wigner import FORMS
 from deev.gridio import read_csv
 
@@ -506,6 +508,51 @@ def test_config_table_rejects(tmp_path, capsys, block, key, value, name):
 def test_config_table_base_is_valid(tmp_path, capsys):
     path = write_config(tmp_path, "c.json", TABLE_BASE)
     assert main(["coupler", "--config", path]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "coupler"])
+def test_clamp_is_refused_where_nothing_is_drawn(tmp_path, capsys, command):
+    path = write_config(tmp_path, "c.json", TABLE_BASE)
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", path, "--clamp", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --clamp 1" in capsys.readouterr().err
+
+
+def test_coupler_takes_and_ignores_out_and_threads(tmp_path):
+    path, out = write_config(tmp_path, "c.json", TABLE_BASE), tmp_path / "d"
+    assert main(["coupler", "--config", path, "--out", str(out), "--threads", "1"]) == 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["--out", "out_dir"])
+@pytest.mark.parametrize("command", ["field", "wigner", "sit", "verify"])
+def test_unmakeable_output_directory_names_its_key(tmp_path, capsys, monkeypatch, command, key):
+    # --out names a regular file; an empty out_dir names no directory at all
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("kept")
+    cfg = {"state": {"m": 0, "sigma_x": 1.0, "sigma_y": 1.0}, "sit": {"m": 1}, "wigner": {"plane": "xy"}}
+    argv = [command, "--threads", "1", "--config"]
+    if key == "--out":
+        argv += [write_config(tmp_path, "c.json", cfg), "--out", "taken"]
+    else:
+        argv += [write_config(tmp_path, "c.json", dict(cfg, out_dir=""))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "taken"]
+    assert (tmp_path / "taken").read_text() == "kept"
+
+
+def test_verify_at_one_thread_starts_no_pool(tmp_path, monkeypatch):
+    # every suite's slices, the symmetry suite's included, sample at the thread count given
+    def no_pool(*args, **kwargs):
+        raise AssertionError("pool used")
+
+    monkeypatch.setattr(gridio, "ThreadPoolExecutor", no_pool)
+    run_verify(DeevParams.tied(0, 1.0, 1.0), threads=1, out_dir=str(tmp_path / "lib"))
+    cfg = write_config(tmp_path, "c.json", {"state": {"m": 1, "sigma_x": 1.0, "sigma_y": 1.0}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "cli"), "--threads", "1"]) == 0
 
 
 @pytest.mark.parametrize("coupler, message", [
