@@ -1,9 +1,9 @@
 """Command-line front end: field, wigner, sit, verify, coupler.
 
 One table, ``_COMMANDS``, names each command's handler, help text, modules and own
-flags. ``main`` reads the config, checks ``--clamp``, resolves the output directory
-and runs the handler; every error it names, an output directory that cannot be made
-included, exits 2 as ``error: <key>: <message>``.
+flags. ``main`` reads the config, checks ``--clamp``, makes a writing command's output
+directory before any work starts and runs the handler inside ``_outputs``, which removes
+what a failed run wrote; every error it names exits 2 as ``error: <key>: <message>``.
 
 Configuration is a strict JSON document; unknown keys anywhere are
 rejected (exit code 2) so a typo cannot silently fall back to a default.
@@ -16,8 +16,9 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from importlib import import_module
+from pathlib import Path
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -172,17 +173,17 @@ _COLLAPSED = "state: the default grid around the displaced center collapses"
 
 
 @contextmanager
-def _outputs(out_dir, clamp):
-    """Yield ``write(field, stem)``, which writes ``stem``.csv and .pgm into ``out_dir``.
+def _outputs(out_dir):
+    """Make ``out_dir``; yield ``write(field, stem, clamp)``, which writes ``stem``.csv and .pgm there.
 
-    The paths are printed when the block ends. If it raises, the files written are
-    removed, and ``out_dir`` too if the block created it, so a failed command leaves no output.
+    The paths are printed when the block ends. If it raises, the files written and the
+    directories made are removed, so a failed command leaves no output.
     """
-    existed = os.path.isdir(out_dir)
+    made = [d for d in (Path(out_dir), *Path(out_dir).parents) if not d.is_dir()]    # deepest first
+    os.makedirs(out_dir, exist_ok=True)
     paths = []
 
-    def write(field, stem):
-        os.makedirs(out_dir, exist_ok=True)
+    def write(field, stem, clamp):
         stem = os.path.join(out_dir, stem)
         write_csv(field, stem + ".csv")
         paths.append(stem + ".csv")
@@ -192,10 +193,11 @@ def _outputs(out_dir, clamp):
     try:
         yield write
     except BaseException:
-        for path in paths:
-            os.remove(path)
-        if not existed and os.path.isdir(out_dir):
-            os.rmdir(out_dir)
+        with suppress(OSError):     # a cleanup error must not hide the one raised
+            for path in paths:
+                os.remove(path)
+            for directory in made:
+                os.rmdir(directory)
         raise
     for path in paths:
         print(path)
@@ -227,8 +229,7 @@ def cmd_field(cfg, args):
     # the grid's config error is not an OverflowError, so the outer name passes it through
     with _names("state.m", OverflowError), _names("grid"):
         field = intensity_field(params, grid, threads=args.threads)
-    with _outputs(args.out, args.clamp) as write:
-        write(field, "intensity")
+    args.write(field, "intensity", args.clamp)
     return 0
 
 
@@ -241,16 +242,13 @@ def cmd_wigner(cfg, args):
     plane_name = args.plane or wb.get("plane", "all")
     planes = list(PLANES) if plane_name == "all" else [plane_name]
     override = _grid(cfg)
-    # every grid is built before the first file is written
-    with _names(_COLLAPSED):
-        grids = [override if override is not None
-                 and (override.axis1.label, override.axis2.label) == PLANES[plane]
-                 else canonical_slice_grid(params, plane) for plane in planes]
-    with _outputs(args.out, args.clamp) as write:
-        for plane, grid in zip(planes, grids):
-            with _names("state.m", OverflowError):
-                field = wigner_slice(params, grid, form=form, threads=args.threads)
-            write(field, f"wigner_{plane}_{form}")
+    labels = override and (override.axis1.label, override.axis2.label)
+    for plane in planes:
+        with _names(_COLLAPSED):
+            grid = override if labels == PLANES[plane] else canonical_slice_grid(params, plane)
+        with _names("state.m", OverflowError):
+            field = wigner_slice(params, grid, form=form, threads=args.threads)
+        args.write(field, f"wigner_{plane}_{form}", args.clamp)
     return 0
 
 
@@ -270,12 +268,11 @@ def cmd_sit(cfg, args):
         with _names("sit.m", (ValueError, OverflowError)):
             _sit_coeffs(m, sx, sy)
     grid = _grid(cfg) or GridSpec(axis1=AxisSpec("r", -5.0, 5.0, 201), axis2=AxisSpec("s", -5.0, 5.0, 201))
-    with _outputs(args.out, cap if args.clamp == "auto" else args.clamp) as write:
-        for m in orders:
-            # the grid's config error is not an OverflowError, so the outer name passes it through
-            with _names("sit.m", OverflowError), _names("grid"):
-                field = sit_field(m, sx, sy, grid, form=form, clamp_cap=cap, threads=args.threads)
-            write(field, f"sit_m{m}_{form}")
+    for m in orders:
+        # the grid's config error is not an OverflowError, so the outer name passes it through
+        with _names("sit.m", OverflowError), _names("grid"):
+            field = sit_field(m, sx, sy, grid, form=form, clamp_cap=cap, threads=args.threads)
+        args.write(field, f"sit_m{m}_{form}", cap if args.clamp == "auto" else args.clamp)
     return 0
 
 
@@ -289,13 +286,10 @@ def cmd_verify(cfg, args):
         q = QuadratureSpec(**cfg.get("quadrature", {}))
     seed = cfg.get("seed", 2024)
     with _names(_COLLAPSED):
-        _suite_grids(params)    # before any suite runs, so that a collapsed grid writes nothing
+        _suite_grids(params)    # run_verify builds these too; this names a collapse before any suite runs
     with _names("state.m", OverflowError), _names("oracle", OracleConvergenceError):
         outcome = run_verify(params, q=q, out_dir=args.out, threads=args.threads, seed=seed)
-    for line in outcome.summary_lines():
-        print(line)
-    for p in outcome.report_paths:
-        print(p)
+    print(*outcome.summary_lines(), *outcome.report_paths, sep="\n")
     return outcome.exit_code
 
 
@@ -335,8 +329,8 @@ def _threads(text):
     return n
 
 
-# flag -> its add_argument keywords. Every command takes the three harness flags, which
-# the benchmark passes to each command alike; ``coupler`` ignores --out and --threads.
+# flag -> its add_argument keywords. Every command takes the harness flags --config and --threads,
+# which the benchmark passes to each command alike (``coupler`` ignores --threads).
 _FLAGS = {
     "--config": dict(required=True, help="path to the JSON run configuration"),
     "--out": dict(default=None, help="output directory (overrides config out_dir)"),
@@ -351,11 +345,13 @@ _FLAGS = {
 
 # command -> (handler, help, the modules it calls, the flags it reads beyond the harness flags)
 _COMMANDS = {
-    "field": (cmd_field, "sample |psi|^2 and write CSV + PGM", ("state", "gridio"), ("--clamp",)),
+    "field": (cmd_field, "sample |psi|^2 and write CSV + PGM", ("state", "gridio"), ("--out", "--clamp")),
     "wigner": (cmd_wigner, "sample 2D Wigner reductions", ("state", "gridio", "wigner"),
-               ("--clamp", "--plane", "--form")),
-    "sit": (cmd_sit, "sample scaled interference terms", ("state", "gridio", "wigner"), ("--clamp", "--m")),
-    "verify": (cmd_verify, "run the oracle verification suites", ("state", "wigner", "oracle", "verify"), ()),
+               ("--out", "--clamp", "--plane", "--form")),
+    "sit": (cmd_sit, "sample scaled interference terms", ("state", "gridio", "wigner"),
+            ("--out", "--clamp", "--m")),
+    "verify": (cmd_verify, "run the oracle verification suites", ("state", "wigner", "oracle", "verify"),
+               ("--out",)),
     "coupler": (cmd_coupler, "print SU(2) coupler coefficients", ("coupling",), ()),
 }
 
@@ -368,7 +364,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, text, _, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
-        for flag in ("--config", "--out", "--threads") + flags:
+        for flag in ("--config", "--threads") + flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser
 
@@ -380,10 +376,13 @@ def main(argv=None):
         cfg = load_config(args.config)
         if "--clamp" in flags:
             args.clamp = _clamp(args.clamp, "--clamp")
-        args.out, out_key = (args.out, "--out") if args.out else (cfg.get("out_dir", "."), "out_dir")
         _load(*modules)
-        # a handler's only OSError is an output directory that cannot be made or written
-        with _names(out_key, OSError):
+        if "--out" not in flags:
+            return run(cfg, args)
+        out_key = "out_dir" if args.out is None else "--out"
+        args.out = cfg.get("out_dir", ".") if args.out is None else args.out
+        # the only OSError here is an output directory that cannot be made or written
+        with _names(out_key, OSError), _outputs(args.out) as args.write:
             return run(cfg, args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -499,10 +499,12 @@ def test_config_table_rejects(tmp_path, capsys, block, key, value, name):
         target = target[part]
     target[key] = value
     path = write_config(tmp_path, "c.json", cfg)
-    command = "verify" if name == "state.eta_x" else "coupler"
-    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    if name == "state.eta_x":
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+    else:
+        assert main(["coupler", "--config", path]) == 2
     assert name in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 def test_config_table_base_is_valid(tmp_path, capsys):
@@ -519,22 +521,33 @@ def test_clamp_is_refused_where_nothing_is_drawn(tmp_path, capsys, command):
     assert "unrecognized arguments: --clamp 1" in capsys.readouterr().err
 
 
-def test_coupler_takes_and_ignores_out_and_threads(tmp_path):
-    path, out = write_config(tmp_path, "c.json", TABLE_BASE), tmp_path / "d"
-    assert main(["coupler", "--config", path, "--out", str(out), "--threads", "1"]) == 0
-    assert not out.exists()
+def test_coupler_takes_threads_and_refuses_out(tmp_path, capsys):
+    path = write_config(tmp_path, "c.json", TABLE_BASE)
+    assert main(["coupler", "--config", path, "--threads", "1"]) == 0
+    with pytest.raises(SystemExit) as exit_:
+        main(["coupler", "--config", path, "--out", "d"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --out d" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
-@pytest.mark.parametrize("key", ["--out", "out_dir"])
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the output directory was made")
+
+
+@pytest.mark.parametrize("key, out", [("--out", "taken"), ("--out", ""), ("out_dir", None)],
+                         ids=["--out", "--out-empty", "out_dir"])
 @pytest.mark.parametrize("command", ["field", "wigner", "sit", "verify"])
-def test_unmakeable_output_directory_names_its_key(tmp_path, capsys, monkeypatch, command, key):
-    # --out names a regular file; an empty out_dir names no directory at all
+def test_unmakeable_output_directory_names_its_key(tmp_path, capsys, monkeypatch, command, key, out):
+    # --out names a regular file or nothing at all; so does an empty out_dir
+    for name in ("intensity_field", "wigner_slice", "sit_field", "run_verify"):
+        monkeypatch.setattr(cli, name, _no_work)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("kept")
     cfg = {"state": {"m": 0, "sigma_x": 1.0, "sigma_y": 1.0}, "sit": {"m": 1}, "wigner": {"plane": "xy"}}
     argv = [command, "--threads", "1", "--config"]
     if key == "--out":
-        argv += [write_config(tmp_path, "c.json", cfg), "--out", "taken"]
+        argv += [write_config(tmp_path, "c.json", cfg), "--out", out]
     else:
         argv += [write_config(tmp_path, "c.json", dict(cfg, out_dir=""))]
     assert main(argv) == 2
@@ -542,6 +555,42 @@ def test_unmakeable_output_directory_names_its_key(tmp_path, capsys, monkeypatch
     assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == ["c.json", "taken"]
     assert (tmp_path / "taken").read_text() == "kept"
+
+
+# the xy slice fits and a later candidate slice overflows (the m = 12 example of tests/test_sweep.py)
+_LATE_OVERFLOW = {"m": 12, "sigma_x": 0.0005131937684477312, "sigma_y": 9331.750516901184, "sign": -1,
+                  "x0": -19062760.41137252, "y0": 3661415.118361576, "px0": -0.46066655972722625,
+                  "py0": -98.98104090157928}
+
+
+@pytest.mark.parametrize("command", ["wigner", "verify"])
+def test_failed_run_leaves_an_existing_directory_as_it_was(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    if command == "wigner":
+        cfg = write_config(tmp_path, "c.json", {"state": _LATE_OVERFLOW})
+        argv = ["wigner", "--config", cfg, "--plane", "all", "--form", "candidate"]
+        key = "state.m"
+    else:
+        monkeypatch.setattr(oracle, "_MAX_NODES", 8)
+        argv = ["verify", "--config", write_config(tmp_path, "c.json", {"state": small_state(3)})]
+        key = "oracle"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert os.listdir(out) == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept"
+
+
+@pytest.mark.parametrize("command, state, flags, key", [
+    ("field", {"m": 1, "sigma_x": 1.0, "sigma_y": 1.0, "x0": 1e17}, [], "state"),  # fails before its first file
+    ("wigner", _LATE_OVERFLOW, ["--form", "candidate"], "state.m"),                 # fails after it
+], ids=["field", "wigner"])
+def test_failed_run_removes_the_parents_it_made(tmp_path, capsys, command, state, flags, key):
+    cfg = write_config(tmp_path, "c.json", {"state": state})
+    assert main([command, "--config", cfg, *flags, "--out", str(tmp_path / "a" / "b" / "c")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert os.listdir(tmp_path) == ["c.json"]
 
 
 def test_verify_at_one_thread_starts_no_pool(tmp_path, monkeypatch):
@@ -579,7 +628,7 @@ def test_coupler_non_finite_numbers_rejected_at_load(tmp_path, capsys, coupler, 
 def test_config_errors_name_their_block(tmp_path, capsys, command, cfg, message):
     path = write_config(tmp_path, "c.json", cfg)
     out = tmp_path / "o"
-    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert main([command, "--config", path] + (["--out", str(out)] if command != "coupler" else [])) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

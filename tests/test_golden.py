@@ -42,8 +42,9 @@ def test_every_golden_entry_has_a_recipe(golden):
 def test_recipe_matches_golden(golden, tmp_path, capsys, name, threads):
     command, config, *extra = RECIPES[name]
     out = tmp_path / "out"
-    argv = [command, "--config", os.path.join(ROOT, "configs", config), *extra,
-            "--out", str(out), "--threads", threads]
+    argv = [command, "--config", os.path.join(ROOT, "configs", config), *extra, "--threads", threads]
+    if command != "coupler":    # the only command that writes no files takes no --out
+        argv += ["--out", str(out)]
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     if "stdout" in golden[name]:
