@@ -6,12 +6,21 @@ wavefunction and intensity, the closed-form 4D Wigner function and its six
 Wigner-transform oracle that validates the closed forms.
 
 Public names resolve on first use (PEP 562): ``import deev`` loads no numpy,
-and ``from deev import X`` imports only X's module.
+and ``from deev import X`` imports only X's module. The names the library and
+the CLI share are written once, here: the slice planes, the closed forms and
+the SIT forms. ``_EXPORTS`` is the only module -> names table.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
+
+# the six 2D reductions by their grids' axis labels; the other two variables pin to the center
+PLANES = {"xy": ("x", "y"), "pxpy": ("px", "py"), "xpx": ("x", "px"),
+          "ypy": ("y", "py"), "xpy": ("x", "py"), "ypx": ("y", "px")}
+# the closed forms of the 4D Wigner function, the validated one first (``wigner.CLOSED_FORMS``)
+FORMS = ("standard", "candidate")
+SIT_FORMS = ("sum", "difference")
 
 # module -> the public names it provides
 _EXPORTS = {
@@ -19,8 +28,8 @@ _EXPORTS = {
                  "dcdc_time_for_ratio"),
     "special": ("alp_eval", "alp_coeffs", "gamma_half_integer"),
     "state": ("DeevParams", "psi", "intensity_field", "circular_decomposition"),
-    "wigner": ("PLANES", "standard_constant", "candidate_constant",
-               "wigner4d", "wigner4d_candidate", "wigner_slice", "sit", "sit_field"),
+    "wigner": ("standard_constant", "candidate_constant", "wigner4d", "wigner4d_candidate",
+               "wigner_slice", "canonical_slice_grid", "sit", "sit_field"),
     "oracle": ("QuadratureSpec", "OracleConvergenceError", "oracle_wigner", "oracle_marginal_xy", "oracle_norm"),
     "gridio": ("AxisSpec", "GridSpec", "Field2D", "sample_field", "write_csv", "read_csv", "write_pgm"),
     "verify": ("CalibrationResult", "calibrate_constant_detailed", "Verdict", "DiscrepancyReport",
@@ -28,7 +37,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [*_MODULE_OF, "__version__"]
+__all__ = [*_MODULE_OF, "PLANES", "FORMS", "SIT_FORMS", "__version__"]
 
 
 def __getattr__(name):

@@ -1,9 +1,11 @@
 """Command-line front end: field, wigner, sit, verify, coupler.
 
 One table, ``_COMMANDS``, names each command's handler, help text, modules and own
-flags. ``main`` reads the config, checks ``--clamp``, makes a writing command's output
-directory before any work starts and runs the handler inside ``_outputs``, which removes
-what a failed run wrote; every error it names exits 2 as ``error: <key>: <message>``.
+flags; a module's names are the ones ``deev._EXPORTS`` lists, and the plane and form
+choices are ``deev.PLANES``, ``deev.FORMS`` and ``deev.SIT_FORMS``. ``main`` reads the
+config, checks ``--clamp``, makes a writing command's output directory before any work
+starts and runs the handler inside ``_outputs``, which removes what a failed run wrote;
+every error it names exits 2 as ``error: <key>: <message>``.
 
 Configuration is a strict JSON document; unknown keys anywhere are
 rejected (exit code 2) so a typo cannot silently fall back to a default.
@@ -20,54 +22,41 @@ from contextlib import contextmanager, suppress
 from importlib import import_module
 from pathlib import Path
 
-__all__ = ["main", "ConfigError", "load_config"]
+from . import _EXPORTS, _MODULE_OF, FORMS, PLANES, SIT_FORMS
 
-# module -> the names this module calls from it. A command binds only the modules it
-# uses (``_load``), so ``coupler`` and ``--help`` load no numpy. A patch of a name here
-# (a test's monkeypatch, the benchmark's tracer) replaces it; one installed first is kept.
-_IMPORTS = {
-    "coupling": ("DcdcParams", "bs_coupler", "coupler_to_ellipticity", "dcdc_coupler", "dcdc_time_for_ratio"),
-    "gridio": ("AxisSpec", "GridSpec", "write_csv", "write_pgm"),
-    "oracle": ("OracleConvergenceError", "QuadratureSpec"),
-    "state": ("DeevParams", "intensity_field"),
-    "verify": ("_suite_grids", "run_verify"),
-    "wigner": ("PLANES", "_require_tied", "_sit_coeffs", "canonical_slice_grid",
-               "sit_field", "wigner_slice"),
-}
+__all__ = ["main", "ConfigError", "load_config"]
 
 
 def _load(*modules):
+    """Bind each module and its ``deev._EXPORTS`` names here; a name patched first is kept."""
     for module_name in modules:
         module = import_module(f".{module_name}", __package__)
-        for name in _IMPORTS[module_name]:
+        globals().setdefault(module_name, module)
+        for name in _EXPORTS[module_name]:
             globals().setdefault(name, getattr(module, name))
 
 
 def __getattr__(name):
-    for module_name, names in _IMPORTS.items():
-        if name in names:
-            _load(module_name)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_MODULE_OF[name])
+    return globals()[name]
 
 
 class ConfigError(ValueError):
     pass
 
 
-# literal so that the parser needs no numpy; a test pins them to ``wigner``
-_PLANES = ("xy", "pxpy", "xpx", "ypy", "xpy", "ypx", "all")
-_FORMS = ("standard", "candidate")
-_SIT_FORMS = ("sum", "difference")
+_PLANES = (*PLANES, "all")
 _AXIS = {"label": (str, True), "min": (float, True), "max": (float, True), "count": (int, True)}
 _COUPLERS = {
     "bs": {"theta": (float, True), "phi": (float, False)},
     "dcdc": {"g": (float, True), "delta": (float, True), "t": (float, False), "ratio": (float, False)},
 }
 
-# {block: {key: (type, required)}}. A type is float, int, str, dict (a nested
-# block with its own row), list (one integer or a list of distinct ones) or a
-# tuple of allowed values. Numbers are converted to the named type.
+# {block: {key: (type, required)}}. A type is float, int, str, dict (a nested block with
+# its own row), list (one integer or a non-empty list of distinct ones) or a tuple of
+# allowed values. Numbers are converted to the named type.
 _SCHEMA = {
     "config": {**dict.fromkeys(("state", "coupler", "grid", "quadrature", "sit", "wigner"),
                                (dict, False)),
@@ -79,8 +68,8 @@ _SCHEMA = {
     "grid.axis1": _AXIS,
     "grid.axis2": _AXIS,
     "quadrature": {"abs_tol": (float, False), "rel_tol": (float, False)},
-    "sit": {"m": (list, False), "form": (_SIT_FORMS, False), "clamp": (float, False)},
-    "wigner": {"plane": (_PLANES, False), "form": (_FORMS, False)},
+    "sit": {"m": (list, False), "form": (SIT_FORMS, False), "clamp": (float, False)},
+    "wigner": {"plane": (_PLANES, False), "form": (FORMS, False)},
     "coupler": {"kind": (tuple(_COUPLERS), True),
                 **{k: (t, False) for row in _COUPLERS.values() for k, (t, _) in row.items()}},
 }
@@ -100,8 +89,9 @@ def _value(v, kind, where):
         return _check(v, where.removeprefix("config."))
     if kind is list:
         items = [_value(x, int, where) for x in (v if isinstance(v, list) else [v])]
-        if len(set(items)) < len(items):
-            raise ConfigError(f"{where}: expected distinct integers, got {v!r}")
+        if not items or len(set(items)) < len(items):
+            want = "distinct integers" if items else "at least one integer"
+            raise ConfigError(f"{where}: expected {want}, got {v!r}")
         return items
     if isinstance(kind, tuple):
         ok, want = v in kind, f"one of {list(kind)}"
@@ -179,6 +169,8 @@ def _outputs(out_dir):
     The paths are printed when the block ends. If it raises, the files written and the
     directories made are removed, so a failed command leaves no output.
     """
+    if "\0" in out_dir:    # os calls raise ValueError for it, not the OSError that main names
+        raise OSError(f"embedded null byte in {out_dir!r}")
     made = [d for d in (Path(out_dir), *Path(out_dir).parents) if not d.is_dir()]    # deepest first
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -236,9 +228,9 @@ def cmd_field(cfg, args):
 def cmd_wigner(cfg, args):
     params = _state_params(cfg)
     with _names("state.eta_x/state.eta_y"):
-        _require_tied(params, "wigner")
+        wigner._require_tied(params, "wigner")
     wb = cfg.get("wigner", {})
-    form = args.form or wb.get("form", _FORMS[0])
+    form = args.form or wb.get("form", FORMS[0])
     plane_name = args.plane or wb.get("plane", "all")
     planes = list(PLANES) if plane_name == "all" else [plane_name]
     override = _grid(cfg)
@@ -266,7 +258,7 @@ def cmd_sit(cfg, args):
     cap = _clamp(sb.get("clamp", 1e12), "sit.clamp")
     for m in orders:
         with _names("sit.m", (ValueError, OverflowError)):
-            _sit_coeffs(m, sx, sy)
+            wigner._sit_coeffs(m, sx, sy)
     grid = _grid(cfg) or GridSpec(axis1=AxisSpec("r", -5.0, 5.0, 201), axis2=AxisSpec("s", -5.0, 5.0, 201))
     for m in orders:
         # the grid's config error is not an OverflowError, so the outer name passes it through
@@ -281,12 +273,14 @@ def cmd_verify(cfg, args):
     with _names("state"):
         params.norm_constant
     with _names("state.eta_x/state.eta_y"):
-        _require_tied(params, "verify")
+        wigner._require_tied(params, "verify")
     with _names("quadrature"):
         q = QuadratureSpec(**cfg.get("quadrature", {}))
     seed = cfg.get("seed", 2024)
+    if seed < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {seed}")
     with _names(_COLLAPSED):
-        _suite_grids(params)    # run_verify builds these too; this names a collapse before any suite runs
+        verify._suite_grids(params)    # run_verify builds these too; this names a collapse before any suite runs
     with _names("state.m", OverflowError), _names("oracle", OracleConvergenceError):
         outcome = run_verify(params, q=q, out_dir=args.out, threads=args.threads, seed=seed)
     print(*outcome.summary_lines(), *outcome.report_paths, sep="\n")
@@ -307,8 +301,8 @@ def cmd_coupler(cfg, args):
         raise ConfigError("config: missing 'coupler' block")
     cb = cfg["coupler"]
     _check(cb, "coupler", {"kind": _SCHEMA["coupler"]["kind"], **_COUPLERS[cb["kind"]]})
-    if cb["kind"] == "dcdc" and not ("t" in cb or "ratio" in cb):
-        raise ConfigError("coupler: dcdc needs either 't' or 'ratio'")
+    if cb["kind"] == "dcdc" and ("t" in cb) == ("ratio" in cb):
+        raise ConfigError("coupler: dcdc needs exactly one of 't' or 'ratio'")
     with _names("coupler"):
         if cb["kind"] == "bs":
             c = bs_coupler(cb["theta"], cb.get("phi", 0.0))
@@ -339,11 +333,12 @@ _FLAGS = {
     "--clamp": dict(default=None, help="graymap clamp half-range, a number or 'auto' (default auto)"),
     "--plane": dict(default=None, choices=_PLANES, help="which 2D reduction to sample (default: all)"),
     "--m": dict(type=int, default=None, help="vortex order (overrides config)"),
-    "--form": dict(default=None, choices=_FORMS,
-                   help=f"closed form to sample (default from config, else {_FORMS[0]})"),
+    "--form": dict(default=None, choices=FORMS,
+                   help=f"closed form to sample (default from config, else {FORMS[0]})"),
 }
 
-# command -> (handler, help, the modules it calls, the flags it reads beyond the harness flags)
+# command -> (handler, help, the modules it calls, the flags it reads beyond the harness flags).
+# ``main`` imports only the row's modules (``_load``), so ``coupler`` and ``--help`` load no numpy.
 _COMMANDS = {
     "field": (cmd_field, "sample |psi|^2 and write CSV + PGM", ("state", "gridio"), ("--out", "--clamp")),
     "wigner": (cmd_wigner, "sample 2D Wigner reductions", ("state", "gridio", "wigner"),

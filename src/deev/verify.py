@@ -65,7 +65,7 @@ class CalibrationResult:
 def calibrate_constant_detailed(params, q=QuadratureSpec(), form=STANDARD):
     """Fit the overall constant of a closed form against the oracle.
 
-    ``form`` is a key of ``wigner.FORMS``; each probe evaluates that form at
+    ``form`` is a name in ``deev.FORMS``; each probe evaluates that form at
     constant 1 (its shape). Probes are deterministic scaled offsets from the
     displaced center, skipping points where either value is below 1e-8 in
     magnitude. The result is returned whatever the ratios' spread;

@@ -32,7 +32,9 @@ eta_x sigma_x = eta_y sigma_y:
   adjudication, not as a validated quantity.
 
 A 2D slice is named by its grid's axis labels, one of the six pairs in
-:data:`PLANES` (``"xpx"`` is the grid labeled ``("x", "px")``).
+:data:`PLANES` (``"xpx"`` is the grid labeled ``("x", "px")``). ``PLANES``,
+``FORMS`` and ``SIT_FORMS`` are the package's (``deev.PLANES``);
+:data:`CLOSED_FORMS` keys each closed form by its name in ``FORMS``.
 """
 
 import math
@@ -41,15 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import FORMS, PLANES, SIT_FORMS
 from .gridio import AxisSpec, GridSpec, _fmt, sample_field
 from .special import alp_coeffs, alp_eval, gamma_half_integer
 from .state import _param_metadata
 
 __all__ = [
     "ClosedForm",
-    "FORMS",
-    "PLANES",
-    "SIT_FORMS",
+    "CLOSED_FORMS",
     "standard_constant",
     "candidate_constant",
     "wigner4d",
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+STANDARD, CANDIDATE = FORMS
 
 
 def standard_constant(m):
@@ -157,26 +159,19 @@ class ClosedForm:
     nominal: object     # params -> overall constant
 
 
-FORMS = {
-    "standard": ClosedForm(wigner4d, lambda p: standard_constant(p.m)),
-    "candidate": ClosedForm(wigner4d_candidate,
-                            lambda p: candidate_constant(p.m, p.sigma_x, p.sigma_y)),
+CLOSED_FORMS = {
+    STANDARD: ClosedForm(wigner4d, lambda p: standard_constant(p.m)),
+    CANDIDATE: ClosedForm(wigner4d_candidate, lambda p: candidate_constant(p.m, p.sigma_x, p.sigma_y)),
 }
-STANDARD, CANDIDATE = FORMS
 
 
 def _closed_form(name):
-    """The :class:`ClosedForm` keyed ``name`` in :data:`FORMS`; ValueError for any other name."""
-    if name not in FORMS:
-        raise ValueError(f"form must be one of {sorted(FORMS)}, got {name!r}")
-    return FORMS[name]
+    """The :class:`ClosedForm` named ``name`` in :data:`FORMS`; ValueError for any other name."""
+    if name not in CLOSED_FORMS:
+        raise ValueError(f"form must be one of {sorted(CLOSED_FORMS)}, got {name!r}")
+    return CLOSED_FORMS[name]
 
 
-SIT_FORMS = ("sum", "difference")
-
-# the six 2D reductions by their grids' axis labels; the other two variables pin to the center
-PLANES = {"xy": ("x", "y"), "pxpy": ("px", "py"), "xpx": ("x", "px"),
-          "ypy": ("y", "py"), "xpy": ("x", "py"), "ypx": ("y", "px")}
 _PLANE_OF = {labels: name for name, labels in PLANES.items()}
 
 
@@ -204,7 +199,7 @@ def wigner_slice(params, grid, form=STANDARD, threads=None):
     """Sample the 2D reduction of the 4D Wigner function that the grid's axis labels name.
 
     The labels must be one of the pairs in :data:`PLANES`. ``form`` names the
-    closed form in :data:`FORMS`, evaluated with its nominal constant. The
+    closed form in :data:`CLOSED_FORMS`, evaluated with its nominal constant. The
     form raises OverflowError when it leaves the double range (large m).
     """
     closed = _closed_form(form)

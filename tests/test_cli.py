@@ -15,7 +15,7 @@ from deev import cli, gridio, oracle, wigner
 from deev.cli import main
 from deev.state import DeevParams
 from deev.verify import run_verify
-from deev.wigner import FORMS
+from deev.wigner import CLOSED_FORMS
 from deev.gridio import read_csv
 
 
@@ -192,7 +192,7 @@ def test_verify_marginal_disagreement_fails_its_suite(tmp_path, capsys, monkeypa
 
 
 def test_verify_shape_mismatch_fails_through_adjudication(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(FORMS, "standard", FORMS["candidate"])
+    monkeypatch.setitem(CLOSED_FORMS, "standard", CLOSED_FORMS["candidate"])
     cfg = write_config(tmp_path, "v.json", {"state": small_state(0)})
     out = str(tmp_path / "v")
     assert main(["verify", "--config", cfg, "--out", out]) == 1
@@ -306,8 +306,10 @@ def modules_after(argv):
 
 
 def test_import_loads_no_numpy():
+    # the names the CLI's parser reads are the package's own, so reading them loads nothing more
     src = os.path.dirname(os.path.dirname(deev.__file__))
-    code = "import sys, deev; print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'deev')))"
+    code = ("import sys, deev; deev.PLANES, deev.FORMS, deev.SIT_FORMS; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'deev')))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "['deev']"
@@ -331,10 +333,9 @@ def test_wigner_loads_no_verify_or_oracle(tmp_path):
     assert (tmp_path / "o" / "wigner_xy_standard.csv").exists()
 
 
-def test_cli_literal_choices_match_the_library():
-    assert cli._PLANES == tuple(wigner.PLANES) + ("all",)
-    assert cli._FORMS == tuple(wigner.FORMS)
-    assert cli._SIT_FORMS == wigner.SIT_FORMS
+def test_library_shares_the_package_lists():
+    assert wigner.PLANES is deev.PLANES and wigner.FORMS is deev.FORMS and wigner.SIT_FORMS is deev.SIT_FORMS
+    assert tuple(wigner.CLOSED_FORMS) == deev.FORMS
 
 
 def test_exported_names_resolve():
@@ -491,6 +492,7 @@ TABLE_BASE = {
     (("quadrature",), "abs_tol", math.inf, "quadrature.abs_tol: expected a finite number, got inf"),
     (("sit",), "clamp", math.inf, "sit.clamp: expected a finite number, got inf"),
     (("sit",), "m", [1, 1], "sit.m: expected distinct integers, got [1, 1]"),
+    (("sit",), "m", [], "sit.m: expected at least one integer, got []"),
 ])
 def test_config_table_rejects(tmp_path, capsys, block, key, value, name):
     cfg = copy.deepcopy(TABLE_BASE)
@@ -535,11 +537,12 @@ def _no_work(*args, **kwargs):
     raise AssertionError("work started before the output directory was made")
 
 
-@pytest.mark.parametrize("key, out", [("--out", "taken"), ("--out", ""), ("out_dir", None)],
-                         ids=["--out", "--out-empty", "out_dir"])
+@pytest.mark.parametrize("key, out", [("--out", "taken"), ("--out", ""), ("out_dir", ""),
+                                      ("out_dir", "a\0b")],
+                         ids=["--out", "--out-empty", "out_dir", "out_dir-nul"])
 @pytest.mark.parametrize("command", ["field", "wigner", "sit", "verify"])
 def test_unmakeable_output_directory_names_its_key(tmp_path, capsys, monkeypatch, command, key, out):
-    # --out names a regular file or nothing at all; so does an empty out_dir
+    # --out names a regular file or nothing at all; out_dir is empty, or holds a NUL that no path may
     for name in ("intensity_field", "wigner_slice", "sit_field", "run_verify"):
         monkeypatch.setattr(cli, name, _no_work)
     monkeypatch.chdir(tmp_path)
@@ -549,7 +552,7 @@ def test_unmakeable_output_directory_names_its_key(tmp_path, capsys, monkeypatch
     if key == "--out":
         argv += [write_config(tmp_path, "c.json", cfg), "--out", out]
     else:
-        argv += [write_config(tmp_path, "c.json", dict(cfg, out_dir=""))]
+        argv += [write_config(tmp_path, "c.json", dict(cfg, out_dir=out))]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
@@ -621,10 +624,15 @@ def test_coupler_non_finite_numbers_rejected_at_load(tmp_path, capsys, coupler, 
     ("sit", {"sit": {"form": "sum"}}, "sit: no vortex order given (sit.m in config or --m)"),
     ("coupler", {"state": small_state(1)}, "config: missing 'coupler' block"),
     ("coupler", {"coupler": {"kind": "dcdc", "g": 1.0, "delta": 0.0}},
-     "coupler: dcdc needs either 't' or 'ratio'"),
+     "coupler: dcdc needs exactly one of 't' or 'ratio'"),
+    ("coupler", {"coupler": {"kind": "dcdc", "g": 1.0, "delta": 0.0, "t": 0.5, "ratio": 2.0}},
+     "coupler: dcdc needs exactly one of 't' or 'ratio'"),
     ("coupler", {"coupler": {"kind": "dcdc", "g": 1.0, "delta": 0.0, "ratio": 0}},
      "coupler: ratio must be > 0, got 0.0"),
-], ids=["missing-key", "sit-no-order", "no-coupler", "dcdc-no-time", "dcdc-ratio-0"])
+    ("verify", {"state": {"m": 0, "sigma_x": 1.0, "sigma_y": 1.0}, "seed": -1},
+     "seed: expected a non-negative integer, got -1"),
+], ids=["missing-key", "sit-no-order", "no-coupler", "dcdc-no-time", "dcdc-time-and-ratio", "dcdc-ratio-0",
+        "verify-negative-seed"])
 def test_config_errors_name_their_block(tmp_path, capsys, command, cfg, message):
     path = write_config(tmp_path, "c.json", cfg)
     out = tmp_path / "o"

@@ -15,7 +15,7 @@ from deev import gridio
 from deev.gridio import AxisSpec, Field2D, GridSpec, read_csv, sample_field, write_csv, write_pgm
 from deev.state import DeevParams, intensity_field, psi
 from deev.verify import CalibrationResult, DiscrepancyReport, Verdict, write_report
-from deev.wigner import FORMS, PLANES, sit, sit_field, wigner_slice
+from deev.wigner import CLOSED_FORMS, FORMS, PLANES, sit, sit_field, wigner_slice
 
 
 def grid(c1=4, c2=3):
@@ -183,7 +183,7 @@ def test_sampling_is_block_invariant(monkeypatch, c1, c2):
             a1, a2 = mesh(g)
             coords = {"x": params.x0, "y": params.y0, "px": params.px0, "py": params.py0,
                       labels[0]: a1, labels[1]: a2}
-            ref = FORMS[form].evaluate(params, coords["x"], coords["y"], coords["px"], coords["py"])
+            ref = CLOSED_FORMS[form].evaluate(params, coords["x"], coords["y"], coords["px"], coords["py"])
             assert got.tobytes() == ref.tobytes()
 
     g = GridSpec(AxisSpec("r", -2.0, 2.0, c1 | 1), AxisSpec("s", -1.5, 1.5, c2 | 1))
