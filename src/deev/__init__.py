@@ -8,7 +8,8 @@ Wigner-transform oracle that validates the closed forms.
 Public names resolve on first use (PEP 562): ``import deev`` loads no numpy,
 and ``from deev import X`` imports only X's module. The names the library and
 the CLI share are written once, here: the slice planes, the closed forms and
-the SIT forms. ``_EXPORTS`` is the only module -> names table.
+the SIT forms. ``_EXPORTS`` is the only module -> names table: each library
+module's ``__all__`` is its row.
 """
 
 from importlib import import_module
@@ -22,18 +23,20 @@ PLANES = {"xy": ("x", "y"), "pxpy": ("px", "py"), "xpx": ("x", "px"),
 FORMS = ("standard", "candidate")
 SIT_FORMS = ("sum", "difference")
 
-# module -> the public names it provides
+# module -> the public names it provides, each module's ``__all__``
 _EXPORTS = {
     "coupling": ("ModeCoupler", "DcdcParams", "bs_coupler", "dcdc_coupler", "coupler_to_ellipticity",
                  "dcdc_time_for_ratio"),
     "special": ("alp_eval", "alp_coeffs", "gamma_half_integer"),
     "state": ("DeevParams", "psi", "intensity_field", "circular_decomposition"),
-    "wigner": ("standard_constant", "candidate_constant", "wigner4d", "wigner4d_candidate",
-               "wigner_slice", "canonical_slice_grid", "sit", "sit_field"),
-    "oracle": ("QuadratureSpec", "OracleConvergenceError", "oracle_wigner", "oracle_marginal_xy", "oracle_norm"),
+    "wigner": ("ClosedForm", "CLOSED_FORMS", "standard_constant", "candidate_constant", "wigner4d",
+               "wigner4d_candidate", "wigner_slice", "canonical_slice_grid", "sit", "sit_field",
+               "count_strict_minima"),
+    "oracle": ("QuadratureSpec", "OracleConvergenceError", "WignerQuadResult", "oracle_wigner",
+               "oracle_wigner_full", "oracle_marginal_xy", "oracle_norm"),
     "gridio": ("AxisSpec", "GridSpec", "Field2D", "sample_field", "write_csv", "read_csv", "write_pgm"),
-    "verify": ("CalibrationResult", "calibrate_constant_detailed", "Verdict", "DiscrepancyReport",
-               "write_report", "run_verify"),
+    "verify": ("SuiteResult", "VerifyOutcome", "CalibrationResult", "Verdict", "DiscrepancyReport",
+               "run_verify", "adjudicate", "calibrate_constant_detailed", "write_report"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -130,7 +130,8 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    # besides JSONDecodeError: bytes that are not UTF-8, an integer past int's digit limit, deep nesting
+    except (ValueError, RecursionError) as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     return _check(raw, "config")
 

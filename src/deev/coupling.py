@@ -10,16 +10,13 @@ import cmath
 import math
 from collections import namedtuple
 
-__all__ = [
-    "ModeCoupler",
-    "DcdcParams",
-    "bs_coupler",
-    "dcdc_coupler",
-    "coupler_to_ellipticity",
-    "dcdc_time_for_ratio",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["coupling"])
 
 _UNITARITY_TOL = 1e-12
+# how far the solved coupler's |a1|/|a2| may miss the requested ratio, relative
+_RATIO_TOL = 1e-9
 
 
 class ModeCoupler(namedtuple("ModeCoupler", "a1 a2")):
@@ -84,6 +81,9 @@ def dcdc_time_for_ratio(ratio, g, delta):
     Omega*t = pi/2, so the first branch carries a unique solution whenever
     ratio >= delta/g; smaller ratios are unreachable at any time. Squaring
     |a1| = ratio |a2| gives tan(Omega t) = Omega / sqrt(ratio^2 g^2 - delta^2).
+    Raises ValueError when the coupler at the solved t misses the ratio by more
+    than 1e-9 relative: cos near pi/2 cannot resolve a ratio below about 1e-7
+    (at delta = 0), and past ratio * g = 1e308 the solved t is 0.
     """
     if not ratio > 0:
         raise ValueError(f"ratio must be > 0, got {ratio!r}")
@@ -94,6 +94,13 @@ def dcdc_time_for_ratio(ratio, g, delta):
         raise ValueError(f"no time t > 0 gives |a1|/|a2| = {ratio:g}; "
                          f"the achievable infimum is delta/g = {infimum:g}")
     omega = math.hypot(delta, g)
-    # the clamp absorbs rounding at ratio == infimum, where Omega t = pi/2
+    # the clamps absorb rounding at ratio == infimum, where Omega t = pi/2; two roots, as one
+    # of the product overflows once ratio * g passes about 1e154
     rg = ratio * g
-    return math.atan2(omega, math.sqrt(max((rg - delta) * (rg + delta), 0.0))) / omega
+    t = math.atan2(omega, math.sqrt(max(rg - delta, 0.0)) * math.sqrt(max(rg + delta, 0.0))) / omega
+    c = dcdc_coupler(DcdcParams(g, delta, t))
+    a1, a2 = abs(c.a1), abs(c.a2)
+    if not (a2 > 0 and abs(a1 / a2 / ratio - 1.0) <= _RATIO_TOL):
+        raise ValueError(f"the coupler at the solved time t = {t:.15g} gives |a1|/|a2| = "
+                         f"{a1 / a2 if a2 > 0 else math.inf:.15g}, not the requested {ratio:.15g}")
+    return t

@@ -14,15 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "AxisSpec",
-    "GridSpec",
-    "Field2D",
-    "sample_field",
-    "write_csv",
-    "read_csv",
-    "write_pgm",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["gridio"])
 
 _AXIS_LABELS = {"x", "y", "px", "py", "r", "s"}
 
@@ -350,7 +344,8 @@ def write_pgm(field, destination, clamp="auto"):
     def levels(b):
         if span <= 0:
             return np.full(b.shape, 32768, dtype=">u2")
-        scaled = (b - vmin) / span * 65535.0
+        with np.errstate(over="ignore"):    # dividing by a subnormal span overflows; +-inf clips to the end levels
+            scaled = (b - vmin) / span * 65535.0
         scaled = np.where(np.isnan(b), 32768.0, scaled)
         return np.clip(np.rint(scaled), 0, 65535).astype(">u2")
 

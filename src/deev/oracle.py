@@ -37,17 +37,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _EXPORTS
 from .state import psi
 
-__all__ = [
-    "QuadratureSpec",
-    "OracleConvergenceError",
-    "WignerQuadResult",
-    "oracle_wigner",
-    "oracle_wigner_full",
-    "oracle_marginal_xy",
-    "oracle_norm",
-]
+__all__ = list(_EXPORTS["oracle"])
 
 
 @dataclass(frozen=True)

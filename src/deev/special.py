@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 
-__all__ = ["alp_eval", "alp_coeffs", "gamma_half_integer"]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["special"])
 
 
 def _check_order(m):

@@ -19,9 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _EXPORTS
 from .gridio import _fmt, sample_field
 
-__all__ = ["DeevParams", "psi", "intensity_field", "circular_decomposition"]
+__all__ = list(_EXPORTS["state"])
 
 SQRT2 = math.sqrt(2.0)
 # numpy builds Gauss-Hermite rules up to 370 nodes; it warns at 371 and gives NaN weights beyond

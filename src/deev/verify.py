@@ -25,14 +25,14 @@ from enum import Enum
 
 import numpy as np
 
+from . import _EXPORTS
 from .gridio import _atomic_write, _fmt
 from .oracle import QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from .state import psi
 from .wigner import (CANDIDATE, FORMS, STANDARD, _closed_form, _finite, canonical_slice_grid,
                      count_strict_minima, wigner4d, wigner_slice)
 
-__all__ = ["SuiteResult", "VerifyOutcome", "CalibrationResult", "Verdict", "DiscrepancyReport",
-           "run_verify", "adjudicate", "calibrate_constant_detailed", "write_report"]
+__all__ = list(_EXPORTS["verify"])
 
 _PROBE_OFFSETS = (
     (0.31, 0.22, -0.27, 0.18),

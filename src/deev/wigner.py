@@ -43,24 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import FORMS, PLANES, SIT_FORMS
+from . import _EXPORTS, FORMS, PLANES, SIT_FORMS
 from .gridio import AxisSpec, GridSpec, _fmt, sample_field
 from .special import alp_coeffs, alp_eval, gamma_half_integer
 from .state import _param_metadata
 
-__all__ = [
-    "ClosedForm",
-    "CLOSED_FORMS",
-    "standard_constant",
-    "candidate_constant",
-    "wigner4d",
-    "wigner4d_candidate",
-    "wigner_slice",
-    "canonical_slice_grid",
-    "sit",
-    "sit_field",
-    "count_strict_minima",
-]
+__all__ = list(_EXPORTS["wigner"])
 
 SQRT2 = math.sqrt(2.0)
 STANDARD, CANDIDATE = FORMS

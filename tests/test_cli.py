@@ -55,11 +55,16 @@ def test_field_rejects_wrong_labels(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_malformed_json_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert main(["field", "--config", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+# past a syntax error, json.load raises RecursionError, ValueError or UnicodeDecodeError (once a traceback)
+@pytest.mark.parametrize("text", [b"{not json", b"[" * 100000 + b"]" * 100000,
+                                  b'{"seed": ' + b"1" * 5000 + b"}", b"\xff\xfe{}"],
+                         ids=["syntax", "nested-100000-deep", "int-5000-digits", "not-utf-8"])
+def test_malformed_json_exits_2(tmp_path, capsys, text):
+    path, out = tmp_path / "bad.json", tmp_path / "o"
+    path.write_bytes(text)
+    assert main(["field", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config {path} is not valid JSON: ")
+    assert not out.exists()
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
@@ -150,6 +155,34 @@ def test_coupler_infeasible_ratio_exits_2(tmp_path, capsys):
                                                         "ratio": 1.0}})
     assert main(["coupler", "--config", cfg]) == 2
     assert "infimum" in capsys.readouterr().err
+
+
+def printed_ellipticity(out):
+    """(|a1|, |a2|) from the coupler's last printed line."""
+    return tuple(float(v) for v in out.splitlines()[-1].split(" = ")[1].strip("()").split(", "))
+
+
+# past ratio g = 1e154, (ratio g - delta) (ratio g + delta) overflowed, so t came out 0 and a2 = 0
+@pytest.mark.parametrize("g, delta, ratio, t", [(1.0, 0.0, 1e160, 1e-160), (1e200, 1e200, 3.0, 3.2784836840539e-201)],
+                         ids=["ratio-1e160", "g-delta-1e200"])
+def test_coupler_large_ratio_solve(tmp_path, capsys, g, delta, ratio, t):
+    cfg = write_config(tmp_path, "r.json", {"coupler": {"kind": "dcdc", "g": g, "delta": delta,
+                                                        "ratio": ratio}})
+    assert main(["coupler", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert float(out.splitlines()[0].split("=")[1]) == pytest.approx(t, rel=1e-10, abs=0.0)
+    a1, a2 = printed_ellipticity(out)
+    assert a1 / a2 == pytest.approx(ratio, rel=1e-9)
+
+
+# cos near pi/2 cannot resolve these ratios (the coupler printed with the ratio missed, exit 0)
+@pytest.mark.parametrize("ratio", [1e-12, 1e-17])
+def test_coupler_unresolvable_small_ratio_exits_2(tmp_path, capsys, ratio):
+    cfg = write_config(tmp_path, "r.json", {"coupler": {"kind": "dcdc", "g": 1.0, "delta": 0.0, "ratio": ratio}})
+    assert main(["coupler", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: coupler: the coupler at the solved time t = ")
+    assert err.endswith(f"not the requested {ratio:g}\n")
 
 
 def test_verify_m0_circular_exits_0(tmp_path, capsys):
@@ -344,6 +377,11 @@ def test_exported_names_resolve():
     for module in modules:
         assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
     assert len(set(deev.__all__)) == len(deev.__all__)
+    # a library module's public names are its row of the package's table, and each resolves on deev
+    for name, names in deev._EXPORTS.items():
+        module = importlib.import_module(f"deev.{name}")
+        assert module.__all__ == list(names), name
+        assert all(getattr(deev, export) is getattr(module, export) for export in names), name
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

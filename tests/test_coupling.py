@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,18 @@ def test_time_for_ratio_infeasible():
     # ratio below delta/g: the branch equation has no real solution
     with pytest.raises(ValueError, match=r"the achievable infimum is delta/g = 1\.33333$"):
         dcdc_time_for_ratio(1.0, 3.0, 4.0)
+
+
+def test_time_for_ratio_past_the_square_range():
+    # (ratio g)^2 overflows a double, so the root is taken as a product of two
+    assert dcdc_time_for_ratio(1e160, 1.0, 0.0) == pytest.approx(1e-160, rel=1e-15, abs=0.0)
+
+
+# below cos's resolution near pi/2, and past the double range, where t = 0 and |a2| = 0
+@pytest.mark.parametrize("ratio, g", [(1e-12, 1.0), (1e300, 1e300)])
+def test_time_for_ratio_raises_when_the_coupler_misses(ratio, g):
+    with pytest.raises(ValueError, match=re.escape(f"not the requested {ratio:g}")):
+        dcdc_time_for_ratio(ratio, g, 0.0)
 
 
 def test_time_for_ratio_detuned_vs_dense_scan():

@@ -97,19 +97,26 @@ def test_pgm_deterministic_and_uniform(tmp_path):
     assert (levels == 32768).all()
 
 
-def test_pgm_mapping_and_clipping(tmp_path):
-    vals = np.array([[-2.0, 0.0], [1.0, 5.0]])
-    g2 = GridSpec(axis1=AxisSpec("x", 0.0, 1.0, 2), axis2=AxisSpec("y", 0.0, 1.0, 2))
-    f = Field2D(spec=g2, values=vals)
+# dividing by the smallest subnormal clamp's span overflows to +-inf (once a numpy warning)
+@pytest.mark.parametrize("clamp, header", [(1.0, b"# map vmin=-1 vmax=1 "),
+                                           (5e-324, b"# map vmin=-4.9406564584124654e-324 "
+                                                    b"vmax=4.9406564584124654e-324 ")],
+                         ids=["clamp-1", "clamp-5e-324"])
+def test_pgm_mapping_and_clipping(tmp_path, clamp, header):
+    vals = np.array([[-2.0, 0.0, math.nan], [clamp, 5.0, -clamp]])
+    g2 = GridSpec(axis1=AxisSpec("x", 0.0, 1.0, 2), axis2=AxisSpec("y", 0.0, 1.0, 3))
+    f = Field2D(spec=g2, values=vals, metadata={"allow_nonfinite": "true"})
     path = tmp_path / "c.pgm"
-    write_pgm(f, str(path), clamp=1.0)
+    write_pgm(f, str(path), clamp=clamp)
     data = path.read_bytes()
-    assert b"# map vmin=-1 vmax=1" in data
-    levels = np.frombuffer(data.rsplit(b"65535\n", 1)[1], dtype=">u2").reshape(2, 2)
+    assert header in data
+    levels = np.frombuffer(data.rsplit(b"65535\n", 1)[1], dtype=">u2").reshape(2, 3)
     assert levels[0, 0] == 0          # below -clamp
     assert levels[0, 1] == 32768      # zero -> middle
+    assert levels[0, 2] == 32768      # NaN -> middle
     assert levels[1, 0] == 65535      # at +clamp
     assert levels[1, 1] == 65535      # above +clamp clips
+    assert levels[1, 2] == 0          # at -clamp
     with pytest.raises(ValueError):
         write_pgm(f, str(path), clamp=-1.0)
 

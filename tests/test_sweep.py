@@ -5,7 +5,8 @@ hypothesis (derandomized, so every run draws the same inputs). A run must end
 one of two ways:
 
 * exit 0 with finite output (the SIT keeps its documented +-inf and NaN),
-  every written file printed and nothing printed that was not written;
+  every written file printed and nothing printed that was not written, or
+  a unitary coupler that meets a requested ratio;
 * exit 2 with ``error: <block.key>: ...`` on stderr, nothing on stdout and
   no ``--out`` directory; the message is the library's own, not a bare
   errno pair such as ``(34, 'Numerical result out of range')``.
@@ -52,7 +53,7 @@ def check_run(command, cfg, *flags):
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
             warnings.simplefilter("error")
-            rc = cli.main([command, "--config", path, "--out", out, *flags])
+            rc = cli.main([command, "--config", path, *([] if command == "coupler" else ["--out", out]), *flags])
         printed, err = stdout.getvalue().splitlines(), stderr.getvalue()
         if currently_in_test_context():     # --hypothesis-show-statistics
             event(f"exit {rc} {err.split(':')[1] if rc == 2 else ''}")
@@ -65,6 +66,9 @@ def check_run(command, cfg, *flags):
         assert err == ""
         if command == "verify":
             _check_verify(rc, printed, out)
+            return rc
+        if command == "coupler":
+            _check_coupler(rc, printed, cfg["coupler"])
             return rc
         assert rc == 0
         assert set(printed) == {os.path.join(out, name) for name in os.listdir(out)}
@@ -87,6 +91,15 @@ def _check_verify(rc, printed, out):
         for line in lines[:-2]:     # the probes, constants and deviation; not the two flags
             value = line.partition("=")[2]
             assert np.isfinite([float(v) for v in value.split(":")]).all(), (name, line)
+
+
+def _check_coupler(rc, printed, coupler):
+    # the last line prints (|a1|, |a2|)
+    assert rc == 0 and printed[-1].startswith("ellipticity (eta_x, eta_y) = ("), printed
+    a1, a2 = (float(v) for v in printed[-1].split(" = ")[1].strip("()").split(", "))
+    assert abs(a1 ** 2 + a2 ** 2 - 1.0) <= 1e-12, printed
+    if "ratio" in coupler:
+        assert a2 > 0 and abs(a1 / a2 / coupler["ratio"] - 1.0) <= 1e-9, printed
 
 
 # each range is drawn whole, and also near its usual values, so that many runs reach an answer;
@@ -222,3 +235,27 @@ def test_verify_sweep(state):
                                    _tied(0, 1.0, 1e-154)])
 def test_verify_reaches_a_verdict(state):
     assert check_run("verify", {"state": state}) in (0, 1)
+
+
+# any magnitude a double holds comfortably, either sign
+signed = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)).map(lambda p: p[0] * 10.0 ** p[1])
+
+
+@st.composite
+def couplers(draw):
+    if draw(st.booleans()):
+        return {"kind": "bs", "theta": draw(signed), "phi": draw(signed)}
+    coupler = {"kind": "dcdc", "g": draw(signed), "delta": draw(signed)}
+    coupler[draw(st.sampled_from(["t", "ratio"]))] = draw(signed)
+    return coupler
+
+
+@settings(SWEEP, max_examples=400)
+@given(coupler=couplers())
+# (ratio g)^2 overflowed, so t was 0 and the printed coupler had a2 = 0
+@example(coupler={"kind": "dcdc", "g": 1.0, "delta": 0.0, "ratio": 1e160})
+@example(coupler={"kind": "dcdc", "g": 1e200, "delta": 1e200, "ratio": 3.0})
+# cos near pi/2 cannot resolve the ratio; the coupler printed with it missed
+@example(coupler={"kind": "dcdc", "g": 1.0, "delta": 0.0, "ratio": 1e-12})
+def test_coupler_sweep(coupler):
+    check_run("coupler", {"coupler": coupler})
