@@ -28,13 +28,13 @@ _EXPORTS = {
     "coupling": ("ModeCoupler", "DcdcParams", "bs_coupler", "dcdc_coupler", "coupler_to_ellipticity",
                  "dcdc_time_for_ratio"),
     "special": ("alp_eval", "alp_coeffs", "gamma_half_integer"),
-    "state": ("DeevParams", "psi", "intensity_field", "circular_decomposition"),
+    "state": ("DeevParams", "psi", "intensity_field"),
     "wigner": ("ClosedForm", "CLOSED_FORMS", "standard_constant", "candidate_constant", "wigner4d",
                "wigner4d_candidate", "wigner_slice", "canonical_slice_grid", "sit", "sit_field",
                "count_strict_minima"),
-    "oracle": ("QuadratureSpec", "OracleConvergenceError", "WignerQuadResult", "oracle_wigner",
-               "oracle_wigner_full", "oracle_marginal_xy", "oracle_norm"),
-    "gridio": ("AxisSpec", "GridSpec", "Field2D", "sample_field", "write_csv", "read_csv", "write_pgm"),
+    "oracle": ("QuadratureSpec", "OracleConvergenceError", "oracle_wigner", "oracle_marginal_xy",
+               "oracle_norm"),
+    "gridio": ("AxisSpec", "GridSpec", "Field2D", "sample_field", "write_csv", "write_pgm"),
     "verify": ("SuiteResult", "VerifyOutcome", "CalibrationResult", "Verdict", "DiscrepancyReport",
                "run_verify", "adjudicate", "calibrate_constant_detailed", "write_report"),
 }

@@ -62,10 +62,14 @@ def dcdc_coupler(p):
     """Coupler after evolving a :class:`DcdcParams` drive for time t.
 
     a1 = cos(Omega t) - i (delta/Omega) sin(Omega t),
-    a2 = i (g/Omega) sin(Omega t), Omega = sqrt(delta^2 + g^2).
+    a2 = i (g/Omega) sin(Omega t), Omega = sqrt(delta^2 + g^2). Raises
+    ValueError when Omega t leaves the double range.
     """
     w = p.omega
-    s, c = math.sin(w * p.t), math.cos(w * p.t)
+    wt = w * p.t
+    if not math.isfinite(wt):
+        raise ValueError(f"Omega t overflows double precision at t = {p.t!r} (Omega = {w!r})")
+    s, c = math.sin(wt), math.cos(wt)
     return ModeCoupler(a1=complex(c, -p.delta / w * s), a2=complex(0.0, p.g / w * s))
 
 

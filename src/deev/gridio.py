@@ -132,11 +132,6 @@ def _axis_token(a):
     return f"{a.label}:{_fmt(a.lo)}:{_fmt(a.hi)}:{a.count}"
 
 
-def _parse_axis_token(tok):
-    label, lo, hi, count = tok.split(":")
-    return AxisSpec(label=label, lo=float(lo), hi=float(hi), count=int(count))
-
-
 # Exact block formatting of "%.17g" for write_csv (see _format_block).
 _BLOCK_VALUES = 4096            # values per numpy block: bounds write_csv's working memory
 _E_LO, _E_HI = -280, 280        # decimal exponents of the fast path: no split or power overflows
@@ -297,25 +292,6 @@ def write_csv(field, destination):
     _atomic_write(destination, rows())
 
 
-def read_csv(source):
-    """Read a field written by :func:`write_csv` (bit-exact round trip)."""
-    with open(source, "rb") as fh:
-        first = fh.readline().decode("ascii").rstrip("\n")
-        if not first.startswith("# "):
-            raise ValueError(f"{source}: missing metadata line")
-        meta = {}
-        for pair in first[2:].split(" "):
-            k, _, val = pair.partition("=")
-            meta[k] = val
-        spec = GridSpec(axis1=_parse_axis_token(meta.pop("axis1")), axis2=_parse_axis_token(meta.pop("axis2")))
-        fh.readline()
-        # numpy's reader streams the file and parses each token like float()
-        vals = np.loadtxt(fh, dtype=np.float64, delimiter=",", usecols=2, comments=None, ndmin=1)
-    if vals.size != spec.axis1.count * spec.axis2.count:
-        raise ValueError(f"{source}: expected {spec.axis1.count * spec.axis2.count} rows, got {vals.size}")
-    return Field2D(spec=spec, values=vals.reshape(spec.shape), metadata=meta)
-
-
 def write_pgm(field, destination, clamp="auto"):
     """Render a field as a binary 16-bit portable graymap.
 
@@ -340,12 +316,17 @@ def write_pgm(field, destination, clamp="auto"):
             raise ValueError(f"clamp must be a number with 0 < clamp < inf, got {clamp}")
         vmin, vmax = -clamp, clamp
     span = vmax - vmin
+    # a span past the double range is inf, which would map every finite value to 0: map with halves
+    halve = not math.isfinite(span)
 
     def levels(b):
         if span <= 0:
             return np.full(b.shape, 32768, dtype=">u2")
         with np.errstate(over="ignore"):    # dividing by a subnormal span overflows; +-inf clips to the end levels
-            scaled = (b - vmin) / span * 65535.0
+            if halve:
+                scaled = (b / 2 - vmin / 2) / (vmax / 2 - vmin / 2) * 65535.0
+            else:
+                scaled = (b - vmin) / span * 65535.0
         scaled = np.where(np.isnan(b), 32768.0, scaled)
         return np.clip(np.rint(scaled), 0, 65535).astype(">u2")
 

@@ -18,14 +18,15 @@ degree 2m times a plane wave or a sinc kernel), so a tensor Gauss-Hermite
 rule in t, w integrates it over the whole plane, with no truncation box.
 Each evaluation computes the n-node and the 2n-node results and reports
 their difference as the error bound; n doubles until the bound meets
-max(abs_tol, rel_tol * |value|), or the per-axis node budget of 360 is
-spent; a rule whose value is not finite (the integrand overflows at extreme
-widths) raises OverflowError at once. The starting n grows with m and with
+max(abs_tol, rel_tol * |value|), or the per-axis node budget of 370
+(numpy's largest rule, ``state._MAX_RULE_NODES``) is spent; a rule whose
+value is not finite (the integrand overflows at extreme widths) raises
+OverflowError at once. The starting n grows with m and with
 the kernel's frequency: max(|P|, |Q|) for the plane wave, and 12 for the
 marginal's Dirichlet kernels, so its start stays m + 64.
 
 The transform of a pure state is real; the imaginary part of the computed
-integral is kept as a convergence diagnostic and must stay below 10 * abs_tol.
+integral must stay below 10 * abs_tol, or OracleConvergenceError is raised.
 
 Which points are compared, against what, and how closely they must agree
 is decided in ``deev.verify``.
@@ -38,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _EXPORTS
-from .state import psi
+from .state import _MAX_RULE_NODES, psi
 
 __all__ = list(_EXPORTS["oracle"])
 
@@ -67,10 +68,6 @@ class OracleConvergenceError(RuntimeError):
         self.error_bound = error_bound
 
 
-# per-axis node budget: numpy's hermgauss returns nan weights above 371 nodes
-_MAX_NODES = 360
-
-
 @lru_cache(maxsize=None)
 def _rule(n):
     """n-node Gauss-Hermite nodes s and weights w e^{s^2} (the envelope removed)."""
@@ -85,7 +82,7 @@ def _self_checked(integral, n, q, m):
     """Evaluate ``integral(n)`` and ``integral(2n)``, doubling n until they agree.
 
     Returns the 2n-node value and |I_n - I_2n|. No rule uses more than
-    ``_MAX_NODES`` nodes per axis; when that budget is spent,
+    ``_MAX_RULE_NODES`` nodes per axis; when that budget is spent,
     :class:`OracleConvergenceError` carries the best value and its bound.
     A rule whose value is not finite raises OverflowError naming the state's m.
     """
@@ -96,25 +93,18 @@ def _self_checked(integral, n, q, m):
             raise OverflowError(f"the oracle's integrand at m={m} overflows double precision")
         return value
 
-    n = min(n, _MAX_NODES // 2)
+    n = min(n, _MAX_RULE_NODES // 2)
     coarse = checked(n)
     while True:
         fine = checked(2 * n)
         err = abs(fine - coarse)
         if err <= max(q.abs_tol, q.rel_tol * abs(fine)):
             return fine, err
-        if 4 * n > _MAX_NODES:
+        if 4 * n > _MAX_RULE_NODES:
             raise OracleConvergenceError(
-                f"Gauss-Hermite rule did not converge within {_MAX_NODES} nodes per axis",
+                f"Gauss-Hermite rule did not converge within {_MAX_RULE_NODES} nodes per axis",
                 fine, err)
         n, coarse = 2 * n, fine
-
-
-@dataclass(frozen=True)
-class WignerQuadResult:
-    value: float
-    imag_residue: float
-    error_bound: float
 
 
 def _transform_integral(params, kernel_t, kernel_w, x, y, n, q):
@@ -135,22 +125,18 @@ def _transform_integral(params, kernel_t, kernel_w, x, y, n, q):
     return _self_checked(integral, n, q, params.m)
 
 
-def oracle_wigner_full(params, x, y, px, py, q=QuadratureSpec()):
-    """Numerical Wigner transform with diagnostics."""
+def oracle_wigner(params, x, y, px, py, q=QuadratureSpec()):
+    """Numerical Wigner transform at a phase-space point (real value).
+
+    Raises OracleConvergenceError when the imaginary part exceeds 10 * abs_tol.
+    """
     P, Q = params.sigma_x * (px - params.px0), params.sigma_y * (py - params.py0)
-    val, err = _transform_integral(
+    val, _ = _transform_integral(
         params, lambda t: np.exp(2j * P * t), lambda w: np.exp(2j * Q * w),
         x, y, n=params.m + 16 + 2 * math.ceil(2.0 * max(abs(P), abs(Q))), q=q)
-    res = WignerQuadResult(value=val.real, imag_residue=abs(val.imag), error_bound=err)
-    if res.imag_residue > 10.0 * q.abs_tol:
-        raise OracleConvergenceError("imaginary residue exceeds the realness bound",
-                                     res.value, res.imag_residue)
-    return res
-
-
-def oracle_wigner(params, x, y, px, py, q=QuadratureSpec()):
-    """Numerical Wigner transform at a phase-space point (real value)."""
-    return oracle_wigner_full(params, x, y, px, py, q).value
+    if abs(val.imag) > 10.0 * q.abs_tol:
+        raise OracleConvergenceError("imaginary residue exceeds the realness bound", val.real, abs(val.imag))
+    return val.real
 
 
 def oracle_marginal_xy(params, x, y, q=QuadratureSpec()):

@@ -25,7 +25,8 @@ from .gridio import _fmt, sample_field
 __all__ = list(_EXPORTS["state"])
 
 SQRT2 = math.sqrt(2.0)
-# numpy builds Gauss-Hermite rules up to 370 nodes; it warns at 371 and gives NaN weights beyond
+# numpy builds Gauss-Hermite rules up to 370 nodes; it warns at 371 and gives NaN weights beyond.
+# The normalization and the oracle's per-axis budget both stop here.
 _MAX_RULE_NODES = 370
 
 
@@ -175,20 +176,6 @@ def intensity_field(params, grid, threads=None):
         return v
 
     return sample_field(fn, grid, threads=threads, metadata=meta)
-
-
-def circular_decomposition(params):
-    """Expand the elliptical vortex factor over circular vortices 0..m.
-
-    Returns the m + 1 complex coefficients c_k of
-    ``[eta_x x + i s eta_y y]^m = sum_k c_k u^k v^(m-k)`` with u = x + iy,
-    v = x - iy. The circular limit eta_x = eta_y keeps only k = m (for
-    s = +1) or k = 0 (for s = -1).
-    """
-    m = params.m
-    plus = 0.5 * (params.eta_x + params.sign * params.eta_y)
-    minus = 0.5 * (params.eta_x - params.sign * params.eta_y)
-    return tuple(complex(math.comb(m, k) * plus ** k * minus ** (m - k)) for k in range(m + 1))
 
 
 def _param_metadata(params):

@@ -46,11 +46,10 @@ import numpy as np
 from . import _EXPORTS, FORMS, PLANES, SIT_FORMS
 from .gridio import AxisSpec, GridSpec, _fmt, sample_field
 from .special import alp_coeffs, alp_eval, gamma_half_integer
-from .state import _param_metadata
+from .state import SQRT2, _param_metadata
 
 __all__ = list(_EXPORTS["wigner"])
 
-SQRT2 = math.sqrt(2.0)
 STANDARD, CANDIDATE = FORMS
 
 

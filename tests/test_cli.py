@@ -16,7 +16,8 @@ from deev.cli import main
 from deev.state import DeevParams
 from deev.verify import run_verify
 from deev.wigner import CLOSED_FORMS
-from deev.gridio import read_csv
+
+from csvio import read_csv
 
 
 def write_config(tmp_path, name, cfg):
@@ -195,7 +196,7 @@ def test_verify_m0_circular_exits_0(tmp_path, capsys):
 
 
 def test_verify_starved_node_budget_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "_MAX_NODES", 8)
+    monkeypatch.setattr(oracle, "_MAX_RULE_NODES", 8)
     cfg = write_config(tmp_path, "v.json", {"state": small_state(3)})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
     assert "oracle: Gauss-Hermite rule did not converge" in capsys.readouterr().err
@@ -614,7 +615,7 @@ def test_failed_run_leaves_an_existing_directory_as_it_was(tmp_path, capsys, mon
         argv = ["wigner", "--config", cfg, "--plane", "all", "--form", "candidate"]
         key = "state.m"
     else:
-        monkeypatch.setattr(oracle, "_MAX_NODES", 8)
+        monkeypatch.setattr(oracle, "_MAX_RULE_NODES", 8)
         argv = ["verify", "--config", write_config(tmp_path, "c.json", {"state": small_state(3)})]
         key = "oracle"
     assert main(argv + ["--out", str(out)]) == 2

@@ -69,6 +69,12 @@ def test_dcdc_rejects_bad_params():
         DcdcParams(g=1.0, delta=0.0, t=-0.1)
 
 
+def test_dcdc_rejects_overflowing_omega_t():
+    # math.sin(inf) raised the bare "math domain error"
+    with pytest.raises(ValueError, match=r"^Omega t overflows double precision at t = 1e\+300"):
+        dcdc_coupler(DcdcParams(g=1e300, delta=0.0, t=1e300))
+
+
 def test_coupler_requires_unitarity():
     with pytest.raises(ValueError):
         ModeCoupler(a1=0.9, a2=0.9j)

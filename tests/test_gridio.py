@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from deev import gridio
-from deev.gridio import AxisSpec, Field2D, GridSpec, read_csv, sample_field, write_csv, write_pgm
+from deev.gridio import AxisSpec, Field2D, GridSpec, sample_field, write_csv, write_pgm
 from deev.state import DeevParams, intensity_field, psi
 from deev.verify import CalibrationResult, DiscrepancyReport, Verdict, write_report
 from deev.wigner import CLOSED_FORMS, FORMS, PLANES, sit, sit_field, wigner_slice
+
+from csvio import read_csv
 
 
 def grid(c1=4, c2=3):
@@ -119,6 +121,21 @@ def test_pgm_mapping_and_clipping(tmp_path, clamp, header):
     assert levels[1, 2] == 0          # at -clamp
     with pytest.raises(ValueError):
         write_pgm(f, str(path), clamp=-1.0)
+
+
+def _pgm_levels(path):
+    return np.frombuffer(path.read_bytes().rsplit(b"65535\n", 1)[1], dtype=">u2")
+
+
+def test_pgm_maps_a_span_past_the_double_range(tmp_path):
+    # vmax - vmin overflowed to inf, and every finite value mapped to level 0
+    f = intensity_field(DeevParams.tied(1, 1.0, 1.0), grid(5, 5))
+    path = tmp_path / "f.pgm"
+    write_pgm(f, str(path), clamp=1e308)
+    assert (_pgm_levels(path) >= 32768).all()
+    g2 = GridSpec(axis1=AxisSpec("x", 0.0, 1.0, 2), axis2=AxisSpec("y", 0.0, 1.0, 3))
+    write_pgm(Field2D(spec=g2, values=np.array([[-1e308, 0.0, 1e308], [0.0, 0.0, 0.0]])), str(path))
+    assert _pgm_levels(path)[:3].tolist() == [0, 32768, 65535]
 
 
 def test_pgm_rejects_infinite_clamp(tmp_path):

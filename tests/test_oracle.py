@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from deev import oracle
-from deev.oracle import (OracleConvergenceError, QuadratureSpec, oracle_marginal_xy, oracle_norm,
-                         oracle_wigner, oracle_wigner_full)
+from deev.oracle import OracleConvergenceError, QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from deev.state import DeevParams, psi
 from deev.verify import Verdict, adjudicate, calibrate_constant_detailed
 from deev.wigner import standard_constant, wigner4d
@@ -33,12 +32,19 @@ def test_vortex_core_is_negative_for_m1():
 
 
 def test_imaginary_residue_small():
+    # oracle_wigner raises when the imaginary part exceeds 10 * abs_tol = 1e-11
     p = DeevParams.tied(2, 2.0, 0.7, x0=1.0, py0=0.4)
     rng = np.random.default_rng(5)
     for _ in range(3):
         a, b, pp, qq = rng.uniform(-1.5, 1.5, 4)
-        res = oracle_wigner_full(p, 1.0 + 2 * a, 0.7 * b, pp / 2, 0.4 + qq / 0.7, Q)
-        assert res.imag_residue <= 1e-8
+        assert math.isfinite(oracle_wigner(p, 1.0 + 2 * a, 0.7 * b, pp / 2, 0.4 + qq / 0.7, Q))
+
+
+def test_imaginary_residue_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "_transform_integral", lambda *args, **kwargs: (0.1 + 1e-6j, 0.0))
+    with pytest.raises(OracleConvergenceError, match="imaginary residue") as err:
+        oracle_wigner(DeevParams.tied(1, 1.0, 1.0), 0.0, 0.0, 0.0, 0.0, Q)
+    assert err.value.best_estimate == 0.1 and err.value.error_bound == 1e-6
 
 
 def test_matches_closed_form_at_random_points():
@@ -161,14 +167,14 @@ def test_shape_mismatch_report_holds_the_oracle_values():
 def test_halving_self_consistency():
     p = DeevParams.tied(2, 5.0, 3.0)
     pt = (3.0, -1.5, 0.2, 0.1)
-    r1 = oracle_wigner_full(p, *pt, q=Q)
-    r2 = oracle_wigner_full(p, *pt, q=Q.halved())
-    assert abs(r1.value - r2.value) <= max(r1.error_bound, 1e-12)
+    r1 = oracle_wigner(p, *pt, q=Q)
+    r2 = oracle_wigner(p, *pt, q=Q.halved())
+    assert abs(r1 - r2) <= 1e-12
 
 
 def test_convergence_failure_reports_estimate(monkeypatch):
     p = DeevParams.tied(3, 5.0, 3.0)
-    monkeypatch.setattr(oracle, "_MAX_NODES", 4)
+    monkeypatch.setattr(oracle, "_MAX_RULE_NODES", 4)
     starved = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
     with pytest.raises(OracleConvergenceError) as err:
         oracle_wigner(p, 1.0, 1.0, 0.1, -0.1, starved)

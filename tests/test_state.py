@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import dblquad
 
 from deev.gridio import AxisSpec, GridSpec
-from deev.state import DeevParams, circular_decomposition, intensity_field, psi
+from deev.state import DeevParams, intensity_field, psi
 
 
 def norm_quadrature(params):
@@ -127,37 +127,6 @@ def test_intensity_sigma_swap_transposes():
     swapped_grid = GridSpec(axis1=AxisSpec("x", -11.0, 19.0, 201), axis2=AxisSpec("y", -15.0, 19.0, 201))
     fs = intensity_field(p.swapped(), swapped_grid)
     assert np.max(np.abs(fs.values - f.values.T)) <= 1e-10
-
-
-def test_decomposition_circular_limit():
-    p = DeevParams.from_sigmas(4, 1.0, 1.0, eta_x=0.6, eta_y=0.6)
-    d = circular_decomposition(p)
-    assert len(d) == 5
-    for k, c in enumerate(d[:-1]):
-        assert abs(c) == 0.0
-    assert d[-1] == pytest.approx(0.6 ** 4)
-    # opposite orientation concentrates on k = 0
-    dm = circular_decomposition(DeevParams.from_sigmas(4, 1.0, 1.0, eta_x=0.6, eta_y=0.6, sign=-1))
-    assert abs(dm[0]) > 0
-    assert all(abs(c) == 0.0 for c in dm[1:])
-
-
-def test_decomposition_degenerate_example():
-    d = circular_decomposition(DeevParams.from_sigmas(1, 1.0, 1.0, eta_x=1.0, eta_y=0.0))
-    assert d == (0.5 + 0j, 0.5 + 0j)
-
-
-@pytest.mark.parametrize("sign", [+1, -1])
-def test_decomposition_resummation(sign):
-    p = DeevParams.tied(3, 5.0, 3.0, sign=sign)
-    d = circular_decomposition(p)
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        x, y = rng.uniform(-6, 6, 2)
-        direct = (p.eta_x * x + 1j * sign * p.eta_y * y) ** 3
-        u = complex(x, y)
-        resummed = sum(c * u ** k * u.conjugate() ** (3 - k) for k, c in enumerate(d))
-        assert resummed == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
 def test_normalization_wide_parameter_range():

@@ -9,7 +9,8 @@ one of two ways:
   a unitary coupler that meets a requested ratio;
 * exit 2 with ``error: <block.key>: ...`` on stderr, nothing on stdout and
   no ``--out`` directory; the message is the library's own, not a bare
-  errno pair such as ``(34, 'Numerical result out of range')``.
+  errno pair such as ``(34, 'Numerical result out of range')`` or the math
+  module's ``math domain error``.
 
 A traceback or a numpy warning fails the test, and so does exit 1, except
 for ``verify``'s documented minima-count failure. The pinned examples are
@@ -30,13 +31,15 @@ from hypothesis import HealthCheck, currently_in_test_context, event, example, g
 from hypothesis import strategies as st
 
 from deev import cli
-from deev.gridio import read_csv
 from deev.wigner import PLANES
+
+from csvio import read_csv
 
 SWEEP = settings(derandomize=True, deadline=None, database=None,
                  suppress_health_check=[HealthCheck.too_slow])
 _KEY = re.compile(r"error: (--clamp|[a-z_]+)([.][a-z_0-9]+)*(/[a-z_.0-9]+)?: \S")
-_ERRNO = re.compile(r": \(\d+, '")
+# errno pairs and the math module's messages name no cause
+_BARE = re.compile(r": \(\d+, '|math (domain|range) error")
 # the blocks a config names, and the oracle's convergence failure
 _ROOTS = set(cli._SCHEMA) | {"--clamp", "oracle"}
 _REPORTS = ("discrepancy_standard.txt", "discrepancy_candidate.txt")
@@ -60,7 +63,7 @@ def check_run(command, cfg, *flags):
         if rc == 2:
             named = _KEY.match(err)
             assert named and named.group(1) in _ROOTS, err
-            assert not _ERRNO.search(err), err
+            assert not _BARE.search(err), err
             assert printed == [] and not os.path.exists(out), (err, printed)
             return rc
         assert err == ""
@@ -257,5 +260,7 @@ def couplers(draw):
 @example(coupler={"kind": "dcdc", "g": 1e200, "delta": 1e200, "ratio": 3.0})
 # cos near pi/2 cannot resolve the ratio; the coupler printed with it missed
 @example(coupler={"kind": "dcdc", "g": 1.0, "delta": 0.0, "ratio": 1e-12})
+# Omega t overflows, and math.sin(inf) raised the bare "math domain error"
+@example(coupler={"kind": "dcdc", "g": 1e300, "delta": 0.0, "t": 1e300})
 def test_coupler_sweep(coupler):
     check_run("coupler", {"coupler": coupler})
