@@ -216,9 +216,8 @@ def cmd_field(cfg, args):
     grid = _grid(cfg)
     if grid is None:
         with _names(_COLLAPSED):
-            grid = GridSpec(
-                axis1=AxisSpec("x", params.x0 - 3.4 * params.sigma_x, params.x0 + 3.4 * params.sigma_x, 201),
-                axis2=AxisSpec("y", params.y0 - 3.4 * params.sigma_y, params.y0 + 3.4 * params.sigma_y, 201))
+            lo, hi = params.phase_point(-3.4, -3.4, 0.0, 0.0), params.phase_point(3.4, 3.4, 0.0, 0.0)
+            grid = GridSpec(axis1=AxisSpec("x", lo[0], hi[0], 201), axis2=AxisSpec("y", lo[1], hi[1], 201))
     # the grid's config error is not an OverflowError, so the outer name passes it through
     with _names("state.m", OverflowError), _names("grid"):
         field = intensity_field(params, grid, threads=args.threads)

@@ -5,13 +5,14 @@ This module only measures: it integrates ``psi``,
     W(x, y, px, py) = (1/pi^2) integral psi*(x+u, y+v) psi(x-u, y-v)
                       exp(2i (px u + py v)) du dv,
 
-in the state's own frame. The transform is covariant under translation, so
-it integrates the undisplaced state (``DeevParams.centered``) at the point's
-offset from the center, in t = u/sigma_x, w = v/sigma_y: the kernels are
-exp(2iPt), exp(2iQw) with P = sigma_x (px - px0), Q = sigma_y (py - py0),
-and sigma_x sigma_y brings the integrand to O(1) whatever the widths and the
-displacement. The displacement of psi is checked by the marginal suite (raw
-|psi|^2), its plane wave (which cancels there) only by tests/test_state.py.
+in the state's own frame: at the scaled offsets (A, B, P, Q) =
+``params.offsets(x, y, px, py)`` every integral evaluates
+``psi(params.scaled, A + t, B + w)`` in t = u/sigma_x, w = v/sigma_y, with
+kernels exp(2iPt), exp(2iQw). Each factor is O(1) whatever the widths and the
+displacement, and no width enters a value; the momentum marginal comes out in
+the same units, sigma_x sigma_y |psi(x, y)|^2. The marginal suite checks raw
+psi's displacement and normalization, tests/test_state.py its plane wave
+(which cancels there).
 
 Every integrand is exp(-t^2 - w^2) times an entire function (a polynomial of
 degree 2m times a plane wave or a sinc kernel), so a tensor Gauss-Hermite
@@ -20,7 +21,7 @@ Each evaluation computes the n-node and the 2n-node results and reports
 their difference as the error bound; n doubles until the bound meets
 max(abs_tol, rel_tol * |value|), or the per-axis node budget of 370
 (numpy's largest rule, ``state._MAX_RULE_NODES``) is spent; a rule whose
-value is not finite (the integrand overflows at extreme widths) raises
+value is not finite (the integrand leaves the double range) raises
 OverflowError at once. The starting n grows with m and with
 the kernel's frequency: max(|P|, |Q|) for the plane wave, and 12 for the
 marginal's Dirichlet kernels, so its start stays m + 64.
@@ -107,20 +108,17 @@ def _self_checked(integral, n, q, m):
         n, coarse = 2 * n, fine
 
 
-def _transform_integral(params, kernel_t, kernel_w, x, y, n, q):
-    """(sigma_x sigma_y/pi^2) integral of c*(X+u, Y+v) c(X-u, Y-v) K(t) K(w) dt dw, from n nodes per axis.
+def _transform_integral(params, kernel_t, kernel_w, a0, b0, n, q):
+    """(1/pi^2) integral of c*(A+t, B+w) c(A-t, B-w) K(t) K(w) dt dw, from n nodes per axis.
 
-    c is the centered state's ``psi``, (X, Y) = (x - x0, y - y0), (u, v) = (sigma_x t, sigma_y w).
+    c is ``psi`` of ``params.scaled`` and (A, B) = (a0, b0) the point's scaled position offsets.
     """
-    sx, sy = params.sigma_x, params.sigma_y
-    dx, dy = x - params.x0, y - params.y0
-
     def integral(k):
         s, w = _rule(k)     # the nodes s serve as both t and w
-        a = psi(params.centered, dx + sx * s[:, None], dy + sy * s[None, :])
-        # the nodes are symmetric, so c(X - u, Y - v) is `a` reversed on both axes
+        a = psi(params.scaled, a0 + s[:, None], b0 + s[None, :])
+        # the nodes are symmetric, so c(A - t, B - w) is `a` reversed on both axes
         f = np.conj(a) * a[::-1, ::-1]
-        return sx * sy * ((w * kernel_t(s)) @ f @ (w * kernel_w(s))) / math.pi ** 2
+        return ((w * kernel_t(s)) @ f @ (w * kernel_w(s))) / math.pi ** 2
 
     return _self_checked(integral, n, q, params.m)
 
@@ -130,44 +128,43 @@ def oracle_wigner(params, x, y, px, py, q=QuadratureSpec()):
 
     Raises OracleConvergenceError when the imaginary part exceeds 10 * abs_tol.
     """
-    P, Q = params.sigma_x * (px - params.px0), params.sigma_y * (py - params.py0)
+    A, B, P, Q = params.offsets(x, y, px, py)
     val, _ = _transform_integral(
         params, lambda t: np.exp(2j * P * t), lambda w: np.exp(2j * Q * w),
-        x, y, n=params.m + 16 + 2 * math.ceil(2.0 * max(abs(P), abs(Q))), q=q)
+        A, B, n=params.m + 16 + 2 * math.ceil(2.0 * max(abs(P), abs(Q))), q=q)
     if abs(val.imag) > 10.0 * q.abs_tol:
         raise OracleConvergenceError("imaginary residue exceeds the realness bound", val.real, abs(val.imag))
     return val.real
 
 
 def oracle_marginal_xy(params, x, y, q=QuadratureSpec()):
-    """Momentum marginal of the Wigner transform at (x, y).
+    """Momentum marginal of the Wigner transform at (x, y), in the state's units.
 
     Integrates W over the momentum box |P|, |Q| <= 6 analytically (Dirichlet
-    kernels), then numerically over (t, w) at reduced tolerance, and divides
-    by sigma_x sigma_y. The analytic identity makes it equal |psi(x, y)|^2 up
-    to the box's Gaussian tails; the verify marginal suite judges the agreement.
+    kernels), then numerically over (t, w) at reduced tolerance. The analytic
+    identity makes it equal sigma_x sigma_y |psi(x, y)|^2 up to the box's
+    Gaussian tails; the verify marginal suite judges the agreement.
     """
     def dirichlet(t):       # the integral of exp(2iPt) over |P| <= 6
         return 12.0 * np.sinc(12.0 * t / np.pi)
 
-    val, _ = _transform_integral(params, dirichlet, dirichlet, x, y, n=params.m + 64,
+    A, B, _, _ = params.offsets(x, y, params.px0, params.py0)
+    val, _ = _transform_integral(params, dirichlet, dirichlet, A, B, n=params.m + 64,
                                  q=replace(q, abs_tol=max(q.abs_tol * 1e3, 1e-10)))
-    return val.real / (params.sigma_x * params.sigma_y)
+    return val.real
 
 
 def oracle_norm(params, q=QuadratureSpec()):
-    """Gauss-Hermite quadrature of |psi|^2 over the plane.
+    """Gauss-Hermite quadrature of |psi|^2 over the plane, in the state's own frame.
 
     Starts from m + 8 nodes per axis, not the m + 2 of
     ``DeevParams.norm_constant``, so the check does not repeat the state's
     own rule.
     """
-    sx, sy = params.sigma_x, params.sigma_y
-
     def integral(k):
         s, w = _rule(k)
-        p = psi(params.centered, sx * s[:, None], sy * s[None, :])
-        return sx * sy * (w @ (p.real ** 2 + p.imag ** 2) @ w)
+        p = psi(params.scaled, s[:, None], s[None, :])
+        return w @ (p.real ** 2 + p.imag ** 2) @ w
 
     val, _ = _self_checked(integral, params.m + 8, q, params.m)
     return float(val)

@@ -11,6 +11,12 @@ with sigma_i = exp(2 zeta_i). The plane-wave factor realises the momentum
 displacement; it drops out of every |psi|^2 quantity. The normalization
 constant is computed by Gauss-Hermite quadrature at construction (exact for
 the polynomial-times-Gaussian integrand), never transcribed.
+
+The state's own frame is defined here alone: ``DeevParams.offsets`` maps a
+point to its scaled offsets A = (x - x0)/sigma_x, B = (y - y0)/sigma_y,
+P = sigma_x (px - px0), Q = sigma_y (py - py0), ``phase_point`` maps them
+back, and ``DeevParams.scaled`` is the state in that frame, whose psi is
+sqrt(sigma_x sigma_y) psi in modulus, O(1) whatever the widths.
 """
 
 import math
@@ -101,6 +107,12 @@ class DeevParams:
         return (self.x0 + a * self.sigma_x, self.y0 + b * self.sigma_y,
                 self.px0 + p / self.sigma_x, self.py0 + q / self.sigma_y)
 
+    def offsets(self, x, y, px, py):
+        """Scaled offsets (A, B, P, Q) of a phase-space point, the inverse of :meth:`phase_point`;
+        scalar or array arguments."""
+        return ((x - self.x0) / self.sigma_x, (y - self.y0) / self.sigma_y,
+                self.sigma_x * (px - self.px0), self.sigma_y * (py - self.py0))
+
     def swapped(self):
         """Parameters with the two modes exchanged (x <-> y throughout)."""
         return replace(self, eta_x=self.eta_y, eta_y=self.eta_x,
@@ -108,9 +120,10 @@ class DeevParams:
                        x0=self.y0, y0=self.x0, px0=self.py0, py0=self.px0)
 
     @cached_property
-    def centered(self):
-        """The undisplaced state: these parameters with x0 = y0 = px0 = py0 = 0 (built once)."""
-        return replace(self, x0=0.0, y0=0.0, px0=0.0, py0=0.0)
+    def scaled(self):
+        """The state in its own frame: unit widths, no displacement, weights eta_i sigma_i (built once)."""
+        return replace(self, eta_x=self.eta_x * self.sigma_x, eta_y=self.eta_y * self.sigma_y,
+                       zeta_x=0.0, zeta_y=0.0, x0=0.0, y0=0.0, px0=0.0, py0=0.0)
 
     @cached_property
     def norm_constant(self):

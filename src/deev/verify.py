@@ -211,11 +211,10 @@ def _marginal_suite(params, q, n_points, rng):
     worst = 0.0
     for _ in range(n_points):
         a, b = rng.uniform(-1.5, 1.5, 2)
-        x = params.x0 + a * params.sigma_x
-        y = params.y0 + b * params.sigma_y
-        quad = oracle_marginal_xy(params, x, y, q)
-        # |psi|^2 scales as 1/(sigma_x sigma_y), so the tolerance applies to the scaled deviation
-        worst = max(worst, params.sigma_x * params.sigma_y * abs(quad - abs(psi(params, x, y)) ** 2))
+        x, y, _, _ = params.phase_point(a, b, 0.0, 0.0)
+        # the marginal is in the state's units, sigma_x sigma_y |psi|^2, each factor O(1)
+        scaled_psi = math.sqrt(params.sigma_x) * math.sqrt(params.sigma_y) * abs(psi(params, x, y))
+        worst = max(worst, abs(oracle_marginal_xy(params, x, y, q) - scaled_psi ** 2))
     ok = worst <= 1e-5
     return SuiteResult("marginal", ok, f"max sigma_x sigma_y |marginal - |psi|^2| = {worst:.3e} "
                                        f"over {n_points} points (tol 1e-5)")
@@ -247,14 +246,12 @@ def _symmetry_suite(params, grid, threads=None):
                                  threads=threads)
     dev_swap = float(np.max(np.abs(swapped_field.values - base.values.T)))
 
-    # displacement covariance: shifted parameters evaluate the centered form
+    # displacement covariance: the state in its own frame, at the point's offsets
     rng = np.random.default_rng(7)
     dev_disp = 0.0
     for _ in range(50):
-        a, b, p, qq = rng.uniform(-2.0, 2.0, 4)
-        pt = params.phase_point(a, b, p, qq)
-        shifted = (pt[0] - params.x0, pt[1] - params.y0, pt[2] - params.px0, pt[3] - params.py0)
-        dev_disp = max(dev_disp, abs(wigner4d(params, *pt) - wigner4d(params.centered, *shifted)))
+        pt = params.phase_point(*rng.uniform(-2.0, 2.0, 4))
+        dev_disp = max(dev_disp, abs(wigner4d(params, *pt) - wigner4d(params.scaled, *params.offsets(*pt))))
     ok = dev_swap <= 1e-10 and dev_disp <= 1e-12
     return SuiteResult("symmetry", ok,
                        f"swap-transpose dev = {dev_swap:.3e} (tol 1e-10), "

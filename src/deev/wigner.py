@@ -94,14 +94,7 @@ def wigner4d(params, x, y, px, py, constant=None):
         constant = standard_constant(params.m)
     # set here, not by a caller: worker threads do not inherit errstate
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        px = np.asarray(px, dtype=float)
-        py = np.asarray(py, dtype=float)
-        a = (x - params.x0) / params.sigma_x
-        b = (y - params.y0) / params.sigma_y
-        p = params.sigma_x * (px - params.px0)
-        q = params.sigma_y * (py - params.py0)
+        a, b, p, q = params.offsets(*(np.asarray(v, dtype=float) for v in (x, y, px, py)))
         s = params.sign
         arg = (a + s * q) ** 2 + (b - s * p) ** 2
         out = constant * np.exp(-(a * a + b * b + p * p + q * q)) * alp_eval(params.m, 0.0, arg)
@@ -160,6 +153,7 @@ def _closed_form(name):
 
 
 _PLANE_OF = {labels: name for name, labels in PLANES.items()}
+_LABELS = ("x", "y", "px", "py")    # the coordinates of a phase-space point, in order
 
 
 def canonical_slice_grid(params, plane, count=301):
@@ -169,16 +163,10 @@ def canonical_slice_grid(params, plane, count=301):
     Position half-widths are 3 sigma; momentum half-widths 3 sqrt(2)/sigma,
     wide enough for the slow momentum decay of the candidate form.
     """
-    half = {
-        "x": (params.x0, 3.0 * params.sigma_x),
-        "y": (params.y0, 3.0 * params.sigma_y),
-        "px": (params.px0, 3.0 * SQRT2 / params.sigma_x),
-        "py": (params.py0, 3.0 * SQRT2 / params.sigma_y),
-    }
-    axes = []
-    for label in PLANES[plane]:
-        c, h = half[label]
-        axes.append(AxisSpec(label=label, lo=c - h, hi=c + h, count=count))
+    k = 3.0 * SQRT2
+    lo = dict(zip(_LABELS, params.phase_point(-3.0, -3.0, -k, -k)))
+    hi = dict(zip(_LABELS, params.phase_point(3.0, 3.0, k, k)))
+    axes = [AxisSpec(label=label, lo=lo[label], hi=hi[label], count=count) for label in PLANES[plane]]
     return GridSpec(axis1=axes[0], axis2=axes[1])
 
 

@@ -99,7 +99,7 @@ def test_criterion_4_marginals():
     for _ in range(50):
         x = 5.0 * rng.uniform(-1.5, 1.5)
         y = 3.0 * rng.uniform(-1.5, 1.5)
-        worst = max(worst, abs(oracle_marginal_xy(p, x, y, Q) - abs(psi(p, x, y)) ** 2))
+        worst = max(worst, abs(oracle_marginal_xy(p, x, y, Q) / (5.0 * 3.0) - abs(psi(p, x, y)) ** 2))
     ok = worst <= 1e-5
     report(4, ok, f"max |marginal - |psi|^2| = {worst:.2e} over 50 points (tol 1e-5)")
     assert worst <= 1e-5

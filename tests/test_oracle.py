@@ -64,9 +64,9 @@ def test_matches_closed_form_at_random_points():
 
 def test_marginal_vortex_core_and_peak():
     p = DeevParams.tied(2, 5.0, 3.0, x0=2.0, y0=4.0)
-    assert oracle_marginal_xy(p, 2.0, 4.0, Q) == pytest.approx(0.0, abs=1e-8)
+    assert oracle_marginal_xy(p, 2.0, 4.0, Q) / (5.0 * 3.0) == pytest.approx(0.0, abs=1e-8)
     p0 = DeevParams.tied(0, 5.0, 3.0)
-    got = oracle_marginal_xy(p0, 0.0, 0.0, Q)
+    got = oracle_marginal_xy(p0, 0.0, 0.0, Q) / (5.0 * 3.0)
     assert got == pytest.approx(abs(psi(p0, 0.0, 0.0)) ** 2, abs=1e-8)
 
 
@@ -75,7 +75,7 @@ def test_marginal_random_points_match_intensity():
     rng = np.random.default_rng(17)
     for _ in range(4):
         x, y = 5.0 * rng.uniform(-1.5, 1.5), 3.0 * rng.uniform(-1.5, 1.5)
-        assert oracle_marginal_xy(p, x, y, Q) == pytest.approx(abs(psi(p, x, y)) ** 2, abs=1e-5)
+        assert oracle_marginal_xy(p, x, y, Q) / (5.0 * 3.0) == pytest.approx(abs(psi(p, x, y)) ** 2, abs=1e-5)
 
 
 def test_marginal_starts_at_its_converging_rule(monkeypatch):
@@ -105,8 +105,29 @@ def test_displaced_states_in_width_units():
         pt = p.phase_point(*rng.normal(0.0, 1.5, 4))
         assert abs(wigner4d(p, *pt) - oracle_wigner(p, *pt, q=Q)) * math.pi ** 2 <= 1e-12, (p, pt)
         assert oracle_norm(p, Q) == pytest.approx(1.0, abs=1e-8), p
-        marginal = oracle_marginal_xy(p, *pt[:2], Q)
+        marginal = oracle_marginal_xy(p, *pt[:2], Q) / (sx * sy)
         assert sx * sy * abs(marginal - abs(psi(p, *pt[:2])) ** 2) <= 1e-5, (p, pt)
+
+
+def test_no_width_reaches_the_oracle():
+    # states with the same m, sign and eta_i sigma_i are one state in their own frame, whatever the
+    # widths and the displacement, so the oracle gives the same values at the same offsets
+    rng = np.random.default_rng(27)
+    for m, tied in [(0, True), (1, False), (3, True), (6, False)]:
+        hx, hy = (1.0 / math.sqrt(2.0),) * 2 if tied else rng.uniform(0.2, 2.0, 2)
+        sign = int(rng.choice([-1, 1]))
+        pair = []
+        for _ in range(2):
+            sx, sy = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            d = rng.uniform(-2.0, 2.0, 4)
+            pair.append(DeevParams.from_sigmas(m, sx, sy, eta_x=hx / sx, eta_y=hy / sy, sign=sign,
+                                               x0=d[0] * sx, y0=d[1] * sy, px0=d[2] / sx, py0=d[3] / sy))
+        p1, p2 = pair
+        assert abs(oracle_norm(p1, Q) - oracle_norm(p2, Q)) <= 1e-12, pair
+        for off in rng.uniform(-1.5, 1.5, (3, 4)):
+            pt1, pt2 = p1.phase_point(*off), p2.phase_point(*off)
+            assert abs(oracle_wigner(p1, *pt1, q=Q) - oracle_wigner(p2, *pt2, q=Q)) <= 1e-12, (pair, off)
+            assert abs(oracle_marginal_xy(p1, *pt1[:2], Q) - oracle_marginal_xy(p2, *pt2[:2], Q)) <= 1e-12, (pair, off)
 
 
 def test_norm_is_one():
@@ -196,5 +217,6 @@ def test_large_m_wigner_marginal_and_norm(m):
         checked += 1
     for a, b in rng.uniform(-1.5, 1.5, (4, 2)):
         x, y = p.x0 + a * p.sigma_x, p.y0 + b * p.sigma_y
-        assert oracle_marginal_xy(p, x, y, Q) == pytest.approx(abs(psi(p, x, y)) ** 2, abs=1e-5)
+        assert oracle_marginal_xy(p, x, y, Q) / (p.sigma_x * p.sigma_y) == pytest.approx(abs(psi(p, x, y)) ** 2,
+                                                                                       abs=1e-5)
     assert oracle_norm(p, Q) == pytest.approx(1.0, abs=1e-8)

@@ -147,3 +147,39 @@ def test_norm_constant_out_of_range_raises(m):
         p.norm_constant
     with pytest.raises(ValueError):
         psi(p, 1.0, 1.0)
+
+
+def _frame_draws(seed, n):
+    """Seeded states, tied and untied, displaced up to 2 widths, widths 10^U(-3, 3); with the displacement in widths."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        m = int(rng.integers(0, 21))
+        sx, sy = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        d = rng.uniform(-2.0, 2.0, 4)
+        kw = dict(sign=int(rng.choice([-1, 1])), x0=d[0] * sx, y0=d[1] * sy, px0=d[2] / sx, py0=d[3] / sy)
+        if i % 2:
+            yield DeevParams.tied(m, sx, sy, **kw), d
+        else:
+            hx, hy = rng.uniform(0.2, 2.0, 2)
+            yield DeevParams.from_sigmas(m, sx, sy, eta_x=hx / sx, eta_y=hy / sy, **kw), d
+
+
+def test_offsets_invert_phase_point():
+    rng = np.random.default_rng(27)
+    for p, d in _frame_draws(27, 200):
+        want = rng.uniform(-3.0, 3.0, 4)
+        got = p.offsets(*p.phase_point(*want))
+        # x0 + a sigma rounds to an ulp of x, which is |a + d| widths from the origin
+        for g, w, c in zip(got, want, d):
+            assert abs(g - w) <= 4 * math.ulp(abs(w) + abs(c)), (p, want, got)
+
+
+def test_scaled_state_is_psi_in_its_own_frame():
+    rng = np.random.default_rng(15)
+    for p, _ in _frame_draws(15, 200):
+        s = p.scaled
+        assert (s.sigma_x, s.sigma_y, s.x0, s.y0, s.px0, s.py0) == (1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        a, b = rng.uniform(-2.5, 2.5, 2)
+        x, y, _, _ = p.phase_point(a, b, 0.0, 0.0)
+        want = math.sqrt(p.sigma_x) * math.sqrt(p.sigma_y) * abs(psi(p, x, y))
+        assert abs(psi(s, a, b)) == pytest.approx(want, rel=1e-13), (p, a, b)

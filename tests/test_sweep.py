@@ -216,7 +216,8 @@ def test_sit_sweep(orders, state, grid, flags):
 @example(state=_tied(14, 1e4, 1.0))
 # the marginal's absolute tolerance was not scaled with |psi|^2 (an oracle exit)
 @example(state=_tied(30, 0.0328, 0.00458))
-# eta_x ** 2 or eta_y ** 2 overflows as a float power (a traceback)
+# eta_x ** 2 or eta_y ** 2 overflows as a float power (a traceback); then the oracle's conj(psi) psi
+# overflowed (a state.m exit); it still exits 2 naming state.m, now because the candidate constant overflows
 @example(state=_tied(1, 1e-160, 1e-160))
 @example(state=_tied(0, 1.0, 1e-155))
 # the oracle's rules overflow and the doubling runs to its budget (a warning, then nan)
@@ -232,10 +233,11 @@ def test_verify_sweep(state):
 
 
 # the oracle integrated psi at absolute coordinates and lost digits far from the center (an oracle exit),
-# and the marginal's kernels overflowed (a state.m exit); check_run accepts both exits, so this asks for more
+# the marginal's kernels overflowed, and conj(psi) psi overflowed before it was scaled by sigma_x sigma_y
+# (state.m exits); check_run accepts both exits, so this asks for more
 @pytest.mark.parametrize("state", [{"m": 1, "sigma_x": 1, "sigma_y": 1, "px0": 1e6},
                                    {"m": 1, "sigma_x": 1, "sigma_y": 1, "x0": 1e7},
-                                   _tied(0, 1.0, 1e-154)])
+                                   _tied(0, 1.0, 1e-154), _tied(1, 1e-100, 1e-210), _tied(1, 1e-150, 1e-160)])
 def test_verify_reaches_a_verdict(state):
     assert check_run("verify", {"state": state}) in (0, 1)
 
