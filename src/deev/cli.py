@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from contextlib import contextmanager, suppress
 from importlib import import_module
 from pathlib import Path
@@ -167,32 +168,39 @@ _COLLAPSED = "state: the default grid around the displaced center collapses"
 def _outputs(out_dir):
     """Make ``out_dir``; yield ``write(field, stem, clamp)``, which writes ``stem``.csv and .pgm there.
 
-    The paths are printed when the block ends. If it raises, the files written and the
-    directories made are removed, so a failed command leaves no output.
+    Each file is written under a temporary name, renamed into place when the block ends, and
+    its path printed. If the block raises, the temporary files and the directories made are
+    removed, so a failed command leaves no output and the directory's earlier files as they were.
     """
     if "\0" in out_dir:    # os calls raise ValueError for it, not the OSError that main names
         raise OSError(f"embedded null byte in {out_dir!r}")
     made = [d for d in (Path(out_dir), *Path(out_dir).parents) if not d.is_dir()]    # deepest first
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
+    staged = []     # (temporary path, final path)
+
+    def stage(name):
+        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-", suffix=name)
+        os.close(fd)
+        staged.append((tmp, os.path.join(out_dir, name)))
+        return tmp
 
     def write(field, stem, clamp):
-        stem = os.path.join(out_dir, stem)
-        write_csv(field, stem + ".csv")
-        paths.append(stem + ".csv")
-        write_pgm(field, stem + ".pgm", clamp=clamp)
-        paths.append(stem + ".pgm")
+        write_csv(field, stage(stem + ".csv"))
+        write_pgm(field, stage(stem + ".pgm"), clamp=clamp)
 
     try:
         yield write
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        with suppress(OSError):     # a cleanup error must not hide the one raised
-            for path in paths:
-                os.remove(path)
+        for tmp, _ in staged:
+            with suppress(OSError):     # a cleanup error must not hide the one raised, nor stop the rest
+                os.remove(tmp)
+        with suppress(OSError):
             for directory in made:
                 os.rmdir(directory)
         raise
-    for path in paths:
+    for _, path in staged:
         print(path)
 
 

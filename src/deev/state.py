@@ -114,8 +114,9 @@ class DeevParams:
                 self.sigma_x * (px - self.px0), self.sigma_y * (py - self.py0))
 
     def swapped(self):
-        """Parameters with the two modes exchanged (x <-> y throughout)."""
-        return replace(self, eta_x=self.eta_y, eta_y=self.eta_x,
+        """The state with its modes exchanged (x <-> y): weights, widths and centers swap and the vortex
+        turns the other way (sign -> -sign), so W(swapped, y, x, py, px) = W(self, x, y, px, py)."""
+        return replace(self, eta_x=self.eta_y, eta_y=self.eta_x, sign=-self.sign,
                        zeta_x=self.zeta_y, zeta_y=self.zeta_x,
                        x0=self.y0, y0=self.x0, px0=self.py0, py0=self.px0)
 

@@ -156,9 +156,9 @@ _PLANE_OF = {labels: name for name, labels in PLANES.items()}
 _LABELS = ("x", "y", "px", "py")    # the coordinates of a phase-space point, in order
 
 
-def canonical_slice_grid(params, plane, count=301):
-    """Symmetric grid around the displaced center, 3 widths per axis, on the
-    plane named ``plane`` (a key of :data:`PLANES`).
+def canonical_slice_grid(params, plane):
+    """Symmetric 301 x 301 grid around the displaced center, 3 widths per axis,
+    on the plane named ``plane`` (a key of :data:`PLANES`).
 
     Position half-widths are 3 sigma; momentum half-widths 3 sqrt(2)/sigma,
     wide enough for the slow momentum decay of the candidate form.
@@ -166,7 +166,7 @@ def canonical_slice_grid(params, plane, count=301):
     k = 3.0 * SQRT2
     lo = dict(zip(_LABELS, params.phase_point(-3.0, -3.0, -k, -k)))
     hi = dict(zip(_LABELS, params.phase_point(3.0, 3.0, k, k)))
-    axes = [AxisSpec(label=label, lo=lo[label], hi=hi[label], count=count) for label in PLANES[plane]]
+    axes = [AxisSpec(label=label, lo=lo[label], hi=hi[label], count=301) for label in PLANES[plane]]
     return GridSpec(axis1=axes[0], axis2=axes[1])
 
 

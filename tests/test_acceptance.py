@@ -138,7 +138,7 @@ def _minima_counts(form):
     for m in (3, 4):
         p = DeevParams.tied(m, 5.0, 3.0)
         for plane in ("xpx", "ypx"):
-            grid = canonical_slice_grid(p, plane, count=301)
+            grid = canonical_slice_grid(p, plane)
             counts[(m, plane.upper())] = count_strict_minima(wigner_slice(p, grid, form=form))
     return counts
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib
 import json
 import math
@@ -223,6 +224,17 @@ def test_verify_marginal_disagreement_fails_its_suite(tmp_path, capsys, monkeypa
     lines = _verify_lines(out, capsys)
     assert any(line.startswith("FAIL marginal: ") for line in lines)
     assert lines[-1] == "overall: FAIL"
+
+
+def test_verify_symmetry_fails_when_the_exchange_keeps_the_sign(tmp_path, capsys, monkeypatch):
+    # exchanging the modes turns the vortex the other way; a swapped() that keeps the sign is not the exchange
+    swapped = DeevParams.swapped
+    monkeypatch.setattr(DeevParams, "swapped", lambda self: dataclasses.replace(swapped(self), sign=self.sign))
+    cfg = write_config(tmp_path, "v.json", {"state": dict(small_state(1), px0=0.3, py0=-0.2)})
+    out = str(tmp_path / "v")
+    assert main(["verify", "--config", cfg, "--out", out]) == 1
+    lines = _verify_lines(out, capsys)
+    assert any(line.startswith("FAIL symmetry: mode-exchange dev = ") for line in lines)
 
 
 def test_verify_shape_mismatch_fails_through_adjudication(tmp_path, capsys, monkeypatch):
@@ -624,6 +636,20 @@ def test_failed_run_leaves_an_existing_directory_as_it_was(tmp_path, capsys, mon
     assert (out / "keep.txt").read_text() == "kept"
 
 
+def test_failed_run_keeps_the_files_an_earlier_run_wrote(tmp_path, capsys):
+    # the failing run writes wigner_xy_candidate.csv/.pgm again before its pxpy slice overflows
+    out = tmp_path / "o"
+    argv = ["wigner", "--config", write_config(tmp_path, "c.json", {"state": _LATE_OVERFLOW}),
+            "--form", "candidate", "--out", str(out)]
+    assert main(argv + ["--plane", "xy"]) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert sorted(before) == ["wigner_xy_candidate.csv", "wigner_xy_candidate.pgm"]
+    capsys.readouterr()
+    assert main(argv + ["--plane", "all"]) == 2
+    assert capsys.readouterr().err.startswith("error: state.m: ")
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
 @pytest.mark.parametrize("command, state, flags, key", [
     ("field", {"m": 1, "sigma_x": 1.0, "sigma_y": 1.0, "x0": 1e17}, [], "state"),  # fails before its first file
     ("wigner", _LATE_OVERFLOW, ["--form", "candidate"], "state.m"),                 # fails after it
@@ -636,12 +662,12 @@ def test_failed_run_removes_the_parents_it_made(tmp_path, capsys, command, state
 
 
 def test_verify_at_one_thread_starts_no_pool(tmp_path, monkeypatch):
-    # every suite's slices, the symmetry suite's included, sample at the thread count given
+    # the minima-count suite's slices, the only ones verify samples (m >= 1), sample at the thread count given
     def no_pool(*args, **kwargs):
         raise AssertionError("pool used")
 
     monkeypatch.setattr(gridio, "ThreadPoolExecutor", no_pool)
-    run_verify(DeevParams.tied(0, 1.0, 1.0), threads=1, out_dir=str(tmp_path / "lib"))
+    run_verify(DeevParams.tied(1, 1.0, 1.0), threads=1, out_dir=str(tmp_path / "lib"))
     cfg = write_config(tmp_path, "c.json", {"state": {"m": 1, "sigma_x": 1.0, "sigma_y": 1.0}})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "cli"), "--threads", "1"]) == 0
 

@@ -6,6 +6,7 @@ from scipy.integrate import dblquad
 
 from deev.gridio import AxisSpec, GridSpec
 from deev.state import DeevParams, intensity_field, psi
+from deev.wigner import wigner4d
 
 
 def norm_quadrature(params):
@@ -183,3 +184,16 @@ def test_scaled_state_is_psi_in_its_own_frame():
         x, y, _, _ = p.phase_point(a, b, 0.0, 0.0)
         want = math.sqrt(p.sigma_x) * math.sqrt(p.sigma_y) * abs(psi(p, x, y))
         assert abs(psi(s, a, b)) == pytest.approx(want, rel=1e-13), (p, a, b)
+
+
+def test_swapped_is_the_mode_exchange():
+    # the exchange turns the vortex the other way; a swapped() that kept the sign fails both identities
+    rng = np.random.default_rng(28)
+    for p, _ in _frame_draws(28, 200):
+        if p.m == 0:
+            continue
+        s = p.swapped()
+        x, y, px, py = p.phase_point(*rng.uniform(-2.0, 2.0, 4))
+        assert (1j * p.sign) ** p.m * psi(s, y, x) == pytest.approx(psi(p, x, y), rel=1e-13), p
+        if p.is_eta_tied:
+            assert abs(wigner4d(s, y, x, py, px) - wigner4d(p, x, y, px, py)) <= 1e-15, p

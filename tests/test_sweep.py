@@ -224,7 +224,8 @@ def test_sit_sweep(orders, state, grid, flags):
 @example(state=_tied(1, 1e-150, 1e-150))
 # then the marginal's kernels 12/sigma overflowed (a state.m exit); test_verify_reaches_a_verdict asserts a verdict
 @example(state=_tied(0, 1.0, 1e-154))
-# the default grid around the displaced center collapses, found once the oracle converged (a traceback)
+# the default grid around the displaced center collapsed, found once the oracle converged (a traceback), then
+# named state (exit 2); verify samples no grid at m = 0, and test_verify_reaches_a_verdict asserts a verdict
 @example(state={"m": 0, "sigma_x": 1e-17, "sigma_y": 1.0, "x0": 1.0})
 # sigma_y ** 3 overflows as a float power in the candidate form (an errno message)
 @example(state=_tied(1, 1e150, 1e150))
@@ -233,11 +234,13 @@ def test_verify_sweep(state):
 
 
 # the oracle integrated psi at absolute coordinates and lost digits far from the center (an oracle exit),
-# the marginal's kernels overflowed, and conj(psi) psi overflowed before it was scaled by sigma_x sigma_y
-# (state.m exits); check_run accepts both exits, so this asks for more
+# the marginal's kernels overflowed, conj(psi) psi overflowed before it was scaled by sigma_x sigma_y
+# (state.m exits), and the symmetry suite's xy grid collapsed at m = 0 (a state exit); check_run accepts
+# every exit, so this asks for more
 @pytest.mark.parametrize("state", [{"m": 1, "sigma_x": 1, "sigma_y": 1, "px0": 1e6},
                                    {"m": 1, "sigma_x": 1, "sigma_y": 1, "x0": 1e7},
-                                   _tied(0, 1.0, 1e-154), _tied(1, 1e-100, 1e-210), _tied(1, 1e-150, 1e-160)])
+                                   _tied(0, 1.0, 1e-154), _tied(1, 1e-100, 1e-210), _tied(1, 1e-150, 1e-160),
+                                   {"m": 0, "sigma_x": 1e-17, "sigma_y": 1.0, "x0": 1.0}])
 def test_verify_reaches_a_verdict(state):
     assert check_run("verify", {"state": state}) in (0, 1)
 

@@ -90,11 +90,11 @@ def test_candidate_constant_raises_when_not_a_double(m, sigma):
 
 def test_slice_equals_pinned_form():
     p = DeevParams.tied(3, 5.0, 3.0, px0=0.1)
-    grid = canonical_slice_grid(p, "xpy", count=21)
+    grid = canonical_slice_grid(p, "xpy")
     f = wigner_slice(p, grid)
     xs, pys = grid.axis1.nodes(), grid.axis2.nodes()
-    for i in (0, 7, 20):
-        for j in (3, 11):
+    for i in (0, 105, 300):
+        for j in (45, 165):
             assert f.values[i, j] == wigner4d(p, xs[i], p.y0, p.px0, pys[j])
 
 
@@ -136,7 +136,7 @@ def test_candidate_slice_minima_counts():
     for m, expect in ((1, 1), (2, 2), (3, 3), (4, 4)):
         p = DeevParams.tied(m, 5.0, 3.0)
         for plane in ("xpx", "ypx"):
-            grid = canonical_slice_grid(p, plane, count=301)
+            grid = canonical_slice_grid(p, plane)
             f = wigner_slice(p, grid, form="candidate")
             assert count_strict_minima(f) == expect, (m, plane)
 
@@ -309,11 +309,11 @@ def test_pinned_candidate_slices_reproduce_reduced_forms():
     p = DeevParams.tied(3, 5.0, 3.0, x0=1.0, py0=0.2)
     rng = np.random.default_rng(14)
     for plane in PLANES:
-        grid = canonical_slice_grid(p, plane, count=15)
+        grid = canonical_slice_grid(p, plane)
         f = wigner_slice(p, grid, form="candidate")
         n1, n2 = grid.axis1.nodes(), grid.axis2.nodes()
         for _ in range(10):
-            i, j = rng.integers(0, 15, 2)
+            i, j = rng.integers(0, len(n1), 2)
             direct = _candidate_2d_formulas(p, plane, n1[i], n2[j])
             assert f.values[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-300)
 
