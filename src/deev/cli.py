@@ -4,22 +4,27 @@ One table, ``_COMMANDS``, names each command's handler, help text, modules and o
 flags; a module's names are the ones ``deev._EXPORTS`` lists, and the plane and form
 choices are ``deev.PLANES``, ``deev.FORMS`` and ``deev.SIT_FORMS``. ``main`` reads the
 config, checks ``--clamp``, makes a writing command's output directory before any work
-starts and runs the handler inside ``_outputs``, which removes what a failed run wrote;
-every error it names exits 2 as ``error: <key>: <message>``.
+starts and runs the handler inside ``_outputs``; every error it names exits 2 as
+``error: <key>: <message>``.
+
+``_outputs`` is the one home of how a file reaches the output directory: every file a
+command writes, grids and ``verify``'s reports alike, is staged there, renamed into place
+only when the whole run succeeds, and removed when it fails. The library writers write
+plainly to the path they are given.
 
 Configuration is a strict JSON document; unknown keys anywhere are
 rejected (exit code 2) so a typo cannot silently fall back to a default.
-Outputs are written atomically and are byte-identical across runs and
-thread counts.
+Outputs are byte-identical across runs and thread counts.
 """
 
 import argparse
+import errno
+import io
 import json
 import math
 import os
 import sys
-import tempfile
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, redirect_stdout, suppress
 from importlib import import_module
 from pathlib import Path
 
@@ -166,11 +171,13 @@ _COLLAPSED = "state: the default grid around the displaced center collapses"
 
 @contextmanager
 def _outputs(out_dir):
-    """Make ``out_dir``; yield ``write(field, stem, clamp)``, which writes ``stem``.csv and .pgm there.
+    """Make ``out_dir``; yield ``stage(name)``, which returns a new temporary path there for ``name``.
 
-    Each file is written under a temporary name, renamed into place when the block ends, and
-    its path printed. If the block raises, the temporary files and the directories made are
-    removed, so a failed command leaves no output and the directory's earlier files as they were.
+    A staged file is created with the mode ``open`` gives, 0o666 less the umask. When the block
+    ends, and only once no final name is a directory (which a rename cannot replace), each file
+    is renamed to its name; then what the block printed is printed, and each file's path. If the
+    block or a rename raises, the temporary files and the directories made are removed, so a
+    failed command prints nothing and leaves the directory's earlier files as they were.
     """
     if "\0" in out_dir:    # os calls raise ValueError for it, not the OSError that main names
         raise OSError(f"embedded null byte in {out_dir!r}")
@@ -179,17 +186,20 @@ def _outputs(out_dir):
     staged = []     # (temporary path, final path)
 
     def stage(name):
-        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-", suffix=name)
-        os.close(fd)
-        staged.append((tmp, os.path.join(out_dir, name)))
-        return tmp
+        while True:     # a fresh random name until one is free, as mkstemp does
+            tmp = os.path.join(out_dir, f".tmp-{os.urandom(4).hex()}-{name}")
+            with suppress(FileExistsError):
+                os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                staged.append((tmp, os.path.join(out_dir, name)))
+                return tmp
 
-    def write(field, stem, clamp):
-        write_csv(field, stage(stem + ".csv"))
-        write_pgm(field, stage(stem + ".pgm"), clamp=clamp)
-
+    printed = io.StringIO()
     try:
-        yield write
+        with redirect_stdout(printed):
+            yield stage
+        for _, path in staged:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:
@@ -200,6 +210,7 @@ def _outputs(out_dir):
             for directory in made:
                 os.rmdir(directory)
         raise
+    print(printed.getvalue(), end="")
     for _, path in staged:
         print(path)
 
@@ -217,6 +228,12 @@ def _clamp(value, key):
     return v
 
 
+def _write_field(args, field, stem, clamp):
+    """Write ``field`` as ``stem``.csv and ``stem``.pgm through the run's stager."""
+    write_csv(field, args.stage(stem + ".csv"))
+    write_pgm(field, args.stage(stem + ".pgm"), clamp=clamp)
+
+
 def cmd_field(cfg, args):
     params = _state_params(cfg)
     with _names("state"):
@@ -229,7 +246,7 @@ def cmd_field(cfg, args):
     # the grid's config error is not an OverflowError, so the outer name passes it through
     with _names("state.m", OverflowError), _names("grid"):
         field = intensity_field(params, grid, threads=args.threads)
-    args.write(field, "intensity", args.clamp)
+    _write_field(args, field, "intensity", args.clamp)
     return 0
 
 
@@ -248,7 +265,7 @@ def cmd_wigner(cfg, args):
             grid = override if labels == PLANES[plane] else canonical_slice_grid(params, plane)
         with _names("state.m", OverflowError):
             field = wigner_slice(params, grid, form=form, threads=args.threads)
-        args.write(field, f"wigner_{plane}_{form}", args.clamp)
+        _write_field(args, field, f"wigner_{plane}_{form}", args.clamp)
     return 0
 
 
@@ -272,7 +289,7 @@ def cmd_sit(cfg, args):
         # the grid's config error is not an OverflowError, so the outer name passes it through
         with _names("sit.m", OverflowError), _names("grid"):
             field = sit_field(m, sx, sy, grid, form=form, clamp_cap=cap, threads=args.threads)
-        args.write(field, f"sit_m{m}_{form}", cap if args.clamp == "auto" else args.clamp)
+        _write_field(args, field, f"sit_m{m}_{form}", cap if args.clamp == "auto" else args.clamp)
     return 0
 
 
@@ -290,8 +307,12 @@ def cmd_verify(cfg, args):
     with _names(_COLLAPSED):
         verify._suite_grids(params)    # run_verify builds these too; this names a collapse before any suite runs
     with _names("state.m", OverflowError), _names("oracle", OracleConvergenceError):
-        outcome = run_verify(params, q=q, out_dir=args.out, threads=args.threads, seed=seed)
-    print(*outcome.summary_lines(), *outcome.report_paths, sep="\n")
+        outcome = run_verify(params, q=q, threads=args.threads, seed=seed)
+    for form, report in outcome.reports.items():
+        verify.write_report(report, args.stage(f"discrepancy_{form}.txt"))
+    summary = "\n".join(outcome.summary_lines()) + "\n"
+    Path(args.stage("verify_summary.txt")).write_bytes(summary.encode("ascii"))
+    print(summary, end="")
     return outcome.exit_code
 
 
@@ -385,7 +406,7 @@ def main(argv=None):
         out_key = "out_dir" if args.out is None else "--out"
         args.out = cfg.get("out_dir", ".") if args.out is None else args.out
         # the only OSError here is an output directory that cannot be made or written
-        with _names(out_key, OSError), _outputs(args.out) as args.write:
+        with _names(out_key, OSError), _outputs(args.out) as args.stage:
             return run(cfg, args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

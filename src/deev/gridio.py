@@ -1,14 +1,14 @@
 """Grid specification, field containers, and serialization (CSV, 16-bit PGM).
 
 All output is deterministic: metadata keys are sorted, floats are written
-with 17 significant digits (lossless for IEEE doubles), files are written
-to a temporary name and atomically renamed, and no timestamps are recorded.
+with 17 significant digits (lossless for IEEE doubles) and no timestamps are
+recorded. The writers write plainly to the path they are given; the CLI
+stages each file under a temporary name and renames it into place.
 """
 
 import functools
 import math
 import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -111,21 +111,6 @@ def sample_field(fn, grid, threads=None, metadata=None):
             list(pool.map(fill, blocks))
 
     return Field2D(spec=grid, values=out, metadata=dict(metadata or {}))
-
-
-def _atomic_write(path, chunks):
-    """Write an iterable of byte chunks to a temp file, then rename it to path."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _axis_token(a):
@@ -289,7 +274,8 @@ def write_csv(field, destination):
             for x1, toks in zip(x1s[i:i + step], tokens.reshape(-1, a2.count)):
                 yield row.replace(b"\0", _fmt(x1).encode("ascii")) % tuple(toks.tolist())
 
-    _atomic_write(destination, rows())
+    with open(destination, "wb") as fh:
+        fh.writelines(rows())
 
 
 def write_pgm(field, destination, clamp="auto"):
@@ -340,4 +326,5 @@ def write_pgm(field, destination, clamp="auto"):
         for i0, i1 in blocks:
             yield levels(v[i0:i1]).tobytes()
 
-    _atomic_write(destination, chunks())
+    with open(destination, "wb") as fh:
+        fh.writelines(chunks())

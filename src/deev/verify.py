@@ -4,8 +4,8 @@ Five suites run against a parameter set: normalization of |psi|^2,
 momentum marginals, oracle adjudication of both closed forms, symmetry (the
 mode exchange, W(swapped, y, x, py, px) = W(x, y, px, py) at 4D points) and,
 for m >= 1, the minima-count claim for the mixed-plane slices, the only
-suite that samples a grid. Each suite reports one line; the adjudications
-additionally produce discrepancy report files.
+suite that samples a grid. Each suite reports one line; each adjudication
+also yields a discrepancy report, which :func:`write_report` renders.
 
 Adjudication lives here end to end: the probe points and their 1e-8 skip
 thresholds, the calibration of each closed form's constant, every pass/fail
@@ -20,14 +20,13 @@ Both counts are reported; the suite verdict follows the validated form.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import _EXPORTS
-from .gridio import _atomic_write, _fmt
+from .gridio import _fmt
 from .oracle import QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from .state import psi
 from .wigner import (CANDIDATE, FORMS, STANDARD, _closed_form, _finite, canonical_slice_grid,
@@ -139,7 +138,8 @@ def write_report(report, destination):
     lines.append(f"max_relative_deviation={_fmt(dev)}")
     lines.append(f"stable_under_halving={'true' if report.stable_under_halving else 'false'}")
     lines.append(f"verdict={report.verdict.value}")
-    _atomic_write(destination, [("\n".join(lines) + "\n").encode("ascii")])
+    with open(destination, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,6 @@ class SuiteResult:
 class VerifyOutcome:
     suites: tuple
     reports: dict           # form -> DiscrepancyReport, in FORMS order
-    report_paths: tuple
 
     @property
     def exit_code(self):
@@ -262,8 +261,8 @@ def _suite_grids(params):
     return {plane: canonical_slice_grid(params, plane) for plane in (("xpx", "ypx") if params.m >= 1 else ())}
 
 
-def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024):
-    """Run all suites, write report files, and return the outcome."""
+def run_verify(params, q=QuadratureSpec(), threads=None, seed=2024):
+    """Run all suites and return the outcome; nothing is written."""
     grids = _suite_grids(params)
     rng = np.random.default_rng(seed)
     reports = {form: adjudicate(params, q, form=form) for form in FORMS}
@@ -282,13 +281,4 @@ def run_verify(params, q=QuadratureSpec(), out_dir=".", threads=None, seed=2024)
         f"candidate verdict = {cand_report.verdict.value}"))
     if params.m >= 1:
         suites.append(_minima_suite(params, grids, threads=threads))
-
-    os.makedirs(out_dir, exist_ok=True)
-    paths = tuple(os.path.join(out_dir, f"discrepancy_{form}.txt") for form in FORMS)
-    for form, path in zip(FORMS, paths):
-        write_report(reports[form], path)
-
-    outcome = VerifyOutcome(suites=tuple(suites), reports=reports, report_paths=paths)
-    summary_path = os.path.join(out_dir, "verify_summary.txt")
-    _atomic_write(summary_path, [("\n".join(outcome.summary_lines()) + "\n").encode("ascii")])
-    return outcome
+    return VerifyOutcome(suites=tuple(suites), reports=reports)

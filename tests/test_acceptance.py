@@ -22,7 +22,7 @@ from deev.coupling import DcdcParams, bs_coupler, dcdc_coupler, dcdc_time_for_ra
 from deev.gridio import AxisSpec, GridSpec
 from deev.oracle import QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from deev.state import DeevParams, intensity_field, psi
-from deev.verify import Verdict, canonical_slice_grid, run_verify
+from deev.verify import Verdict, canonical_slice_grid, run_verify, write_report
 from deev.wigner import count_strict_minima, sit, wigner4d, wigner_slice
 
 Q = QuadratureSpec()
@@ -79,15 +79,17 @@ def test_criterion_3_oracle_adjudication_elliptic(tmp_path):
     verdicts = []
     for m in (1, 2, 3):
         p = DeevParams.tied(m, 5.0, 3.0)
-        out = str(tmp_path / f"m{m}")
-        outcome = run_verify(p, q=Q, out_dir=out, seed=2024)
+        outcome = run_verify(p, q=Q, seed=2024)
         rep = outcome.reports["standard"]
         verdicts.append(rep.verdict.value)
         assert rep.verdict in (Verdict.MATCH, Verdict.CONSTANT_ONLY)
         assert rep.stable_under_halving
-        with open(outcome.report_paths[0], encoding="ascii") as fh:
+        paths = {form: tmp_path / f"m{m}_{form}.txt" for form in outcome.reports}
+        for form, path in paths.items():
+            write_report(outcome.reports[form], str(path))
+        with open(paths["standard"], encoding="ascii") as fh:
             assert Verdict(fh.read().splitlines()[-1].split("=", 1)[1]) is rep.verdict
-        assert os.path.exists(outcome.report_paths[1])
+        assert os.path.exists(paths["candidate"])
     report(3, True, f"verdicts for m=1,2,3: {verdicts}, all stable under tolerance halving")
 
 

@@ -14,9 +14,6 @@ import os
 
 import pytest
 
-from deev.state import DeevParams
-from deev.verify import run_verify
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -38,9 +35,14 @@ def test_tracer_target_resolves(module, attr):
 
 
 def test_verify_calls_go_through_the_patched_names(tmp_path):
-    # adjudicate and run_verify look these up in deev.verify's globals at call time
+    # adjudicate and run_verify look these up in deev.verify's globals at call time, and
+    # cmd_verify calls write_report through the deev.verify module
+    from deev import cli
+
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"state": {"m": 0, "sigma_x": 1.0, "sigma_y": 1.0}}))
     with tracing.Tracer() as tracer:
-        run_verify(DeevParams.tied(0, 1.0, 1.0), out_dir=str(tmp_path))
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     names = {s.name for s in tracer.spans}
     assert {"oracle.calibrate", "oracle.wigner", "oracle.marginal", "oracle.norm",
             "gridio.write_report"} <= names

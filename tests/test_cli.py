@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pkgutil
+import stat
 import subprocess
 import sys
 
@@ -661,13 +662,69 @@ def test_failed_run_removes_the_parents_it_made(tmp_path, capsys, command, state
     assert os.listdir(tmp_path) == ["c.json"]
 
 
+@pytest.mark.parametrize("command, taken, earlier", [
+    ("wigner", "wigner_xpx_standard.pgm", "wigner_xy_standard.csv"),
+    ("verify", "verify_summary.txt", "discrepancy_standard.txt"),
+], ids=["wigner", "verify"])
+def test_a_final_name_that_is_a_directory_renames_nothing(tmp_path, capsys, command, taken, earlier):
+    # a rename cannot replace a directory with a file: every name is checked before the first rename
+    out = tmp_path / "o"
+    (out / taken).mkdir(parents=True)
+    (out / earlier).write_text("an earlier run")
+    cfg = write_config(tmp_path, "c.json", {"state": small_state(1), "wigner": {"form": "standard"}})
+    assert main([command, "--config", cfg, "--threads", "1", "--out", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith("error: --out: ") and str(out / taken) in err
+    assert sorted(os.listdir(out)) == sorted([earlier, taken])
+    assert os.listdir(out / taken) == []
+    assert (out / earlier).read_text() == "an earlier run"
+
+
+def _write_half_then_fail(field, path):
+    with open(path, "wb") as fh:
+        fh.write(b"# half a file")
+    raise OSError("disk full")
+
+
+def _refuse(src, dst):
+    raise OSError("rename refused")
+
+
+@pytest.mark.parametrize("failure", ["mid-write", "replace"])
+def test_failed_write_keeps_destination_and_leaves_no_temp(tmp_path, capsys, monkeypatch, failure):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "intensity.csv").write_bytes(b"old contents\n")
+    if failure == "mid-write":
+        monkeypatch.setattr(cli, "write_csv", _write_half_then_fail)
+    else:
+        monkeypatch.setattr(cli.os, "replace", _refuse)
+    cfg = write_config(tmp_path, "c.json", {"state": small_state(1), "grid": small_grid(n=5)})
+    assert main(["field", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: ")
+    assert os.listdir(out) == ["intensity.csv"]
+    assert (out / "intensity.csv").read_bytes() == b"old contents\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_take_the_mode_the_umask_gives(tmp_path, umask, mode):
+    cfg = write_config(tmp_path, "c.json", {"state": small_state(1), "grid": small_grid(n=5)})
+    old = os.umask(umask)
+    try:
+        assert main(["field", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in (tmp_path / "o").iterdir()}
+    assert modes == {"intensity.csv": mode, "intensity.pgm": mode}
+
+
 def test_verify_at_one_thread_starts_no_pool(tmp_path, monkeypatch):
     # the minima-count suite's slices, the only ones verify samples (m >= 1), sample at the thread count given
     def no_pool(*args, **kwargs):
         raise AssertionError("pool used")
 
     monkeypatch.setattr(gridio, "ThreadPoolExecutor", no_pool)
-    run_verify(DeevParams.tied(1, 1.0, 1.0), threads=1, out_dir=str(tmp_path / "lib"))
+    run_verify(DeevParams.tied(1, 1.0, 1.0), threads=1)
     cfg = write_config(tmp_path, "c.json", {"state": {"m": 1, "sigma_x": 1.0, "sigma_y": 1.0}})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "cli"), "--threads", "1"]) == 0
 

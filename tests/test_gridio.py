@@ -415,42 +415,6 @@ def test_import_builds_no_format_tables():
     assert out.split() == ["0", "1"]
 
 
-class _FailingFile:
-    """Binary file stand-in that raises on the third write (after the header and one row)."""
-
-    def __init__(self, fh):
-        self.fh, self.writes = fh, 0
-
-    def write(self, data):
-        self.writes += 1
-        if self.writes == 3:
-            raise OSError("disk full")
-        return self.fh.write(data)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-
-@pytest.mark.parametrize("failure", ["mid-write", "replace"])
-def test_failed_write_keeps_destination_and_leaves_no_temp(tmp_path, monkeypatch, failure):
-    path = tmp_path / "f.csv"
-    path.write_bytes(b"old contents\n")
-    real_fdopen = os.fdopen
-    if failure == "mid-write":
-        monkeypatch.setattr(gridio.os, "fdopen", lambda fd, mode: _FailingFile(real_fdopen(fd, mode)))
-    else:
-        def refuse(src, dst):
-            raise OSError("rename refused")
-        monkeypatch.setattr(gridio.os, "replace", refuse)
-    with pytest.raises(OSError):
-        write_csv(Field2D(spec=grid(), values=np.zeros((4, 3))), str(path))
-    assert path.read_bytes() == b"old contents\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv"]
-
-
 def report_fixture(verdict):
     return DiscrepancyReport(
         label="fixture",

@@ -87,7 +87,7 @@ def _check_verify(rc, printed, out):
     assert suites[:5] == _MUST_PASS, printed
     assert suites[5:] in ([], ["PASS minima-count"], ["FAIL minima-count"]), printed
     assert rc == (1 if "FAIL minima-count" in suites else 0)
-    assert printed[-2:] == [os.path.join(out, name) for name in _REPORTS]
+    assert printed[-3:] == [os.path.join(out, name) for name in (*_REPORTS, "verify_summary.txt")]
     for name in _REPORTS:
         with open(os.path.join(out, name), encoding="ascii") as fh:
             lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
