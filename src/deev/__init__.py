@@ -30,7 +30,7 @@ _EXPORTS = {
     "special": ("alp_eval", "alp_coeffs", "gamma_half_integer"),
     "state": ("DeevParams", "psi", "intensity_field"),
     "wigner": ("ClosedForm", "CLOSED_FORMS", "standard_constant", "candidate_constant", "wigner4d",
-               "wigner4d_candidate", "wigner_slice", "canonical_slice_grid", "sit", "sit_field",
+               "wigner4d_candidate", "wigner_slice", "canonical_slice_grid", "sit_field",
                "count_strict_minima"),
     "oracle": ("QuadratureSpec", "OracleConvergenceError", "oracle_wigner", "oracle_marginal_xy",
                "oracle_norm"),

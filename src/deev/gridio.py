@@ -83,13 +83,16 @@ def _row_blocks(rows, cols, max_rows=None):
 
 
 def sample_field(fn, grid, threads=None, metadata=None):
-    """Sample ``fn(x1, x2) -> array`` over the grid, in row blocks, optionally in parallel.
+    """Sample ``fn(x1, x2)`` over the grid, in row blocks, optionally in parallel.
 
-    ``fn`` runs on fixed blocks of whole rows, at most _BLOCK_NODES nodes and
-    at least one block per worker, so its temporaries stay small whatever the
-    grid size. Each value is computed independently, so the result is
-    bit-identical for any thread count. The worker count defaults to, and is
-    capped at, the CPUs this process may run on, and at half the row count.
+    ``fn`` gets a block's two axes shaped to broadcast, a column of its
+    axis1 nodes and a row of the axis2 nodes, and returns anything that
+    broadcasts to the block, so per-axis work is done once per axis. Blocks
+    are whole rows, at most _BLOCK_NODES nodes and at least one block per
+    worker, so ``fn``'s temporaries stay small whatever the grid size. Each
+    value is computed independently, so the result is bit-identical for any
+    thread count. The worker count defaults to, and is capped at, the CPUs
+    this process may run on, and at half the row count.
     """
     n1 = grid.axis1.nodes()
     n2 = grid.axis2.nodes()
@@ -99,8 +102,7 @@ def sample_field(fn, grid, threads=None, metadata=None):
 
     def fill(bounds):
         i0, i1 = bounds
-        x1, x2 = np.meshgrid(n1[i0:i1], n2, indexing="ij")
-        out[i0:i1, :] = fn(x1, x2)
+        out[i0:i1, :] = fn(n1[i0:i1, None], n2[None, :])
 
     blocks = _row_blocks(grid.axis1.count, grid.axis2.count, -(-grid.axis1.count // threads))
     if threads == 1:

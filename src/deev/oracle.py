@@ -22,9 +22,10 @@ their difference as the error bound; n doubles until the bound meets
 max(abs_tol, rel_tol * |value|), or the per-axis node budget of 370
 (numpy's largest rule, ``state._MAX_RULE_NODES``) is spent; a rule whose
 value is not finite (the integrand leaves the double range) raises
-OverflowError at once. The starting n grows with m and with
-the kernel's frequency: max(|P|, |Q|) for the plane wave, and 12 for the
-marginal's Dirichlet kernels, so its start stays m + 64.
+OverflowError at once. Every integral starts from one rule,
+n = m + 16 + 2 ceil(2 f), where f is the kernel's frequency: max(|P|, |Q|)
+for the plane wave, 12 for the marginal's Dirichlet kernels (so m + 64) and
+0 for the norm (so m + 16).
 
 The transform of a pure state is real; the imaginary part of the computed
 integral must stay below 10 * abs_tol, or OracleConvergenceError is raised.
@@ -79,9 +80,10 @@ def _rule(n):
     return s, w
 
 
-def _self_checked(integral, n, q, m):
+def _self_checked(integral, f, q, m):
     """Evaluate ``integral(n)`` and ``integral(2n)``, doubling n until they agree.
 
+    The first n is m + 16 + 2 ceil(2 f), for a kernel of frequency f.
     Returns the 2n-node value and |I_n - I_2n|. No rule uses more than
     ``_MAX_RULE_NODES`` nodes per axis; when that budget is spent,
     :class:`OracleConvergenceError` carries the best value and its bound.
@@ -94,7 +96,7 @@ def _self_checked(integral, n, q, m):
             raise OverflowError(f"the oracle's integrand at m={m} overflows double precision")
         return value
 
-    n = min(n, _MAX_RULE_NODES // 2)
+    n = min(m + 16 + 2 * math.ceil(2.0 * f), _MAX_RULE_NODES // 2)
     coarse = checked(n)
     while True:
         fine = checked(2 * n)
@@ -108,8 +110,8 @@ def _self_checked(integral, n, q, m):
         n, coarse = 2 * n, fine
 
 
-def _transform_integral(params, kernel_t, kernel_w, a0, b0, n, q):
-    """(1/pi^2) integral of c*(A+t, B+w) c(A-t, B-w) K(t) K(w) dt dw, from n nodes per axis.
+def _transform_integral(params, kernel_t, kernel_w, a0, b0, f, q):
+    """(1/pi^2) integral of c*(A+t, B+w) c(A-t, B-w) K(t) K(w) dt dw, for kernels of frequency f.
 
     c is ``psi`` of ``params.scaled`` and (A, B) = (a0, b0) the point's scaled position offsets.
     """
@@ -117,10 +119,10 @@ def _transform_integral(params, kernel_t, kernel_w, a0, b0, n, q):
         s, w = _rule(k)     # the nodes s serve as both t and w
         a = psi(params.scaled, a0 + s[:, None], b0 + s[None, :])
         # the nodes are symmetric, so c(A - t, B - w) is `a` reversed on both axes
-        f = np.conj(a) * a[::-1, ::-1]
-        return ((w * kernel_t(s)) @ f @ (w * kernel_w(s))) / math.pi ** 2
+        g = np.conj(a) * a[::-1, ::-1]
+        return ((w * kernel_t(s)) @ g @ (w * kernel_w(s))) / math.pi ** 2
 
-    return _self_checked(integral, n, q, params.m)
+    return _self_checked(integral, f, q, params.m)
 
 
 def oracle_wigner(params, x, y, px, py, q=QuadratureSpec()):
@@ -131,7 +133,7 @@ def oracle_wigner(params, x, y, px, py, q=QuadratureSpec()):
     A, B, P, Q = params.offsets(x, y, px, py)
     val, _ = _transform_integral(
         params, lambda t: np.exp(2j * P * t), lambda w: np.exp(2j * Q * w),
-        A, B, n=params.m + 16 + 2 * math.ceil(2.0 * max(abs(P), abs(Q))), q=q)
+        A, B, f=max(abs(P), abs(Q)), q=q)
     if abs(val.imag) > 10.0 * q.abs_tol:
         raise OracleConvergenceError("imaginary residue exceeds the realness bound", val.real, abs(val.imag))
     return val.real
@@ -149,7 +151,7 @@ def oracle_marginal_xy(params, x, y, q=QuadratureSpec()):
         return 12.0 * np.sinc(12.0 * t / np.pi)
 
     A, B, _, _ = params.offsets(x, y, params.px0, params.py0)
-    val, _ = _transform_integral(params, dirichlet, dirichlet, A, B, n=params.m + 64,
+    val, _ = _transform_integral(params, dirichlet, dirichlet, A, B, f=12.0,
                                  q=replace(q, abs_tol=max(q.abs_tol * 1e3, 1e-10)))
     return val.real
 
@@ -157,14 +159,14 @@ def oracle_marginal_xy(params, x, y, q=QuadratureSpec()):
 def oracle_norm(params, q=QuadratureSpec()):
     """Gauss-Hermite quadrature of |psi|^2 over the plane, in the state's own frame.
 
-    Starts from m + 8 nodes per axis, not the m + 2 of
-    ``DeevParams.norm_constant``, so the check does not repeat the state's
-    own rule.
+    Starts from m + 16 nodes per axis (the oracle's one start rule at
+    frequency 0), not the m + 2 of ``DeevParams.norm_constant``, so the
+    check does not repeat the state's own rule.
     """
     def integral(k):
         s, w = _rule(k)
         p = psi(params.scaled, s[:, None], s[None, :])
         return w @ (p.real ** 2 + p.imag ** 2) @ w
 
-    val, _ = _self_checked(integral, params.m + 8, q, params.m)
+    val, _ = _self_checked(integral, 0.0, q, params.m)
     return float(val)

@@ -142,13 +142,11 @@ class DeevParams:
             raise ValueError(f"{what} needs a {n}-node Gauss-Hermite rule; "
                              f"numpy's rules stop at {_MAX_RULE_NODES} nodes (m <= {_MAX_RULE_NODES - 2})")
         nodes, weights = np.polynomial.hermite.hermgauss(n)
-        a, b = np.meshgrid(nodes, nodes, indexing="ij")
-        wa, wb = np.meshgrid(weights, weights, indexing="ij")
         hx = self.eta_x * self.sigma_x
         hy = self.eta_y * self.sigma_y
         with np.errstate(over="ignore", invalid="ignore"):
-            poly = ((hx * a) ** 2 + (hy * b) ** 2) ** self.m
-            integral = self.sigma_x * self.sigma_y * float(np.sum(wa * wb * poly))
+            poly = ((hx * nodes[:, None]) ** 2 + (hy * nodes[None, :]) ** 2) ** self.m
+            integral = self.sigma_x * self.sigma_y * float(np.sum(weights[:, None] * weights[None, :] * poly))
         if not (math.isfinite(integral) and integral > 0):
             raise ValueError(f"{what} is not representable (|psi|^2 integral = {integral!r})")
         return 1.0 / math.sqrt(integral)

@@ -249,9 +249,9 @@ def _symmetry_suite(params):
 
 
 def _minima_suite(params, grids, threads=None):
-    counts = {(plane, form): count_strict_minima(wigner_slice(params, grids[plane], form=form, threads=threads))
-              for plane in ("xpx", "ypx") for form in FORMS}
-    ok = all(counts[(plane, STANDARD)] == params.m for plane in ("xpx", "ypx"))
+    counts = {(plane, form): count_strict_minima(wigner_slice(params, grid, form=form, threads=threads))
+              for plane, grid in grids.items() for form in FORMS}
+    ok = all(counts[(plane, STANDARD)] == params.m for plane in grids)
     detail = "; ".join(f"{plane} {form}={n}" for (plane, form), n in counts.items())
     return SuiteResult("minima-count", ok, f"claim expects {params.m}: {detail}")
 
@@ -279,6 +279,6 @@ def run_verify(params, q=QuadratureSpec(), threads=None, seed=2024):
         std_report.verdict in (Verdict.MATCH, Verdict.CONSTANT_ONLY) and std_report.stable_under_halving,
         f"closed form verdict = {std_report.verdict.value}, stable = {std_report.stable_under_halving}; "
         f"candidate verdict = {cand_report.verdict.value}"))
-    if params.m >= 1:
+    if grids:
         suites.append(_minima_suite(params, grids, threads=threads))
     return VerifyOutcome(suites=tuple(suites), reports=reports)

@@ -223,22 +223,18 @@ def _sit_coeffs(m, sigma_x, sigma_y):
     return ck
 
 
-def sit(m, sigma_x, sigma_y, r, s, form="sum"):
-    """Scaled interference term of order m at dummy coordinates (r, s).
-
-    Expanding L_m^{-1/2}(z) with z = (r +/- s)^2 / (sigma_x^2 + sigma_y^2)
-    into monomials r^i s^j, the SIT is the ratio of the cross terms
-    (i >= 1 and j >= 1) to the single-variable terms (exactly one of i, j
-    nonzero); the constant monomial belongs to neither sum. Where the
-    denominator vanishes the result follows IEEE semantics: signed infinity
-    for a nonzero numerator, NaN when both sums vanish. Raises
-    OverflowError when the series leaves the double range (large m).
-    """
-    return _sit_series(_sit_coeffs(m, sigma_x, sigma_y), r, s, form)
-
-
 def _sit_series(ck, r, s, form):
-    """The SIT from its scaled coefficients ck (from :func:`_sit_coeffs`)."""
+    """Scaled interference term of order m = len(ck) - 1 at dummy coordinates (r, s).
+
+    ``ck`` are the scaled coefficients from :func:`_sit_coeffs`. Expanding
+    L_m^{-1/2}(z) with z = (r +/- s)^2 / (sigma_x^2 + sigma_y^2) into
+    monomials r^i s^j, the SIT is the ratio of the cross terms (i >= 1 and
+    j >= 1) to the single-variable terms (exactly one of i, j nonzero); the
+    constant monomial belongs to neither sum. Where the denominator
+    vanishes the result follows IEEE semantics: signed infinity for a
+    nonzero numerator, NaN when both sums vanish. Raises OverflowError when
+    the series leaves the double range (large m).
+    """
     m = len(ck) - 1
     if form not in SIT_FORMS:
         raise ValueError(f"form must be one of {list(SIT_FORMS)}, got {form!r}")

@@ -23,7 +23,9 @@ from deev.gridio import AxisSpec, GridSpec
 from deev.oracle import QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from deev.state import DeevParams, intensity_field, psi
 from deev.verify import Verdict, canonical_slice_grid, run_verify, write_report
-from deev.wigner import count_strict_minima, sit, wigner4d, wigner_slice
+from deev.wigner import count_strict_minima, wigner4d, wigner_slice
+
+from sitref import sit
 
 Q = QuadratureSpec()
 SIGMA_SETS = [(1.0, 1.0), (5.0, 3.0), (2.0, 0.7)]

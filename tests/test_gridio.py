@@ -15,9 +15,10 @@ from deev import gridio
 from deev.gridio import AxisSpec, Field2D, GridSpec, sample_field, write_csv, write_pgm
 from deev.state import DeevParams, intensity_field, psi
 from deev.verify import CalibrationResult, DiscrepancyReport, Verdict, write_report
-from deev.wigner import CLOSED_FORMS, FORMS, PLANES, sit, sit_field, wigner_slice
+from deev.wigner import CLOSED_FORMS, FORMS, PLANES, sit_field, wigner_slice
 
 from csvio import read_csv
+from sitref import sit
 
 
 def grid(c1=4, c2=3):

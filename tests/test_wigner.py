@@ -10,8 +10,10 @@ from deev import gridio, wigner
 from deev.gridio import AxisSpec, GridSpec
 from deev.state import DeevParams
 from deev.wigner import (PLANES, _sit_coeffs, candidate_constant, canonical_slice_grid,
-                         count_strict_minima, sit, sit_field, standard_constant, wigner4d,
+                         count_strict_minima, sit_field, standard_constant, wigner4d,
                          wigner4d_candidate, wigner_slice)
+
+from sitref import sit
 
 SQRT2 = math.sqrt(2.0)
 
@@ -396,6 +398,42 @@ def test_wigner4d_marginal_is_intensity():
         vals = wigner4d(p, x, y, pn[:, None] / 5.0, pn[None, :] / 3.0)
         marginal = float(pw @ vals @ pw) / (5.0 * 3.0)  # dpx dpy = dP dQ / (sx sy)
         assert marginal == pytest.approx(abs(psi(p, x, y)) ** 2, abs=1e-5)
+
+
+def _identity_states():
+    """Seeded tied states: m 0-10, widths 10^U(-1, 1), random displacements and sign."""
+    rng = np.random.default_rng(1984)
+    for m in range(11):
+        sx, sy = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        x0, y0, px0, py0 = rng.uniform(-2.0, 2.0, 4)
+        yield DeevParams.tied(m, sx, sy, sign=int(rng.choice((-1, 1))), x0=x0, y0=y0, px0=px0, py0=py0)
+
+
+def _gauss_hermite_sum(p, n, scale, integrand):
+    """Sum of integrand(W) over the n^4 Gauss-Hermite rule in the scaled (A, B, P, Q), nodes times scale.
+
+    In scaled coordinates d^4z = dA dB dP dQ (Jacobian 1), and W is exp(-(A^2+B^2+P^2+Q^2)) times a
+    polynomial; the weights carry exp(s^2), the envelope at unit scale.
+    """
+    s, w = np.polynomial.hermite.hermgauss(n)
+    shapes = [[-1 if i == k else 1 for i in range(4)] for k in range(4)]    # axis k varies along dimension k
+    weight = math.prod((w * np.exp(s * s)).reshape(shape) for shape in shapes)
+    z = p.phase_point(*(s.reshape(shape) * scale for shape in shapes))
+    return float(np.sum(weight * integrand(wigner4d(p, *z))))
+
+
+def test_wigner4d_integrates_to_one_exactly():
+    # an (m+1)-node rule per axis integrates the degree-2m polynomial exactly; tolerance 1e-13 absolute
+    for p in _identity_states():
+        assert abs(_gauss_hermite_sum(p, p.m + 1, 1.0, lambda v: v) - 1.0) <= 1e-13, p
+
+
+def test_wigner4d_is_pure():
+    # a pure two-mode state has (2 pi)^2 integral W^2 d^4z = 1. W^2 is exp(-2|z|^2) times a degree-4m
+    # polynomial: s -> s / sqrt(2) gives a factor 1/4 and a (2m+1)-node rule; tolerance 1e-13 absolute
+    for p in _identity_states():
+        purity = (2.0 * math.pi) ** 2 / 4.0 * _gauss_hermite_sum(p, 2 * p.m + 1, 1.0 / SQRT2, np.square)
+        assert abs(purity - 1.0) <= 1e-13, p
 
 
 def test_xy_slice_zero_ring_count():
