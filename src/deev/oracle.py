@@ -10,9 +10,9 @@ in the state's own frame: at the scaled offsets (A, B, P, Q) =
 ``psi(params.scaled, A + t, B + w)`` in t = u/sigma_x, w = v/sigma_y, with
 kernels exp(2iPt), exp(2iQw). Each factor is O(1) whatever the widths and the
 displacement, and no width enters a value; the momentum marginal comes out in
-the same units, sigma_x sigma_y |psi(x, y)|^2. The marginal suite checks raw
-psi's displacement and normalization, tests/test_state.py its plane wave
-(which cancels there).
+the same units, sigma_x sigma_y |psi(x, y)|^2. No ``verify`` suite calls the
+marginal (the marginal suite integrates the closed form against raw psi);
+the tests and the benchmark's tracer still do.
 
 Every integrand is exp(-t^2 - w^2) times an entire function (a polynomial of
 degree 2m times a plane wave or a sinc kernel), so a tensor Gauss-Hermite

@@ -44,14 +44,13 @@ def test_verify_calls_go_through_the_patched_names(tmp_path):
     with tracing.Tracer() as tracer:
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     names = {s.name for s in tracer.spans}
-    assert {"oracle.calibrate", "oracle.wigner", "oracle.marginal", "oracle.norm",
-            "gridio.write_report"} <= names
+    assert {"oracle.calibrate", "oracle.wigner", "oracle.norm", "gridio.write_report"} <= names
     calibrations = {s.id for s in tracer.spans if s.name == "oracle.calibrate"}
     assert any(s.name == "oracle.wigner" and s.parent in calibrations for s in tracer.spans)
     # oracle.psi_points_per_point counts the psi points under each oracle span
     name_of = {s.id: s.name for s in tracer.spans}
     psi_parents = {name_of.get(s.parent) for s in tracer.spans if s.name == "state.psi"}
-    assert {"oracle.wigner", "oracle.marginal", "oracle.norm"} <= psi_parents
+    assert {"oracle.wigner", "oracle.norm"} <= psi_parents
 
 
 def test_cli_calls_go_through_the_patched_names(tmp_path):

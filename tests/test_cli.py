@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import deev
-from deev import cli, gridio, oracle, wigner
+from deev import cli, gridio, oracle, verify, wigner
 from deev.cli import main
 from deev.state import DeevParams
 from deev.verify import run_verify
@@ -215,10 +215,10 @@ def _verify_lines(out, capsys):
 
 
 def test_verify_marginal_disagreement_fails_its_suite(tmp_path, capsys, monkeypatch):
-    # the oracle only measures: a marginal quadrature that is 5% off fails the
-    # marginal suite, and the run still writes its summary and both reports
-    rule = oracle._rule
-    monkeypatch.setattr(oracle, "_rule", lambda n: (rule(n)[0], 1.05 * rule(n)[1]))
+    # a marginal rule whose weights are 5% heavy fails the marginal suite,
+    # and the run still writes its summary and both reports
+    rule = verify._rule
+    monkeypatch.setattr(verify, "_rule", lambda n: (rule(n)[0], 1.05 * rule(n)[1]))
     cfg = write_config(tmp_path, "v.json", {"state": small_state(1)})
     out = str(tmp_path / "v")
     assert main(["verify", "--config", cfg, "--out", out]) == 1
@@ -378,6 +378,19 @@ def test_wigner_loads_no_verify_or_oracle(tmp_path):
     assert "deev.wigner" in loaded
     assert "deev.verify" not in loaded and "deev.oracle" not in loaded
     assert (tmp_path / "o" / "wigner_xy_standard.csv").exists()
+
+
+@pytest.mark.parametrize("argv, used", [(["verify", "--config", "configs/verify_elliptic_m3.json"], "deev.verify"),
+                                        (["field", "--config", "configs/fig2_intensity.json"], "deev.state"),
+                                        (["wigner", "--config", "configs/fig3_wigner_standard.json",
+                                          "--plane", "xy"], "deev.wigner"),
+                                        (["sit", "--config", "configs/fig4_sit.json"], "deev.wigner")],
+                         ids=["verify", "field", "wigner", "sit"])
+def test_file_commands_load_no_numpy_random(tmp_path, argv, used):
+    # the verify suites draw their points from the standard library's random.Random
+    loaded = modules_after(argv + ["--out", str(tmp_path / "o")])
+    assert used in loaded and os.listdir(tmp_path / "o")
+    assert [m for m in loaded if m.startswith("numpy.random")] == []
 
 
 def test_library_shares_the_package_lists():

@@ -37,13 +37,14 @@ _standard_constant = wigner.standard_constant
 
 
 def _patch_psi(monkeypatch, faulty):
-    # psi is called by the intensity sampler, the oracle and the marginal suite
+    # psi is called by the intensity sampler, the oracle and the marginal suite (raw psi at the lab point)
     for module in (state, oracle, verify):
         monkeypatch.setattr(module, "psi", faulty)
 
 
 def _patch_standard_form(monkeypatch, faulty):
-    # the validated form is called by the equivalence and symmetry suites and, through CLOSED_FORMS, adjudication
+    # the validated form is called by the marginal, equivalence and symmetry suites and, through CLOSED_FORMS,
+    # adjudication
     monkeypatch.setattr(verify, "wigner4d", faulty)
     monkeypatch.setitem(wigner.CLOSED_FORMS, STANDARD, replace(wigner.CLOSED_FORMS[STANDARD], evaluate=faulty))
 
@@ -127,35 +128,40 @@ def norm_rule_at_m_plus_1_nodes(monkeypatch):
 _MISSED_TODAY = pytest.mark.xfail(strict=True, raises=AssertionError,
                                   reason="item 18: verify misses a momentum-frame error")
 
-# (fault, states, the suites that fail besides minima-count). Each comment names the Tier-1 tests that also fail.
+# (fault, states, the suites that fail besides minima-count, or the exception that stops the run). Each comment
+# names the Tier-1 tests that also fail.
 ROWS = [
-    # 18 tests: test_state.py's normalization tests, test_oracle.py's marginal tests, criterion 4,
-    # test_wigner4d_marginal_is_intensity, the field and verify goldens and the verify sweeps
+    # 19 tests: test_state.py's normalization tests, test_oracle.py's marginal tests, criterion 4,
+    # test_wigner4d_marginal_is_intensity, test_closed_form_marginal_is_intensity_exactly, the field and
+    # verify goldens and the verify sweeps
     pytest.param(norm_drops_sigma_factor, BOTH, {"marginal"}, id="norm_constant drops its sigma factor"),
     # 18 tests: test_oracle.py's closed-form comparisons and calibrations, criteria 2 and 3,
     # test_oracle_equivalence_all_parameter_sets, test_swapped_is_the_mode_exchange, the verify golden and sweeps
     pytest.param(psi_vortex_sign_flipped, BOTH, {"oracle-equivalence", "adjudication"},
                  id="psi's vortex sign flipped"),
-    # 39 tests, among them test_state.py's normalization tests, test_oracle.py::test_norm_is_one,
-    # criteria 1, 2, 3 and 5, and the field and verify goldens
-    pytest.param(psi_gauss_y_exponent_halved, BOTH, {"normalization", "oracle-equivalence", "adjudication"},
+    # 40 tests, among them test_state.py's normalization tests, test_oracle.py::test_norm_is_one,
+    # test_closed_form_marginal_is_intensity_exactly, criteria 1, 2, 3 and 5, and the field and verify goldens
+    pytest.param(psi_gauss_y_exponent_halved, BOTH, {"normalization", "marginal", "oracle-equivalence", "adjudication"},
                  id="psi's Gaussian exponent in y halved"),
-    # 16 tests: test_scaled_state_is_psi_in_its_own_frame, test_no_width_reaches_the_oracle, the oracle's
-    # closed-form and marginal comparisons, criteria 3 and 4, the verify golden and sweeps
-    pytest.param(scaled_keeps_eta, BOTH, {"marginal", "oracle-equivalence", "adjudication"},
-                 id="scaled keeps eta"),
+    # the run stops: the marginal suite's wigner4d rejects the untied scaled state (verify caught this fault
+    # through the oracle marginal before that suite integrated wigner4d). 17 tests:
+    # test_scaled_state_is_psi_in_its_own_frame, test_no_width_reaches_the_oracle,
+    # test_closed_form_marginal_is_intensity_exactly, the oracle's closed-form and marginal comparisons,
+    # criteria 3 and 4, the verify golden and sweeps
+    pytest.param(scaled_keeps_eta, BOTH, ValueError, id="scaled keeps eta"),
     # 21 tests: test_swapped_is_the_mode_exchange, test_verify_symmetry_fails_when_the_exchange_keeps_the_sign,
     # the oracle comparisons, criteria 2 and 3, the wigner-standard and verify goldens. Not the identity
     # tests: the fault is a reflection in Q, which leaves both integrals as they are
     pytest.param(laguerre_argument_a_minus_sq, BOTH, {"oracle-equivalence", "symmetry", "adjudication"},
                  id="Laguerre argument (a - sq)^2"),
-    # 29 tests, among them the identity and box integrals of test_wigner.py, the oracle comparisons,
-    # test_swapped_is_the_mode_exchange, the wigner-standard and verify goldens
-    pytest.param(exponent_takes_099_q2, BOTH, {"oracle-equivalence", "symmetry", "adjudication"},
+    # 30 tests, among them the identity, box and exact marginal integrals of test_wigner.py, the oracle
+    # comparisons, test_swapped_is_the_mode_exchange, the wigner-standard and verify goldens
+    pytest.param(exponent_takes_099_q2, BOTH, {"marginal", "oracle-equivalence", "symmetry", "adjudication"},
                  id="wigner4d's exponent takes 0.99 q^2"),
-    # adjudication passes it (constant-only-mismatch passes by design); 27 tests catch it, among them
-    # test_wigner4d_is_pure and test_wigner4d_integrates_to_one_exactly, test_center_values, the oracle
-    # comparisons and calibrations, the wigner-standard and verify goldens
+    # adjudication passes it (constant-only-mismatch passes by design) and the marginal suite's 1e-5 misses it;
+    # 28 tests catch it, among them test_wigner4d_is_pure, test_wigner4d_integrates_to_one_exactly and
+    # test_closed_form_marginal_is_intensity_exactly, test_center_values, the oracle comparisons and
+    # calibrations, the wigner-standard and verify goldens
     pytest.param(standard_constant_off_by_1e5, BOTH, {"oracle-equivalence"},
                  id="standard constant off by 1e-5"),
     # 17 tests: test_offsets_invert_phase_point, test_swapped_is_the_mode_exchange, test_no_width_reaches_the_oracle,
@@ -163,9 +169,10 @@ ROWS = [
     pytest.param(offsets_q_uses_sigma_x, BOTH, {"symmetry"}, id="offsets: Q uses sigma_x"),
     # 8 tests: test_swapped_is_the_mode_exchange, test_verify_at_one_thread_starts_no_pool, the verify golden and sweeps
     pytest.param(swapped_keeps_sign, BOTH, {"symmetry"}, id="swapped keeps the sign"),
-    # the recipe has px0 = 0, where the fault changes nothing. 10 tests: test_offsets_invert_phase_point,
+    # the recipe has px0 = 0, where the fault changes nothing. 11 tests: test_offsets_invert_phase_point,
     # test_swapped_is_the_mode_exchange, test_displacement_covariance, test_center_values, the identity
-    # integrals, test_displaced_states_in_width_units, test_no_width_reaches_the_oracle and two verify sweeps
+    # integrals, test_displaced_states_in_width_units, test_no_width_reaches_the_oracle, the verify golden
+    # (its displaced state) and two verify sweeps
     pytest.param(offsets_p_ignores_px0, ("displaced",), {"symmetry"}, id="offsets: P ignores px0"),
     # 9 tests: those of the row above but test_swapped_is_the_mode_exchange (the fault is symmetric)
     pytest.param(offsets_pq_ignore_px0_py0, ("displaced",), {"oracle-equivalence"},
@@ -183,6 +190,10 @@ ROWS = [
 def test_each_fault_fails_its_suites(monkeypatch, fault, states, failing):
     fault(monkeypatch)
     for name in states:
+        if failing is ValueError:
+            with pytest.raises(ValueError, match="wigner4d requires eta_x sigma_x == eta_y sigma_y"):
+                run_verify(STATES[name](), threads=1)
+            continue
         outcome = run_verify(STATES[name](), threads=1)
         got = {s.name for s in outcome.suites if not s.passed and s.name != "minima-count"}
         assert got == failing, name

@@ -72,11 +72,17 @@ def verify_outcome(code, stdout, out):
 
 # sha256 of verify_outcome for configs/verify_elliptic_m3.json; bench/golden.json holds no verify entry
 VERIFY_GOLDEN = "8b6632fa706e57b3a0a1436806699ebf49119119d145832512d90950727a5203"
+# the displaced state shares the recipe's outcome; the recipe has no momentum displacement, so it alone
+# is blind to a fault in the momentum frame
+DISPLACED = {"state": {"m": 3, "sigma_x": 0.37, "sigma_y": 2.9, "sign": -1,
+                       "x0": 0.7, "y0": -1.3, "px0": 0.4, "py0": -0.2}}
 
 
 def test_verify_recipe_matches_golden(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["verify", "--config", os.path.join(ROOT, "configs", "verify_elliptic_m3.json"),
-                 "--out", str(out)])
-    outcome = verify_outcome(code, capsys.readouterr().out, out)
-    assert sha256(outcome.encode()) == VERIFY_GOLDEN
+    displaced = tmp_path / "displaced.json"
+    displaced.write_text(json.dumps(DISPLACED))
+    for config in (os.path.join(ROOT, "configs", "verify_elliptic_m3.json"), displaced):
+        out = tmp_path / "out" / os.path.basename(config)
+        code = main(["verify", "--config", str(config), "--out", str(out)])
+        outcome = verify_outcome(code, capsys.readouterr().out, out)
+        assert sha256(outcome.encode()) == VERIFY_GOLDEN, config

@@ -236,11 +236,14 @@ def test_verify_sweep(state):
 # the oracle integrated psi at absolute coordinates and lost digits far from the center (an oracle exit),
 # the marginal's kernels overflowed, conj(psi) psi overflowed before it was scaled by sigma_x sigma_y
 # (state.m exits), and the symmetry suite's xy grid collapsed at m = 0 (a state exit); check_run accepts
-# every exit, so this asks for more
+# every exit, so this asks for more. In the last two, sigma px0 is large: a marginal integrated over lab
+# momenta px0 + P / sigma_x rounds its nodes away (a wrong FAIL)
 @pytest.mark.parametrize("state", [{"m": 1, "sigma_x": 1, "sigma_y": 1, "px0": 1e6},
                                    {"m": 1, "sigma_x": 1, "sigma_y": 1, "x0": 1e7},
                                    _tied(0, 1.0, 1e-154), _tied(1, 1e-100, 1e-210), _tied(1, 1e-150, 1e-160),
-                                   {"m": 0, "sigma_x": 1e-17, "sigma_y": 1.0, "x0": 1.0}])
+                                   {"m": 0, "sigma_x": 1e-17, "sigma_y": 1.0, "x0": 1.0},
+                                   {"m": 0, "sigma_x": 1e10, "sigma_y": 1e10, "px0": 1e8},
+                                   {"m": 1, "sigma_x": 1e5, "sigma_y": 1, "px0": 1e8}])
 def test_verify_reaches_a_verdict(state):
     assert check_run("verify", {"state": state}) in (0, 1)
 

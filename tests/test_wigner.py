@@ -400,6 +400,24 @@ def test_wigner4d_marginal_is_intensity():
         assert marginal == pytest.approx(abs(psi(p, x, y)) ** 2, abs=1e-5)
 
 
+def test_closed_form_marginal_is_intensity_exactly():
+    # verify's marginal, an exact (m+2)-node integral over (P, Q), is sigma_x sigma_y |psi|^2 at the lab
+    # point on seeded displaced tied states: m 0-10, 40, 100, 129, widths 10^U(-3, 3), at points near the
+    # intensity ring (scaled radius sqrt(m)), where |psi|^2 is not negligible; tolerance 1e-13 absolute
+    from deev.state import psi
+    from deev.verify import _closed_form_marginal
+
+    rng = np.random.default_rng(41)
+    for m in [*range(11), 40, 100, 129]:
+        sx, sy = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        x0, y0, px0, py0 = rng.uniform(-2.0, 2.0, 4)
+        p = DeevParams.tied(m, sx, sy, sign=int(rng.choice((-1, 1))), x0=x0, y0=y0, px0=px0, py0=py0)
+        for r, t in zip(math.sqrt(m) + rng.uniform(-1.5, 1.5, 3), rng.uniform(0.0, 2.0 * math.pi, 3)):
+            x, y, _, _ = p.phase_point(r * math.cos(t), r * math.sin(t), 0.0, 0.0)
+            intensity = (math.sqrt(sx) * math.sqrt(sy) * abs(psi(p, x, y))) ** 2
+            assert abs(_closed_form_marginal(p, x, y) - intensity) <= 1e-13, (p, x, y)
+
+
 def _identity_states():
     """Seeded tied states: m 0-10, widths 10^U(-1, 1), random displacements and sign."""
     rng = np.random.default_rng(1984)
