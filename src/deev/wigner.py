@@ -80,10 +80,11 @@ def _require_tied(params, what):
         )
 
 
-def _finite(out, form, m):
-    """Return W, which is finite everywhere: a non-finite value is an overflow."""
+def _finite(out, form, m, where=None):
+    """Return W, which is finite everywhere: a non-finite value is an overflow, named by where W was evaluated."""
     if not np.isfinite(out).all():
-        raise OverflowError(f"the {form} closed form at m={m} overflows double precision on this grid")
+        where = where or ("at this point", "at these points", "on this grid")[min(np.ndim(out), 2)]
+        raise OverflowError(f"the {form} closed form at m={m} overflows double precision {where}")
     return out if np.ndim(out) else float(out)
 
 

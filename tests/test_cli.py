@@ -259,6 +259,42 @@ def test_verify_candidate_constant_overflow_names_state_m(tmp_path, capsys, m, s
     assert not out.exists()
 
 
+# no grid is sampled where these overflow: the candidate's shape at one calibration probe (m = 40), and the
+# candidate at its nominal constant at the probes its report prints (m = 14)
+@pytest.mark.parametrize("m, sigmas, where", [(40, (0.01, 100.0), "at this point"),
+                                              (14, (1e4, 1.0), "at a calibration probe")], ids=["40", "14"])
+def test_verify_candidate_overflow_names_where_it_was_evaluated(tmp_path, capsys, m, sigmas, where):
+    cfg = write_config(tmp_path, "v.json", {"state": {"m": m, "sigma_x": sigmas[0], "sigma_y": sigmas[1]}})
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: state.m: the candidate closed form at m={m} overflows double "
+                                       f"precision {where}\n")
+    assert not out.exists()
+
+
+def test_oracle_overflow_stops_at_its_first_rule_and_names_state_m(tmp_path, capsys, monkeypatch):
+    # psi is inf at one node of every rule: the oracle raises at its first rule, without doubling the rule to
+    # its node budget, and verify exits 2 naming state.m
+    psi, rules = oracle.psi, []
+
+    def inf_at_one_node(p, x, y):
+        rules.append(np.shape(x)[0])
+        values = psi(p, x, y)
+        values[0, 0] = np.inf
+        return values
+
+    monkeypatch.setattr(oracle, "psi", inf_at_one_node)
+    p = DeevParams.tied(3, 5.0, 3.0)
+    with pytest.raises(OverflowError, match=r"^the oracle's integrand at m=3 overflows double precision$"):
+        oracle.oracle_wigner(p, *p.phase_point(0.3, -0.2, 0.1, 0.4))
+    assert rules == [3 + 16 + 2]        # m + 16 + 2 ceil(2 max(|P|, |Q|)), once
+    cfg = write_config(tmp_path, "v.json", {"state": small_state(3)})
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: state.m: the oracle's integrand at m=3 overflows double precision\n"
+    assert not out.exists()
+
+
 SIT_AXIS = {"min": -5.0, "max": 5.0, "count": 11}
 
 

@@ -3,9 +3,10 @@
 A check that cannot fail looks like a passing one. Each row breaks one
 function of ``deev`` by monkeypatching it (no source file is rewritten), runs
 ``run_verify`` in process at one thread on the m = 3 recipe and/or the
-displaced state, and asserts exactly which suites fail. Minima-count is left
-out: it fails by design on both states (the validated form's mixed-plane
-slices are rings), with or without a fault.
+displaced state (and, for one row, a tied m = 40 state), and asserts exactly
+which suites fail. Minima-count is left out: it fails by design on every
+state (the validated form's mixed-plane slices are rings), with or without a
+fault.
 
 Each row's comment names the Tier-1 tests that also catch its fault, found by
 applying the same fault as a one-line source edit to a copy of the tree.
@@ -25,8 +26,10 @@ from deev.wigner import STANDARD
 STATES = {
     "recipe": lambda: DeevParams.tied(3, 5.0, 3.0),     # configs/verify_elliptic_m3.json
     "displaced": lambda: DeevParams.tied(3, 0.37, 2.9, sign=-1, x0=0.7, y0=-1.3, px0=0.4, py0=-0.2),
+    # |psi|^2 is a ring at scaled radius sqrt(40), where the marginal suite must look to see anything
+    "m40": lambda: DeevParams.tied(40, 5.0, 3.0),
 }
-BOTH = tuple(STATES)
+BOTH = ("recipe", "displaced")
 
 _norm = DeevParams.norm_constant.func
 _offsets = DeevParams.offsets
@@ -133,8 +136,8 @@ _MISSED_TODAY = pytest.mark.xfail(strict=True, raises=AssertionError,
 ROWS = [
     # 19 tests: test_state.py's normalization tests, test_oracle.py's marginal tests, criterion 4,
     # test_wigner4d_marginal_is_intensity, test_closed_form_marginal_is_intensity_exactly, the field and
-    # verify goldens and the verify sweeps
-    pytest.param(norm_drops_sigma_factor, BOTH, {"marginal"}, id="norm_constant drops its sigma factor"),
+    # verify goldens and the verify sweeps. At m = 40 the marginal suite catches it only on the intensity ring
+    pytest.param(norm_drops_sigma_factor, (*BOTH, "m40"), {"marginal"}, id="norm_constant drops its sigma factor"),
     # 18 tests: test_oracle.py's closed-form comparisons and calibrations, criteria 2 and 3,
     # test_oracle_equivalence_all_parameter_sets, test_swapped_is_the_mode_exchange, the verify golden and sweeps
     pytest.param(psi_vortex_sign_flipped, BOTH, {"oracle-equivalence", "adjudication"},

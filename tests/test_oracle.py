@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from deev import oracle
+from deev import oracle, verify
 from deev.oracle import OracleConvergenceError, QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
 from deev.state import DeevParams, psi
 from deev.verify import Verdict, adjudicate, calibrate_constant_detailed
-from deev.wigner import standard_constant, wigner4d
+from deev.wigner import CLOSED_FORMS, FORMS, standard_constant, wigner4d
 
 Q = QuadratureSpec()
 
@@ -155,6 +156,47 @@ def test_calibration_elliptic_stable():
     c2 = calibrate_constant_detailed(p, Q.halved(), form="standard").constant
     assert c1 == pytest.approx(c2, rel=1e-9)
     assert c1 == pytest.approx(standard_constant(3), rel=1e-9)
+
+
+def test_calibrations_share_one_probe_set():
+    p = DeevParams.tied(2, 5.0, 3.0, x0=0.4, py0=-0.3)
+    assert len({calibrate_constant_detailed(p, q, form=f).probes for q in (Q, Q.halved()) for f in FORMS}) == 1
+
+
+def test_calibration_skips_probes_below_1e8(monkeypatch):
+    # the first draw's shape and the second oracle value are below 1e-8 in magnitude: both draws are skipped,
+    # and two more draws take their places
+    shape, oracle_value = CLOSED_FORMS["standard"].evaluate, verify.oracle_wigner
+    drawn, asked = [], []
+
+    def tiny_first_shape(p, *pt, constant=None):
+        drawn.append(pt)
+        return 1e-9 if len(drawn) == 1 else shape(p, *pt, constant=constant)
+
+    def tiny_second_oracle(p, *pt, q):
+        asked.append(pt)
+        return -1e-9 if len(asked) == 2 else oracle_value(p, *pt, q=q)
+
+    monkeypatch.setitem(CLOSED_FORMS, "standard", replace(CLOSED_FORMS["standard"], evaluate=tiny_first_shape))
+    monkeypatch.setattr(verify, "oracle_wigner", tiny_second_oracle)
+    cal = calibrate_constant_detailed(DeevParams.tied(3, 5.0, 3.0), Q, form="standard")
+    assert len(drawn) == 7 and asked == drawn[1:]
+    assert cal.probes == (drawn[1], *drawn[3:])
+    assert cal.constant == pytest.approx(standard_constant(3), rel=1e-9)
+
+
+def test_calibration_needs_five_usable_probes(monkeypatch):
+    # six tiny oracle values leave 4 usable probes of the 10 draws: the state is too degenerate to calibrate
+    oracle_value, asked = verify.oracle_wigner, []
+
+    def tiny_first_six(p, *pt, q):
+        asked.append(pt)
+        return 0.0 if len(asked) <= 6 else oracle_value(p, *pt, q=q)
+
+    monkeypatch.setattr(verify, "oracle_wigner", tiny_first_six)
+    with pytest.raises(ValueError, match=r"^not enough usable probe points; state too degenerate$"):
+        calibrate_constant_detailed(DeevParams.tied(3, 5.0, 3.0), Q, form="standard")
+    assert len(asked) == 10
 
 
 @pytest.mark.parametrize("call", [calibrate_constant_detailed, adjudicate])
