@@ -64,8 +64,7 @@ _COUPLERS = {
 # its own row), list (one integer or a non-empty list of distinct ones) or a tuple of
 # allowed values. Numbers are converted to the named type.
 _SCHEMA = {
-    "config": {**dict.fromkeys(("state", "coupler", "grid", "quadrature", "sit", "wigner"),
-                               (dict, False)),
+    "config": {**dict.fromkeys(("state", "coupler", "grid", "sit", "wigner"), (dict, False)),
                "out_dir": (str, False), "seed": (int, False)},
     "state": {"m": (int, True), "sigma_x": (float, True), "sigma_y": (float, True),
               "sign": (int, False),
@@ -73,7 +72,6 @@ _SCHEMA = {
     "grid": {"axis1": (dict, True), "axis2": (dict, True)},
     "grid.axis1": _AXIS,
     "grid.axis2": _AXIS,
-    "quadrature": {"abs_tol": (float, False), "rel_tol": (float, False)},
     "sit": {"m": (list, False), "form": (SIT_FORMS, False), "clamp": (float, False)},
     "wigner": {"plane": (_PLANES, False), "form": (FORMS, False)},
     "coupler": {"kind": (tuple(_COUPLERS), True),
@@ -260,6 +258,8 @@ def cmd_wigner(cfg, args):
     planes = list(PLANES) if plane_name == "all" else [plane_name]
     override = _grid(cfg)
     labels = override and (override.axis1.label, override.axis2.label)
+    if labels and labels not in PLANES.values():
+        raise ConfigError(f"grid: labels {labels} name no plane; use one of {list(PLANES.values())}")
     for plane in planes:
         with _names(_COLLAPSED):
             grid = override if labels == PLANES[plane] else canonical_slice_grid(params, plane)
@@ -299,15 +299,13 @@ def cmd_verify(cfg, args):
         params.norm_constant
     with _names("state.eta_x/state.eta_y"):
         wigner._require_tied(params, "verify")
-    with _names("quadrature"):
-        q = QuadratureSpec(**cfg.get("quadrature", {}))
     seed = cfg.get("seed", 2024)
     if seed < 0:
         raise ConfigError(f"seed: expected a non-negative integer, got {seed}")
     with _names(_COLLAPSED):
         verify._suite_grids(params)    # run_verify builds these too; this names a collapse before any suite runs
     with _names("state.m", OverflowError), _names("oracle", OracleConvergenceError):
-        outcome = run_verify(params, q=q, threads=args.threads, seed=seed)
+        outcome = run_verify(params, threads=args.threads, seed=seed)
     for form, report in outcome.reports.items():
         verify.write_report(report, args.stage(f"discrepancy_{form}.txt"))
     summary = "\n".join(outcome.summary_lines()) + "\n"

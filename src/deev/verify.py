@@ -164,21 +164,21 @@ class VerifyOutcome:
         return lines
 
 
-def adjudicate(params, q=QuadratureSpec(), form=STANDARD):
+def adjudicate(params, form=STANDARD):
     """Calibrate one closed form against the oracle and build its report.
 
     The verdict is ``shape-mismatch`` when the oracle/shape ratios vary by
     1e-6 relative or more (no constant calibration exists), ``match`` when
     they do not and the nominal constant agrees with the calibrated one
     within 1e-6, and ``constant-only-mismatch`` when only the constant
-    differs. Stability under tolerance halving is checked by re-running at
-    half tolerances.
+    differs. The oracle runs at the default :class:`QuadratureSpec`, and
+    stability under tolerance halving is checked by re-running at half of it.
     """
     nominal = _closed_form(form).nominal(params)
-    cal = calibrate_constant_detailed(params, q=q, form=form)
+    cal = calibrate_constant_detailed(params, form=form)
     # the report prints the form at its nominal constant, nominal * shape, at each probe
     _finite([nominal * sv for sv in cal.shape_values], form, params.m, "at a calibration probe")
-    cal2 = calibrate_constant_detailed(params, q=q.halved(), form=form)
+    cal2 = calibrate_constant_detailed(params, q=QuadratureSpec().halved(), form=form)
     fits, fits2 = (c.spread < 1e-6 for c in (cal, cal2))
     # stable: neither calibration fits, or both fit with the same constant
     stable = fits == fits2 and (not fits or abs(cal.constant / cal2.constant - 1.0) < 1e-6)
@@ -199,8 +199,8 @@ def adjudicate(params, q=QuadratureSpec(), form=STANDARD):
     )
 
 
-def _normalization_suite(params, q):
-    val = oracle_norm(params, q)
+def _normalization_suite(params):
+    val = oracle_norm(params)
     ok = abs(val - 1.0) <= 1e-8
     return SuiteResult("normalization", ok, f"integral |psi|^2 = {val:.12f} (tol 1e-8)")
 
@@ -233,7 +233,7 @@ def _marginal_suite(params, rng):
                                                   "over 6 points (tol 1e-5)")
 
 
-def _equivalence_suite(params, q, rng):
+def _equivalence_suite(params, rng):
     worst = 0.0
     used = 0
     while used < 20:
@@ -241,7 +241,7 @@ def _equivalence_suite(params, q, rng):
         w_cf = wigner4d(params, *pt)
         if abs(w_cf) < 1e-6:
             continue
-        w_or = oracle_wigner(params, *pt, q=q)
+        w_or = oracle_wigner(params, *pt)
         worst = max(worst, abs(w_or - w_cf) / abs(w_cf))
         used += 1
     return SuiteResult("oracle-equivalence", worst <= 1e-6,
@@ -270,17 +270,17 @@ def _suite_grids(params):
     return {plane: canonical_slice_grid(params, plane) for plane in (("xpx", "ypx") if params.m >= 1 else ())}
 
 
-def run_verify(params, q=QuadratureSpec(), threads=None, seed=2024):
+def run_verify(params, threads=None, seed=2024):
     """Run all suites and return the outcome; nothing is written."""
     grids = _suite_grids(params)
     rng = random.Random(seed)
-    reports = {form: adjudicate(params, q, form=form) for form in FORMS}
+    reports = {form: adjudicate(params, form=form) for form in FORMS}
     std_report, cand_report = reports[STANDARD], reports[CANDIDATE]
 
     suites = [
-        _normalization_suite(params, q),
+        _normalization_suite(params),
         _marginal_suite(params, rng),
-        _equivalence_suite(params, q, rng),
+        _equivalence_suite(params, rng),
         _symmetry_suite(params),
     ]
     suites.append(SuiteResult(

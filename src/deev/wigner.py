@@ -253,13 +253,10 @@ def _sit_series(ck, r, s, form):
             r2k, s2k = r2 ** k, s2 ** k
             num += ck[k] * (t2 ** k - r2k - s2k)
             den += ck[k] * (r2k + s2k)
-        out = num / den
+        out = num / den     # den only adds to +0.0, so where it vanishes this is +-inf, or NaN for 0 / 0
     zero = den == 0.0
     if not (np.isfinite(out) | zero).all():
         raise OverflowError(f"the SIT at m={m} overflows double precision on this grid")
-    out = np.where(zero & (num > 0), np.inf, out)
-    out = np.where(zero & (num < 0), -np.inf, out)
-    out = np.where(zero & (num == 0), np.nan, out)
     return out if out.ndim else float(out)
 
 

@@ -81,7 +81,7 @@ def test_criterion_3_oracle_adjudication_elliptic(tmp_path):
     verdicts = []
     for m in (1, 2, 3):
         p = DeevParams.tied(m, 5.0, 3.0)
-        outcome = run_verify(p, q=Q, seed=2024)
+        outcome = run_verify(p, seed=2024)
         rep = outcome.reports["standard"]
         verdicts.append(rep.verdict.value)
         assert rep.verdict in (Verdict.MATCH, Verdict.CONSTANT_ONLY)

@@ -106,6 +106,19 @@ def test_wigner_single_plane_candidate_form(tmp_path):
     assert sorted(os.listdir(out)) == ["wigner_xpx_candidate.csv", "wigner_xpx_candidate.pgm"]
 
 
+# a grid whose labels name no plane is refused before any slice is sampled, not replaced by the canonical grids
+@pytest.mark.parametrize("plane", ["xy", "all"])
+@pytest.mark.parametrize("labels", [("y", "x"), ("r", "s")])
+def test_wigner_rejects_a_grid_that_names_no_plane(tmp_path, capsys, monkeypatch, labels, plane):
+    monkeypatch.setattr(cli, "wigner_slice", lambda *args, **kwargs: pytest.fail("a slice was sampled"))
+    cfg = write_config(tmp_path, "c.json", {"state": small_state(1), "grid": small_grid(*labels, n=5)})
+    out = tmp_path / "w"
+    assert main(["wigner", "--config", cfg, "--out", str(out), "--plane", plane]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: grid: labels {labels} name no plane; ") and captured.out == ""
+    assert not out.exists()
+
+
 def test_sit_command_and_m0_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
         "sit": {"m": [1, 2], "form": "sum", "clamp": 50.0},
@@ -560,7 +573,6 @@ def test_one_eta_names_both_keys(tmp_path, capsys, command):
 TABLE_BASE = {
     "state": dict(small_state(1), eta_x=1 / (math.sqrt(2) * 5.0), eta_y=1 / (math.sqrt(2) * 3.0)),
     "grid": small_grid(n=5),
-    "quadrature": {"abs_tol": 1e-12},
     "sit": {"m": 1, "form": "sum"},
     "wigner": {"plane": "xy", "form": "standard"},
     "coupler": {"kind": "dcdc", "g": 1.0, "delta": 0.0, "t": 0.5},
@@ -574,7 +586,7 @@ TABLE_BASE = {
     (("grid",), "bogus", 1, "grid.bogus"),
     (("grid", "axis1"), "bogus", 1, "grid.axis1.bogus"),
     (("grid", "axis2"), "bogus", 1, "grid.axis2.bogus"),
-    (("quadrature",), "bogus", 1, "quadrature.bogus"),
+    ((), "quadrature", {"bogus": 1}, "config.quadrature: unknown key"),
     (("sit",), "bogus", 1, "sit.bogus"),
     (("wigner",), "bogus", 1, "wigner.bogus"),
     (("coupler",), "bogus", 1, "coupler.bogus"),
@@ -586,11 +598,11 @@ TABLE_BASE = {
     (("wigner",), "form", "striped", "wigner.form"),
     (("sit",), "form", "product", "sit.form"),
     (("coupler",), "kind", "prism", "coupler.kind"),
-    (("quadrature",), "truncation_radius", 7.0, "quadrature.truncation_radius"),
+    ((), "quadrature", {"truncation_radius": 7.0}, "config.quadrature: unknown key"),
     (("state",), "eta_x", 0.9, "state.eta_x"),                # untied weights: verify only
     ((), "state", 3, "state: expected an object, got int"),
     (("state",), "x0", math.inf, "state.x0: expected a finite number, got inf"),
-    (("quadrature",), "abs_tol", math.inf, "quadrature.abs_tol: expected a finite number, got inf"),
+    ((), "quadrature", {"abs_tol": 1e-12}, "config.quadrature: unknown key"),  # a removed block, even at its old defaults
     (("sit",), "clamp", math.inf, "sit.clamp: expected a finite number, got inf"),
     (("sit",), "m", [1, 1], "sit.m: expected distinct integers, got [1, 1]"),
     (("sit",), "m", [], "sit.m: expected at least one integer, got []"),
@@ -602,7 +614,7 @@ def test_config_table_rejects(tmp_path, capsys, block, key, value, name):
         target = target[part]
     target[key] = value
     path = write_config(tmp_path, "c.json", cfg)
-    if name == "state.eta_x":
+    if name.startswith(("state.eta_x", "config.quadrature")):
         assert main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
     else:

@@ -202,7 +202,7 @@ def test_calibration_needs_five_usable_probes(monkeypatch):
 @pytest.mark.parametrize("call", [calibrate_constant_detailed, adjudicate])
 def test_forms_are_named_by_key(call):
     with pytest.raises(ValueError, match=r"^form must be one of \['candidate', 'standard'\], got 'shape'$"):
-        call(DeevParams.tied(1, 1.0, 1.0), Q, form="shape")
+        call(DeevParams.tied(1, 1.0, 1.0), form="shape")
 
 
 def test_candidate_form_is_shape_mismatched():
@@ -221,7 +221,7 @@ def test_shape_mismatch_report_holds_the_oracle_values():
     cal = calibrate_constant_detailed(p, Q, form="candidate")
     assert len(cal.probes) == 5
     assert cal.spread >= 1e-6
-    rep = adjudicate(p, Q, form="candidate")
+    rep = adjudicate(p, form="candidate")
     assert rep.verdict is Verdict.SHAPE
     assert rep.calibration.probes == cal.probes
     assert rep.calibration.oracle_values == tuple(oracle_wigner(p, *pt, q=Q) for pt in cal.probes)

@@ -6,7 +6,8 @@ one of two ways:
 
 * exit 0 with finite output (the SIT keeps its documented +-inf and NaN),
   every written file printed and nothing printed that was not written, or
-  a unitary coupler that meets a requested ratio;
+  a unitary coupler that meets a requested ratio; a standard-form slice
+  also keeps the pure-state bound |W| <= 1/pi^2;
 * exit 2 with ``error: <block.key>: ...`` on stderr, nothing on stdout and
   no ``--out`` directory; the message is the library's own, not a bare
   errno pair such as ``(34, 'Numerical result out of range')`` or the math
@@ -77,7 +78,11 @@ def check_run(command, cfg, *flags):
         assert set(printed) == {os.path.join(out, name) for name in os.listdir(out)}
         for p in printed:
             if p.endswith(".csv") and command != "sit":
-                assert np.isfinite(read_csv(p).values).all(), p
+                values = read_csv(p).values
+                assert np.isfinite(values).all(), p
+                # |W| <= 1/pi^2 for any pure state (Hillery et al. 1984); the candidate form is no Wigner function
+                if p.endswith("_standard.csv"):
+                    assert np.max(np.abs(values)) * np.pi ** 2 <= 1 + 1e-12, p
         return rc
 
 

@@ -415,10 +415,13 @@ def test_closed_form_marginal_is_intensity_exactly():
         assert _marginal_deviation(p, 3, rng) <= 1e-13, p
 
 
-def _identity_states():
-    """Seeded tied states: m 0-10, widths 10^U(-1, 1), random displacements and sign."""
+def _identity_states(beyond=()):
+    """Seeded tied states: m 0-10, then each order of ``beyond``; widths 10^U(-1, 1), random displacements and sign.
+
+    The states of ``beyond`` are drawn after the first eleven, which stay the same whatever ``beyond`` is.
+    """
     rng = np.random.default_rng(1984)
-    for m in range(11):
+    for m in [*range(11), *beyond]:
         sx, sy = 10.0 ** rng.uniform(-1.0, 1.0, 2)
         x0, y0, px0, py0 = rng.uniform(-2.0, 2.0, 4)
         yield DeevParams.tied(m, sx, sy, sign=int(rng.choice((-1, 1))), x0=x0, y0=y0, px0=px0, py0=py0)
@@ -439,14 +442,15 @@ def _gauss_hermite_sum(p, n, scale, integrand):
 
 def test_wigner4d_integrates_to_one_exactly():
     # an (m+1)-node rule per axis integrates the degree-2m polynomial exactly; tolerance 1e-13 absolute
-    for p in _identity_states():
+    for p in _identity_states(beyond=(15, 20, 30)):
         assert abs(_gauss_hermite_sum(p, p.m + 1, 1.0, lambda v: v) - 1.0) <= 1e-13, p
 
 
 def test_wigner4d_is_pure():
     # a pure two-mode state has (2 pi)^2 integral W^2 d^4z = 1. W^2 is exp(-2|z|^2) times a degree-4m
-    # polynomial: s -> s / sqrt(2) gives a factor 1/4 and a (2m+1)-node rule; tolerance 1e-13 absolute
-    for p in _identity_states():
+    # polynomial: s -> s / sqrt(2) gives a factor 1/4 and a (2m+1)-node rule; tolerance 1e-13 absolute.
+    # m = 25 would take 51^4 nodes
+    for p in _identity_states(beyond=(15, 20)):
         purity = (2.0 * math.pi) ** 2 / 4.0 * _gauss_hermite_sum(p, 2 * p.m + 1, 1.0 / SQRT2, np.square)
         assert abs(purity - 1.0) <= 1e-13, p
 
