@@ -32,8 +32,7 @@ _EXPORTS = {
     "wigner": ("ClosedForm", "CLOSED_FORMS", "standard_constant", "candidate_constant", "wigner4d",
                "wigner4d_candidate", "wigner_slice", "canonical_slice_grid", "sit_field",
                "count_strict_minima"),
-    "oracle": ("QuadratureSpec", "OracleConvergenceError", "oracle_wigner", "oracle_marginal_xy",
-               "oracle_norm"),
+    "oracle": ("OracleConvergenceError", "oracle_wigner", "oracle_marginal_xy", "oracle_norm"),
     "gridio": ("AxisSpec", "GridSpec", "Field2D", "sample_field", "write_csv", "write_pgm"),
     "verify": ("SuiteResult", "VerifyOutcome", "CalibrationResult", "Verdict", "DiscrepancyReport",
                "run_verify", "adjudicate", "calibrate_constant_detailed", "write_report"),

@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager, redirect_stdout, suppress
+from contextlib import contextmanager, redirect_stderr, redirect_stdout, suppress
 from importlib import import_module
 from pathlib import Path
 
@@ -173,9 +173,10 @@ def _outputs(out_dir):
 
     A staged file is created with the mode ``open`` gives, 0o666 less the umask. When the block
     ends, and only once no final name is a directory (which a rename cannot replace), each file
-    is renamed to its name; then what the block printed is printed, and each file's path. If the
-    block or a rename raises, the temporary files and the directories made are removed, so a
-    failed command prints nothing and leaves the directory's earlier files as they were.
+    is renamed to its name; then what the block printed is printed, and each file's path, and
+    what it printed to stderr. If the block or a rename raises, the temporary files and the
+    directories made are removed, so a failed command prints nothing but its error and leaves
+    the directory's earlier files as they were.
     """
     if "\0" in out_dir:    # os calls raise ValueError for it, not the OSError that main names
         raise OSError(f"embedded null byte in {out_dir!r}")
@@ -191,9 +192,9 @@ def _outputs(out_dir):
                 staged.append((tmp, os.path.join(out_dir, name)))
                 return tmp
 
-    printed = io.StringIO()
+    printed, noted = io.StringIO(), io.StringIO()
     try:
-        with redirect_stdout(printed):
+        with redirect_stdout(printed), redirect_stderr(noted):
             yield stage
         for _, path in staged:
             if os.path.isdir(path) and not os.path.islink(path):
@@ -211,6 +212,7 @@ def _outputs(out_dir):
     print(printed.getvalue(), end="")
     for _, path in staged:
         print(path)
+    print(noted.getvalue(), end="", file=sys.stderr)
 
 
 def _clamp(value, key):
@@ -266,6 +268,9 @@ def cmd_wigner(cfg, args):
         with _names("state.m", OverflowError):
             field = wigner_slice(params, grid, form=form, threads=args.threads)
         _write_field(args, field, f"wigner_{plane}_{form}", args.clamp)
+    if labels and all(labels != PLANES[plane] for plane in planes):
+        print(f"note: grid: labels {labels} are not the {plane_name} plane's {PLANES[plane_name]}; the grid went "
+              "unused and the canonical one was sampled", file=sys.stderr)
     return 0
 
 

@@ -20,14 +20,13 @@ import numpy as np
 from deev.cli import main as cli_main
 from deev.coupling import DcdcParams, bs_coupler, dcdc_coupler, dcdc_time_for_ratio
 from deev.gridio import AxisSpec, GridSpec
-from deev.oracle import QuadratureSpec, oracle_marginal_xy, oracle_norm, oracle_wigner
+from deev.oracle import oracle_marginal_xy, oracle_norm, oracle_wigner
 from deev.state import DeevParams, intensity_field, psi
 from deev.verify import Verdict, canonical_slice_grid, run_verify, write_report
 from deev.wigner import count_strict_minima, wigner4d, wigner_slice
 
 from sitref import sit
 
-Q = QuadratureSpec()
 SIGMA_SETS = [(1.0, 1.0), (5.0, 3.0), (2.0, 0.7)]
 
 
@@ -42,7 +41,7 @@ def test_criterion_1_normalization():
         for m in range(5):
             p = DeevParams.tied(m, sx, sy, x0=2.0, y0=4.0)
             t0 = time.time()
-            val = oracle_norm(p, Q)
+            val = oracle_norm(p)
             slowest = max(slowest, time.time() - t0)
             worst = max(worst, abs(val - 1.0))
     ok = worst <= 1e-8 and slowest < 10.0
@@ -54,7 +53,7 @@ def test_criterion_1_normalization():
 def test_criterion_2_oracle_equivalence_circular():
     """Calibrated closed form matches the oracle in the circular limit."""
     p0 = DeevParams.tied(0, 1.0, 1.0)
-    center = oracle_wigner(p0, 0.0, 0.0, 0.0, 0.0, Q)
+    center, _ = oracle_wigner(p0, 0.0, 0.0, 0.0, 0.0)
     anchor_err = abs(center - 1.0 / math.pi ** 2)
     worst = 0.0
     rng = np.random.default_rng(20240810)
@@ -66,7 +65,7 @@ def test_criterion_2_oracle_equivalence_circular():
             w_cf = wigner4d(p, a, b, pp, qq)
             if abs(w_cf) < 1e-6:          # stay in the bulk; see ledger note
                 continue
-            w_or = oracle_wigner(p, a, b, pp, qq, q=Q)
+            w_or, _ = oracle_wigner(p, a, b, pp, qq)
             worst = max(worst, abs(w_or - w_cf) / abs(w_cf))
             used += 1
     ok = worst <= 1e-6 and anchor_err <= 1e-8
@@ -103,7 +102,7 @@ def test_criterion_4_marginals():
     for _ in range(50):
         x = 5.0 * rng.uniform(-1.5, 1.5)
         y = 3.0 * rng.uniform(-1.5, 1.5)
-        worst = max(worst, abs(oracle_marginal_xy(p, x, y, Q) / (5.0 * 3.0) - abs(psi(p, x, y)) ** 2))
+        worst = max(worst, abs(oracle_marginal_xy(p, x, y) / (5.0 * 3.0) - abs(psi(p, x, y)) ** 2))
     ok = worst <= 1e-5
     report(4, ok, f"max |marginal - |psi|^2| = {worst:.2e} over 50 points (tol 1e-5)")
     assert worst <= 1e-5

@@ -37,7 +37,7 @@ def test_tracer_target_resolves(module, attr):
 def test_verify_calls_go_through_the_patched_names(tmp_path):
     # adjudicate and run_verify look these up in deev.verify's globals at call time, and
     # cmd_verify calls write_report through the deev.verify module
-    from deev import cli
+    from deev import FORMS, cli
 
     cfg = tmp_path / "verify.json"
     cfg.write_text(json.dumps({"state": {"m": 0, "sigma_x": 1.0, "sigma_y": 1.0}}))
@@ -46,6 +46,7 @@ def test_verify_calls_go_through_the_patched_names(tmp_path):
     names = {s.name for s in tracer.spans}
     assert {"oracle.calibrate", "oracle.wigner", "oracle.norm", "gridio.write_report"} <= names
     calibrations = {s.id for s in tracer.spans if s.name == "oracle.calibrate"}
+    assert len(calibrations) == len(FORMS)      # one calibration per closed form, no second pass
     assert any(s.name == "oracle.wigner" and s.parent in calibrations for s in tracer.spans)
     # oracle.psi_points_per_point counts the psi points under each oracle span
     name_of = {s.id: s.name for s in tracer.spans}

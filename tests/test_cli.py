@@ -119,6 +119,24 @@ def test_wigner_rejects_a_grid_that_names_no_plane(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_wigner_notes_a_grid_it_does_not_use(tmp_path, capsys):
+    # a grid labeled for another plane than --plane goes unused: the run writes the canonical slice, exits 0
+    # and says so on stderr; a used grid gives no note, and a run that fails after sampling prints its error alone
+    cfg = write_config(tmp_path, "c.json", {"state": small_state(1), "grid": small_grid("x", "px", n=5)})
+    out = tmp_path / "w"
+    assert main(["wigner", "--config", cfg, "--out", str(out), "--plane", "xy"]) == 0
+    assert capsys.readouterr().err == ("note: grid: labels ('x', 'px') are not the xy plane's ('x', 'y'); "
+                                       "the grid went unused and the canonical one was sampled\n")
+    assert read_csv(str(out / "wigner_xy_standard.csv")).values.shape == (301, 301)
+    assert main(["wigner", "--config", cfg, "--out", str(out), "--plane", "xpx"]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_csv(str(out / "wigner_xpx_standard.csv")).values.shape == (5, 5)
+    (out / "wigner_xy_standard.pgm").unlink()
+    (out / "wigner_xy_standard.pgm").mkdir()
+    assert main(["wigner", "--config", cfg, "--out", str(out), "--plane", "xy"]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: ")
+
+
 def test_sit_command_and_m0_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
         "sit": {"m": [1, 2], "form": "sum", "clamp": 50.0},
@@ -238,6 +256,27 @@ def test_verify_marginal_disagreement_fails_its_suite(tmp_path, capsys, monkeypa
     lines = _verify_lines(out, capsys)
     assert any(line.startswith("FAIL marginal: ") for line in lines)
     assert lines[-1] == "overall: FAIL"
+
+
+def test_verify_adjudication_fails_when_a_probe_bound_passes_half_the_tolerance(tmp_path, capsys, monkeypatch):
+    # the first oracle integral is the standard calibration's first probe; its bound, inside the oracle's
+    # tolerance but past half of it, makes that report unstable, and the adjudication fails
+    self_checked, bounds = oracle._self_checked, []
+
+    def inflated(integral, f, m, abs_tol=None):
+        value, bound = self_checked(integral, f, m, abs_tol)
+        bounds.append(bound)
+        return value, (0.75 * oracle._tolerance(value) if len(bounds) == 1 else bound)
+
+    monkeypatch.setattr(oracle, "_self_checked", inflated)
+    cfg = write_config(tmp_path, "v.json", {"state": {"m": 0, "sigma_x": 1.0, "sigma_y": 1.0}})
+    out = str(tmp_path / "v")
+    assert main(["verify", "--config", cfg, "--out", out]) == 1
+    failed = [line for line in _verify_lines(out, capsys) if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL adjudication: closed form verdict = match, stable = False; ")
+    for form, stable in [("standard", "false"), ("candidate", "true")]:
+        with open(os.path.join(out, f"discrepancy_{form}.txt"), encoding="ascii") as fh:
+            assert f"stable_under_halving={stable}" in fh.read().splitlines()
 
 
 def test_verify_symmetry_fails_when_the_exchange_keeps_the_sign(tmp_path, capsys, monkeypatch):

@@ -420,7 +420,8 @@ def report_fixture(verdict):
     return DiscrepancyReport(
         label="fixture",
         calibration=CalibrationResult(constant=1.1, probes=((0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8)),
-                                      shape_values=(1.0, 2.0), oracle_values=(1.1, 2.2), ratios=(1.1, 1.1)),
+                                      shape_values=(1.0, 2.0), oracle_values=(1.1, 2.2), bounds=(0.0, 0.0),
+                                      ratios=(1.1, 1.1)),
         nominal_constant=1.0,
         verdict=verdict,
         stable_under_halving=True,

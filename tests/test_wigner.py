@@ -324,9 +324,8 @@ def test_pinned_candidate_slices_reproduce_reduced_forms():
 
 def test_oracle_equivalence_all_parameter_sets():
     """Closed form vs transform oracle across the full (m, widths) matrix."""
-    from deev.oracle import QuadratureSpec, oracle_wigner
+    from deev.oracle import oracle_wigner
 
-    q = QuadratureSpec()
     rng = np.random.default_rng(101)
     worst = 0.0
     for sx, sy in ((1.0, 1.0), (5.0, 3.0), (2.0, 0.7)):
@@ -339,18 +338,18 @@ def test_oracle_equivalence_all_parameter_sets():
                 w_cf = wigner4d(p, *pt)
                 if abs(w_cf) < 1e-6:
                     continue
-                w_or = oracle_wigner(p, *pt, q=q)
+                w_or, _ = oracle_wigner(p, *pt)
                 worst = max(worst, abs(w_or - w_cf) / abs(w_cf))
                 used += 1
     assert worst <= 1e-6
 
 
 def test_derived_example_point_matches_oracle():
-    from deev.oracle import QuadratureSpec, oracle_wigner
+    from deev.oracle import oracle_wigner
 
     p = DeevParams.tied(3, 5.0, 3.0)
     w_cf = wigner4d(p, 1.0, 1.0, 0.1, -0.1)
-    w_or = oracle_wigner(p, 1.0, 1.0, 0.1, -0.1, QuadratureSpec())
+    w_or, _ = oracle_wigner(p, 1.0, 1.0, 0.1, -0.1)
     assert w_or == pytest.approx(w_cf, rel=1e-6)
 
 
