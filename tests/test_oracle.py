@@ -132,14 +132,29 @@ def test_norm_untied_state():
 
 
 def test_calibration_recovers_exact_constant():
-    for m, sx, sy in [(0, 1.0, 1.0), (1, 1.0, 1.0), (2, 1.0, 1.0), (3, 1.0, 1.0), (3, 5.0, 3.0)]:
-        p = DeevParams.tied(m, sx, sy)
+    for m in (0, 1, 2, 3):
+        p = DeevParams.tied(m, 1.0, 1.0)
         cal = calibrate_constant_detailed(p, form="standard")
         assert cal.spread < 1e-6
         assert cal.constant == pytest.approx(standard_constant(m), rel=1e-9)
 
 
-def test_stable_reports_calibrate_the_same_at_half_the_tolerance(monkeypatch):
+def halve_tolerances(patch):
+    for name in ("_ABS_TOL", "_REL_TOL", "_MARGINAL_ABS_TOL"):
+        patch.setattr(oracle, name, getattr(oracle, name) / 2)
+
+
+def test_calibration_elliptic_stable(monkeypatch):
+    p = DeevParams.tied(3, 5.0, 3.0)
+    report = adjudicate(p, form="standard")
+    assert report.stable_under_halving
+    halve_tolerances(monkeypatch)
+    c2 = calibrate_constant_detailed(p, form="standard").constant
+    assert report.calibration.constant == pytest.approx(c2, rel=1e-9)
+    assert report.calibration.constant == pytest.approx(standard_constant(3), rel=1e-9)
+
+
+def test_halving_self_consistency(monkeypatch):
     # the reference is a calibration with the oracle's tolerances halved: wherever a report reads stable,
     # it returns the same probes, values and bounds
     rng, stable = random.Random(38), []
@@ -156,8 +171,7 @@ def test_stable_reports_calibrate_the_same_at_half_the_tolerance(monkeypatch):
             stable.append(report.stable_under_halving)
             if report.stable_under_halving:
                 with monkeypatch.context() as halved:
-                    for name in ("_ABS_TOL", "_REL_TOL", "_MARGINAL_ABS_TOL"):
-                        halved.setattr(oracle, name, getattr(oracle, name) / 2)
+                    halve_tolerances(halved)
                     assert calibrate_constant_detailed(p, form=form) == report.calibration, (p, form)
     assert len(stable) >= 30 and all(stable), stable
 
