@@ -59,7 +59,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Field2D:
-    """Sampled real field: values[i, j] = f(axis1_node[i], axis2_node[j])."""
+    """Sampled real field: values[i, j] = f(axis1_node[i], axis2_node[j]); finiteness is its sampler's rule."""
 
     spec: GridSpec
     values: np.ndarray
@@ -68,8 +68,14 @@ class Field2D:
     def __post_init__(self):
         if self.values.shape != self.spec.shape:
             raise ValueError(f"values shape {self.values.shape} does not match grid {self.spec.shape}")
-        if self.metadata.get("allow_nonfinite") != "true" and not np.isfinite(self.values).all():
-            raise ValueError("non-finite entries require metadata allow_nonfinite=true")
+
+
+def _finite(out, what, where=None):
+    """Return ``out``, a sampled value finite everywhere; else OverflowError: ``what`` overflows ``where``."""
+    if not np.isfinite(out).all():
+        where = where or ("at this point", "at these points", "on this grid")[min(np.ndim(out), 2)]
+        raise OverflowError(f"{what} overflows double precision {where}")
+    return out if np.ndim(out) else float(out)
 
 
 # Grid blocks for sample_field and write_pgm: each block's temporaries stay in cache.
@@ -284,9 +290,10 @@ def write_pgm(field, destination, clamp="auto"):
     """Render a field as a binary 16-bit portable graymap.
 
     Values are affinely mapped from [-clamp, clamp] (or [min, max] of the
-    finite values when clamp is "auto") onto [0, 65535]; infinities clip to
-    the end levels and NaN maps to mid-gray. The mapping is recorded in a
-    comment line of the header; identical inputs give identical bytes.
+    finite values when clamp is "auto") onto [0, 65535], prescaled by 1/2 when
+    max - min passes the double range; infinities clip to the end levels and
+    NaN maps to mid-gray. The mapping is recorded in a comment line of the
+    header; identical inputs give identical bytes.
     """
     v = field.values
     blocks = _row_blocks(*v.shape)
@@ -304,17 +311,14 @@ def write_pgm(field, destination, clamp="auto"):
             raise ValueError(f"clamp must be a number with 0 < clamp < inf, got {clamp}")
         vmin, vmax = -clamp, clamp
     span = vmax - vmin
-    # a span past the double range is inf, which would map every finite value to 0: map with halves
-    halve = not math.isfinite(span)
+    # a span past the double range is inf and would map every value to 0: map halves (x * 0.5 is x / 2 exactly)
+    k = 1.0 if math.isfinite(span) else 0.5
 
     def levels(b):
         if span <= 0:
             return np.full(b.shape, 32768, dtype=">u2")
         with np.errstate(over="ignore"):    # dividing by a subnormal span overflows; +-inf clips to the end levels
-            if halve:
-                scaled = (b / 2 - vmin / 2) / (vmax / 2 - vmin / 2) * 65535.0
-            else:
-                scaled = (b - vmin) / span * 65535.0
+            scaled = (b * k - vmin * k) / (vmax * k - vmin * k) * 65535.0
         scaled = np.where(np.isnan(b), 32768.0, scaled)
         return np.clip(np.rint(scaled), 0, 65535).astype(">u2")
 

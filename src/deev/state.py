@@ -9,8 +9,11 @@ applied to a two-mode squeezed-displaced vacuum. In position space that is
 
 with sigma_i = exp(2 zeta_i). The plane-wave factor realises the momentum
 displacement; it drops out of every |psi|^2 quantity. The normalization
-constant is computed by Gauss-Hermite quadrature at construction (exact for
-the polynomial-times-Gaussian integrand), never transcribed.
+constant is computed by Gauss-Hermite quadrature on first use (a cached
+property; exact for the polynomial-times-Gaussian integrand), never
+transcribed: ``deev field`` and ``deev verify`` force it before any sampling,
+so an unrepresentable constant exits 2 naming ``state``; ``wigner`` and
+``sit`` never compute it for the lab state.
 
 The state's own frame is defined here alone: ``DeevParams.offsets`` maps a
 point to its scaled offsets A = (x - x0)/sigma_x, B = (y - y0)/sigma_y,
@@ -26,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _EXPORTS
-from .gridio import _fmt, sample_field
+from .gridio import _finite, _fmt, sample_field
 
 __all__ = list(_EXPORTS["state"])
 
@@ -178,14 +181,11 @@ def intensity_field(params, grid, threads=None):
     meta["quantity"] = "intensity"
 
     def fn(x, y):
-        # |psi|^2 is finite everywhere, so a non-finite value is an overflow. The
-        # errstate is set here because worker threads do not inherit it.
+        # set here, not by a caller: worker threads do not inherit errstate
         with np.errstate(over="ignore", invalid="ignore"):
             p = psi(params, x, y)
             v = p.real ** 2 + p.imag ** 2
-        if not np.isfinite(v).all():
-            raise OverflowError(f"|psi|^2 at m={params.m} overflows double precision on this grid")
-        return v
+        return _finite(v, f"|psi|^2 at m={params.m}")
 
     return sample_field(fn, grid, threads=threads, metadata=meta)
 

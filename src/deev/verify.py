@@ -1,11 +1,12 @@
 """End-to-end verification suites backing the ``verify`` command.
 
-Five suites run against a parameter set: normalization of |psi|^2, the
-validated form's momentum marginal against raw |psi|^2 (no oracle), oracle
-adjudication of both closed forms, symmetry (the mode exchange,
-W(swapped, y, x, py, px) = W(x, y, px, py) at 4D points) and, for m >= 1,
-the minima-count claim for the mixed-plane slices, the only suite that
-samples a grid. Each suite reports one line; each adjudication also yields a
+Six suites run against a parameter set, in this order: normalization of
+|psi|^2, the validated form's momentum marginal against raw |psi|^2 (no
+oracle), oracle-equivalence of the validated form at seeded points,
+symmetry (the mode exchange, W(swapped, y, x, py, px) = W(x, y, px, py) at
+4D points), oracle adjudication of both closed forms and, for m >= 1, the
+minima-count claim for the mixed-plane slices, the only suite that samples a
+grid. Each suite reports one line; each adjudication also yields a
 discrepancy report, which :func:`write_report` renders. Each suite has one
 point rule, drawn by ``random.Random``: the marginal's 6 points near the
 intensity ring (scaled radius sqrt(m)) and the oracle-equivalence's 20
@@ -32,11 +33,11 @@ from enum import Enum
 import numpy as np
 
 from . import _EXPORTS
-from .gridio import _fmt
+from .gridio import _finite, _fmt
 # oracle_marginal_xy is unused here; it stays bound because the benchmark's tracer wraps deev.verify.oracle_marginal_xy
 from .oracle import _rule, _tolerance, oracle_marginal_xy, oracle_norm, oracle_wigner
 from .state import psi
-from .wigner import (CANDIDATE, FORMS, STANDARD, _closed_form, _finite, canonical_slice_grid,
+from .wigner import (CANDIDATE, FORMS, STANDARD, _closed_form, canonical_slice_grid,
                      count_strict_minima, wigner4d, wigner_slice)
 
 __all__ = list(_EXPORTS["verify"])
@@ -181,7 +182,8 @@ def adjudicate(params, form=STANDARD):
     nominal = _closed_form(form).nominal(params)
     cal = calibrate_constant_detailed(params, form=form)
     # the report prints the form at its nominal constant, nominal * shape, at each probe
-    _finite([nominal * sv for sv in cal.shape_values], form, params.m, "at a calibration probe")
+    _finite([nominal * sv for sv in cal.shape_values], f"the {form} closed form at m={params.m}",
+            "at a calibration probe")
     stable = all(bound <= _tolerance(ov) / 2 for ov, bound in zip(cal.oracle_values, cal.bounds))
 
     if cal.spread >= 1e-6:

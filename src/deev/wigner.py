@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS, FORMS, PLANES, SIT_FORMS
-from .gridio import AxisSpec, GridSpec, _fmt, sample_field
+from .gridio import AxisSpec, GridSpec, _finite, _fmt, sample_field
 from .special import alp_coeffs, alp_eval, gamma_half_integer
 from .state import SQRT2, _param_metadata
 
@@ -80,14 +80,6 @@ def _require_tied(params, what):
         )
 
 
-def _finite(out, form, m, where=None):
-    """Return W, which is finite everywhere: a non-finite value is an overflow, named by where W was evaluated."""
-    if not np.isfinite(out).all():
-        where = where or ("at this point", "at these points", "on this grid")[min(np.ndim(out), 2)]
-        raise OverflowError(f"the {form} closed form at m={m} overflows double precision {where}")
-    return out if np.ndim(out) else float(out)
-
-
 def wigner4d(params, x, y, px, py, constant=None):
     """Validated closed-form Wigner function; scalar or array arguments; OverflowError if not finite."""
     _require_tied(params, "wigner4d")
@@ -99,7 +91,7 @@ def wigner4d(params, x, y, px, py, constant=None):
         s = params.sign
         arg = (a + s * q) ** 2 + (b - s * p) ** 2
         out = constant * np.exp(-(a * a + b * b + p * p + q * q)) * alp_eval(params.m, 0.0, arg)
-    return _finite(out, STANDARD, params.m)
+    return _finite(out, f"the {STANDARD} closed form at m={params.m}")
 
 
 def wigner4d_candidate(params, x, y, px, py, constant=None):
@@ -129,7 +121,7 @@ def wigner4d_candidate(params, x, y, px, py, constant=None):
         gauss = np.exp(-(x1 ** 2 + y1 ** 2 + px1 ** 2 + py1 ** 2))
         arg = (px2 + py2 - x2 - y2) ** 2 / (sx ** 2 + sy ** 2)
         out = constant * gauss * alp_eval(params.m, -0.5, arg)
-    return _finite(out, CANDIDATE, params.m)
+    return _finite(out, f"the {CANDIDATE} closed form at m={params.m}")
 
 
 @dataclass(frozen=True)
@@ -265,7 +257,8 @@ def sit_field(m, sigma_x, sigma_y, grid, form="sum", clamp_cap=1e12, threads=Non
 
     Values are stored raw (IEEE infinities and the NaN at the undefined
     origin preserved); ``clamp_cap`` is recorded in the metadata as the
-    finite cap renderers should apply.
+    finite cap renderers should apply; ``allow_nonfinite=true`` only tells a
+    reader that the values may hold those tokens.
     """
     got = (grid.axis1.label, grid.axis2.label)
     if got != ("r", "s"):

@@ -39,11 +39,18 @@ def test_axis_validation():
 def test_field_shape_validation():
     with pytest.raises(ValueError):
         Field2D(spec=grid(), values=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        Field2D(spec=grid(), values=np.full((4, 3), np.nan))
-    for bad in (math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            Field2D(spec=grid(), values=np.full((4, 3), bad))
+
+
+def test_field_leaves_finiteness_to_its_sampler(tmp_path):
+    # no metadata switch: a field may hold any double, and both writers render it
+    vals = np.array([[math.inf, 0.0, -math.inf], [math.nan, -1.0, 1.0]])
+    g2 = GridSpec(axis1=AxisSpec("x", 0.0, 1.0, 2), axis2=AxisSpec("y", 0.0, 1.0, 3))
+    f = Field2D(spec=g2, values=vals)
+    write_csv(f, str(tmp_path / "f.csv"))
+    assert [line.rsplit(",", 1)[1] for line in (tmp_path / "f.csv").read_text().splitlines()[2:]] == \
+        ["inf", "0", "-inf", "nan", "-1", "1"]
+    write_pgm(f, str(tmp_path / "f.pgm"))
+    assert _pgm_levels(tmp_path / "f.pgm").tolist() == [65535, 32768, 0, 32768, 0, 65535]
 
 
 def test_csv_round_trip_bitwise(tmp_path):
@@ -108,7 +115,7 @@ def test_pgm_deterministic_and_uniform(tmp_path):
 def test_pgm_mapping_and_clipping(tmp_path, clamp, header):
     vals = np.array([[-2.0, 0.0, math.nan], [clamp, 5.0, -clamp]])
     g2 = GridSpec(axis1=AxisSpec("x", 0.0, 1.0, 2), axis2=AxisSpec("y", 0.0, 1.0, 3))
-    f = Field2D(spec=g2, values=vals, metadata={"allow_nonfinite": "true"})
+    f = Field2D(spec=g2, values=vals)
     path = tmp_path / "c.pgm"
     write_pgm(f, str(path), clamp=clamp)
     data = path.read_bytes()
@@ -137,6 +144,21 @@ def test_pgm_maps_a_span_past_the_double_range(tmp_path):
     g2 = GridSpec(axis1=AxisSpec("x", 0.0, 1.0, 2), axis2=AxisSpec("y", 0.0, 1.0, 3))
     write_pgm(Field2D(spec=g2, values=np.array([[-1e308, 0.0, 1e308], [0.0, 0.0, 0.0]])), str(path))
     assert _pgm_levels(path)[:3].tolist() == [0, 32768, 65535]
+
+
+@pytest.mark.parametrize("clamp, header", [
+    # vmax - vmin is the largest double: mapped as it is
+    (sys.float_info.max / 2, b"# map vmin=-8.9884656743115785e+307 vmax=8.9884656743115785e+307 nan=32768\n"),
+    # vmax - vmin is inf: the ends and each value are prescaled by 1/2
+    (math.nextafter(sys.float_info.max / 2, math.inf),
+     b"# map vmin=-8.9884656743115795e+307 vmax=8.9884656743115795e+307 nan=32768\n"),
+], ids=["span-max", "span-inf"])
+def test_pgm_prescale_boundary(tmp_path, clamp, header):
+    g2 = GridSpec(axis1=AxisSpec("x", 0.0, 1.0, 2), axis2=AxisSpec("y", 0.0, 1.0, 3))
+    path = tmp_path / "f.pgm"
+    write_pgm(Field2D(spec=g2, values=np.array([[-clamp, 0.0, clamp], [clamp, 0.0, -clamp]])), str(path), clamp=clamp)
+    assert path.read_bytes().split(b"\n", 1)[1].startswith(header)
+    assert _pgm_levels(path).tolist() == [0, 32768, 65535, 65535, 32768, 0]
 
 
 def test_pgm_rejects_infinite_clamp(tmp_path):
@@ -276,7 +298,7 @@ def _pgm_cases():
 def test_pgm_bytes_match_whole_array_reference(tmp_path, monkeypatch, name, clamp):
     monkeypatch.setattr(gridio, "_BLOCK_NODES", 7)   # one 5-node row per block
     f = Field2D(spec=GridSpec(AxisSpec("x", 0.0, 1.0, 9), AxisSpec("y", 0.0, 1.0, 5)),
-                values=_pgm_cases()[name], metadata={"allow_nonfinite": "true"})
+                values=_pgm_cases()[name])
     path = tmp_path / "f.pgm"
     write_pgm(f, str(path), clamp=clamp)
     assert path.read_bytes() == _reference_pgm_bytes(f, clamp)
