@@ -42,6 +42,8 @@ class AxisSpec:
             raise ValueError("axis bounds must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"axis bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"axis span hi - lo must be finite, got [{self.lo}, {self.hi}]")
 
     def nodes(self):
         return np.linspace(self.lo, self.hi, self.count)

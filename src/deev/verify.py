@@ -11,7 +11,9 @@ discrepancy report, which :func:`write_report` renders. Each suite has one
 point rule, drawn by ``random.Random``: the marginal's 6 points near the
 intensity ring (scaled radius sqrt(m)) and the oracle-equivalence's 20
 from the run's ``seed``, the symmetry's 50 from ``Random(7)`` and the
-calibration's probes from ``Random(0)``.
+calibration's probes from ``Random(0)``; the calibration and the
+oracle-equivalence share one loop, :func:`_oracle_points`, each with its
+own generator, box, skip floor and draw cap.
 
 Adjudication lives here end to end: the probe points and their 1e-8 skip
 thresholds, the calibration of each closed form's constant, every pass/fail
@@ -19,12 +21,14 @@ threshold, the verdicts and the report format. The oracle module only
 integrates ``psi``.
 
 The minima-count suite records an expected failure mode: the claim of m
-strict minima in the x-px plane holds for the striped candidate form but
-not for the validated form, whose mixed-plane slices are rings in scaled
-coordinates (their discrete minima are grid artifacts along the ring).
-Both counts are reported; the suite verdict follows the validated form.
+strict minima in the x-px plane fails for the validated form, whose
+mixed-plane slices are rings in scaled coordinates (their discrete minima
+are grid artifacts along the ring); the striped candidate form meets it
+only at small m and some widths. Both counts are reported; the suite
+verdict follows the validated form.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -59,45 +63,37 @@ class CalibrationResult:
         return (max(self.ratios) - min(self.ratios)) / max(abs(r) for r in self.ratios)
 
 
+def _oracle_points(params, rng, half, evaluate, floor, draws=None):
+    """Yield ``(point, value, oracle value, bound)`` at points of four ``rng`` draws, scaled offsets
+    U(-half, half); a point whose ``evaluate(params, *point)`` is below ``floor`` in magnitude is skipped
+    before the oracle runs. At most ``draws`` points are drawn (None: no cap)."""
+    for _ in itertools.count() if draws is None else range(draws):
+        pt = params.phase_point(*(rng.uniform(-half, half) for _ in range(4)))
+        value = evaluate(params, *pt)
+        if not abs(value) < floor:
+            yield (pt, value, *oracle_wigner(params, *pt))
+
+
 def calibrate_constant_detailed(params, form=STANDARD):
     """Fit the overall constant of a closed form against the oracle.
 
     ``form`` is a name in ``deev.FORMS``; each probe evaluates that form at
-    constant 1 (its shape). Probes are drawn at scaled offsets U(-0.85, 0.85)
-    from the displaced center by a generator of their own, so every
-    calibration of a state shares one probe set, whatever ``seed``; of at
-    most 10 draws, points where either value is below 1e-8 in magnitude are
-    skipped. The result is returned whatever the ratios' spread;
-    :func:`adjudicate` decides whether a constant calibration exists.
+    constant 1 (its shape). The probes are the first 5 points of
+    :func:`_oracle_points` where neither value is below 1e-8 in magnitude,
+    of at most 10 draws at scaled offsets U(-0.85, 0.85) from a generator of
+    their own, ``Random(0)``, so every calibration of a state shares one
+    probe set, whatever ``seed``. The result is returned whatever the ratios'
+    spread; :func:`adjudicate` decides whether a constant calibration exists.
     """
     evaluate = _closed_form(form).evaluate
-    rng = random.Random(0)
-    probes, shapes, oracles, bounds = [], [], [], []
-    for _ in range(2 * _N_PROBES):
-        if len(probes) == _N_PROBES:
-            break
-        pt = params.phase_point(*(rng.uniform(-0.85, 0.85) for _ in range(4)))
-        sv = float(evaluate(params, *pt, constant=1.0))
-        if abs(sv) < 1e-8:
-            continue
-        ov, bound = oracle_wigner(params, *pt)
-        if abs(ov) < 1e-8:
-            continue
-        probes.append(pt)
-        shapes.append(sv)
-        oracles.append(ov)
-        bounds.append(bound)
-    if len(probes) < _N_PROBES:
+    points = _oracle_points(params, random.Random(0), 0.85,
+                            lambda p, *pt: float(evaluate(p, *pt, constant=1.0)), 1e-8, draws=2 * _N_PROBES)
+    kept = list(itertools.islice((row for row in points if not abs(row[2]) < 1e-8), _N_PROBES))
+    if len(kept) < _N_PROBES:
         raise ValueError("not enough usable probe points; state too degenerate")
+    probes, shapes, oracles, bounds = zip(*kept)
     ratios = tuple(ov / sv for ov, sv in zip(oracles, shapes))
-    return CalibrationResult(
-        constant=float(np.mean(ratios)),
-        probes=tuple(probes),
-        shape_values=tuple(shapes),
-        oracle_values=tuple(oracles),
-        bounds=tuple(bounds),
-        ratios=ratios,
-    )
+    return CalibrationResult(float(np.mean(ratios)), probes, shapes, oracles, bounds, ratios)
 
 
 class Verdict(str, Enum):
@@ -237,18 +233,12 @@ def _marginal_suite(params, rng):
 
 
 def _equivalence_suite(params, rng):
+    n, tol = 20, "1e-6"     # the tolerance as the summary prints it; also the skip floor
     worst = 0.0
-    used = 0
-    while used < 20:
-        pt = params.phase_point(*(rng.uniform(-1.8, 1.8) for _ in range(4)))
-        w_cf = wigner4d(params, *pt)
-        if abs(w_cf) < 1e-6:
-            continue
-        w_or, _ = oracle_wigner(params, *pt)
+    for _, w_cf, w_or, _ in itertools.islice(_oracle_points(params, rng, 1.8, wigner4d, float(tol)), n):
         worst = max(worst, abs(w_or - w_cf) / abs(w_cf))
-        used += 1
-    return SuiteResult("oracle-equivalence", worst <= 1e-6,
-                       f"max relative deviation = {worst:.3e} over 20 points (tol 1e-6)")
+    return SuiteResult("oracle-equivalence", worst <= float(tol),
+                       f"max relative deviation = {worst:.3e} over {n} points (tol {tol})")
 
 
 def _symmetry_suite(params):

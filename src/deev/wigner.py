@@ -25,11 +25,11 @@ eta_x sigma_x = eta_y sigma_y:
       W = K exp(-(x1^2+y1^2+px1^2+py1^2))
           L_m^{-1/2}((px2 + py2 - x2 - y2)^2 / (sigma_x^2 + sigma_y^2))
 
-  with K = :func:`candidate_constant`. Its reduced slices show the striped
-  structure with exactly m minima in the mixed planes, but the oracle
-  adjudication reports a shape mismatch against the Wigner transform (see
-  the verify command); it is retained for comparison and for that
-  adjudication, not as a validated quantity.
+  with K = :func:`candidate_constant`. Its reduced slices show a striped
+  structure in the mixed planes, with m strict minima only at small m and
+  at some widths, and the oracle adjudication reports a shape mismatch
+  against the Wigner transform (see the verify command); it is retained
+  for comparison and for that adjudication, not as a validated quantity.
 
 A 2D slice is named by its grid's axis labels, one of the six pairs in
 :data:`PLANES` (``"xpx"`` is the grid labeled ``("x", "px")``). ``PLANES``,

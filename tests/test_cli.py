@@ -589,6 +589,28 @@ def test_collapsed_default_grid_names_state(tmp_path, capsys, command, key):
     assert not out.exists()
 
 
+_HUGE_AXIS = {"min": -1e308, "max": 1e308, "count": 5}    # finite bounds, but hi - lo = inf
+_UNIT_AXIS = {"min": -1.0, "max": 1.0, "count": 5}
+
+
+@pytest.mark.parametrize("argv, cfg, key", [
+    (["field"], {"state": {"m": 0, "sigma_x": 1.0, "sigma_y": 1.0},
+                 "grid": {"axis1": dict(_HUGE_AXIS, label="x"), "axis2": dict(_UNIT_AXIS, label="y")}}, "grid.axis1"),
+    (["sit"], {"state": {"m": 2, "sigma_x": 1.0, "sigma_y": 1.0}, "sit": {"m": [2]},
+               "grid": {"axis1": dict(_UNIT_AXIS, label="r"), "axis2": dict(_HUGE_AXIS, label="s")}}, "grid.axis2"),
+    # the default grid's 3.4 scaled widths around the center span past the double range
+    (["field"], {"state": {"m": 0, "sigma_x": 5e307, "sigma_y": 1e-307}}, "state"),
+    (["wigner", "--plane", "xy"], {"state": {"m": 1, "sigma_x": 5e307, "sigma_y": 1e-307}}, "state"),
+], ids=["field-config-grid", "sit-config-grid", "field-default-grid", "wigner-default-grid"])
+def test_axis_span_past_the_double_range_names_its_grid(tmp_path, capsys, argv, cfg, key):
+    # np.linspace over an infinite span gave NaN and inf nodes, which the samplers blamed on m
+    out = tmp_path / "o"
+    assert main([*argv, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and "axis span hi - lo must be finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["wigner", "verify"])
 def test_untied_weights_rejected_before_writing(tmp_path, capsys, command):
     cfg = write_config(tmp_path, "c.json", {"state": {"m": 2, "sigma_x": 2.0, "sigma_y": 1.0,

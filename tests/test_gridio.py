@@ -34,6 +34,8 @@ def test_axis_validation():
         AxisSpec("x", 2.0, 1.0, 5)
     with pytest.raises(ValueError):
         AxisSpec("x", 0.0, math.inf, 5)
+    with pytest.raises(ValueError, match="axis span hi - lo must be finite"):
+        AxisSpec("x", -1e308, 1e308, 5)
 
 
 def test_field_shape_validation():

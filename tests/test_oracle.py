@@ -217,6 +217,30 @@ def test_calibration_needs_five_usable_probes(monkeypatch):
     assert len(asked) == 10
 
 
+def test_equivalence_suite_skips_small_values_and_keeps_20_points(monkeypatch):
+    # the first three draws' closed-form values are below the 1e-6 floor, so the oracle runs only at the next
+    # 20 draws; its k-th value 1 + k 1e-9 makes the 20th point the worst
+    drawn, asked = [], []
+
+    def zero_first_three(p, *pt):
+        drawn.append(pt)
+        return 0.0 if len(drawn) <= 3 else 1.0
+
+    def drifting_oracle(p, *pt):
+        asked.append(pt)
+        return 1.0 + len(asked) * 1e-9, 0.0
+
+    monkeypatch.setattr(verify, "wigner4d", zero_first_three)
+    monkeypatch.setattr(verify, "oracle_wigner", drifting_oracle)
+    p = DeevParams.tied(3, 5.0, 3.0, x0=0.4, py0=-0.3)
+    rng, replay = random.Random(2024), random.Random(2024)
+    suite = verify._equivalence_suite(p, rng)
+    points = [p.phase_point(*(replay.uniform(-1.8, 1.8) for _ in range(4))) for _ in range(23)]
+    assert drawn == points and asked == points[3:]
+    assert suite.passed and suite.detail == "max relative deviation = 2.000e-08 over 20 points (tol 1e-6)"
+    assert rng.getstate() == replay.getstate()      # 4 x 23 draws, none more
+
+
 @pytest.mark.parametrize("call", [calibrate_constant_detailed, adjudicate])
 def test_forms_are_named_by_key(call):
     with pytest.raises(ValueError, match=r"^form must be one of \['candidate', 'standard'\], got 'shape'$"):

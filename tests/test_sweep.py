@@ -131,7 +131,7 @@ def states(draw, max_m):
 
 @st.composite
 def grids(draw, labels):
-    """A tiny explicit grid: 2-7 nodes per axis, any center, half-widths 1e-4 to 1e4."""
+    """A tiny explicit grid: 2-7 nodes per axis, any center, half-widths 10^-200 to 10^200."""
     grid = {}
     for name, label in zip(("axis1", "axis2"), labels):
         center, half = draw(shifts), draw(widths)
