@@ -27,7 +27,7 @@ SIT_FORMS = ("sum", "difference")
 _EXPORTS = {
     "coupling": ("ModeCoupler", "DcdcParams", "bs_coupler", "dcdc_coupler", "coupler_to_ellipticity",
                  "dcdc_time_for_ratio"),
-    "special": ("alp_eval", "alp_coeffs", "gamma_half_integer"),
+    "special": ("alp_eval",),
     "state": ("DeevParams", "psi", "intensity_field"),
     "wigner": ("ClosedForm", "CLOSED_FORMS", "standard_constant", "candidate_constant", "wigner4d",
                "wigner4d_candidate", "wigner_slice", "canonical_slice_grid", "sit_field",

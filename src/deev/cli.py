@@ -163,8 +163,15 @@ def _grid(cfg):
     return GridSpec(*axes)
 
 
-# a default grid whose center swamps its width
-_COLLAPSED = "state: the default grid around the displaced center collapses"
+@contextmanager
+def _default_grid():
+    """Re-raise a default grid's axis error naming ``state``: the grid collapses where the
+    displacement swamps the width (lo == hi), or else leaves the double range."""
+    try:
+        yield
+    except ValueError as err:
+        how = "collapses" if "lo < hi" in str(err) else "leaves the double range"
+        raise ConfigError(f"state: the default grid around the displaced center {how}: {err}") from err
 
 
 @contextmanager
@@ -240,7 +247,7 @@ def cmd_field(cfg, args):
         params.norm_constant
     grid = _grid(cfg)
     if grid is None:
-        with _names(_COLLAPSED):
+        with _default_grid():
             lo, hi = params.phase_point(-3.4, -3.4, 0.0, 0.0), params.phase_point(3.4, 3.4, 0.0, 0.0)
             grid = GridSpec(axis1=AxisSpec("x", lo[0], hi[0], 201), axis2=AxisSpec("y", lo[1], hi[1], 201))
     # the grid's config error is not an OverflowError, so the outer name passes it through
@@ -263,7 +270,7 @@ def cmd_wigner(cfg, args):
     if labels and labels not in PLANES.values():
         raise ConfigError(f"grid: labels {labels} name no plane; use one of {list(PLANES.values())}")
     for plane in planes:
-        with _names(_COLLAPSED):
+        with _default_grid():
             grid = override if labels == PLANES[plane] else canonical_slice_grid(params, plane)
         with _names("state.m", OverflowError):
             field = wigner_slice(params, grid, form=form, threads=args.threads)
@@ -307,7 +314,7 @@ def cmd_verify(cfg, args):
     seed = cfg.get("seed", 2024)
     if seed < 0:
         raise ConfigError(f"seed: expected a non-negative integer, got {seed}")
-    with _names(_COLLAPSED):
+    with _default_grid():
         verify._suite_grids(params)    # run_verify builds these too; this names a collapse before any suite runs
     with _names("state.m", OverflowError), _names("oracle", OracleConvergenceError):
         outcome = run_verify(params, threads=args.threads, seed=seed)

@@ -1,11 +1,9 @@
-"""Associated Laguerre polynomials and half-integer gamma values.
+"""Associated Laguerre polynomials by their three-term recurrence.
 
-Everything here is polynomial arithmetic: the three-term recurrence
-evaluates L_m^alpha, and the explicit series coefficients feed the scaled
-interference terms.
+Both closed forms evaluate their Laguerre factor here (L_m for the validated
+form, L_m^{-1/2} for the candidate). The exact series of L_m^{-1/2} that the
+scaled interference terms expand lives with them in ``wigner``.
 """
-
-import math
 
 import numpy as np
 
@@ -35,34 +33,3 @@ def alp_eval(m, alpha, z):
     for k in range(2, m + 1):
         prev, cur = cur, ((2 * k - 1 + alpha - z) * cur - (k - 1 + alpha) * prev) / k
     return cur if cur.ndim else float(cur)
-
-
-def alp_coeffs(m, alpha):
-    """Explicit power-series coefficients of L_m^alpha as a tuple of floats.
-
-    Entry k multiplies ``z**k``; there are ``m + 1`` entries with
-    ``(-1)^k C(m + alpha, m - k) / k!``, each rounded once from the exact
-    rational value (any float alpha is rational). The exact values follow
-    c_0 = prod_i (alpha + i) / i and c_k = -c_{k-1} (m - k + 1) / (k (k + alpha)),
-    which needs alpha > -1.
-    """
-    from fractions import Fraction      # here, not at the top: only the SIT builds exact coefficients
-
-    _check_order(m)
-    if not alpha > -1:
-        raise ValueError(f"alp_coeffs needs alpha > -1, got {alpha!r}")
-    a = Fraction(float(alpha))
-    c = Fraction(1)
-    for i in range(1, m + 1):
-        c *= (a + i) / i
-    out = [c]
-    for k in range(1, m + 1):
-        c = -c * (m - k + 1) / (k * (k + a))
-        out.append(c)
-    return tuple(float(c) for c in out)
-
-
-def gamma_half_integer(m):
-    """Gamma(m + 1/2) via the exact product formula (2m)! sqrt(pi) / (4^m m!)."""
-    _check_order(m)
-    return math.factorial(2 * m) * math.sqrt(math.pi) / (4.0 ** m * math.factorial(m))

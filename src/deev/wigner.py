@@ -45,7 +45,7 @@ import numpy as np
 
 from . import _EXPORTS, FORMS, PLANES, SIT_FORMS
 from .gridio import AxisSpec, GridSpec, _finite, _fmt, sample_field
-from .special import alp_coeffs, alp_eval, gamma_half_integer
+from .special import alp_eval
 from .state import SQRT2, _param_metadata
 
 __all__ = list(_EXPORTS["wigner"])
@@ -64,7 +64,9 @@ def candidate_constant(m, sigma_x, sigma_y):
     2^(m-4) m! / (pi sqrt(pi) Gamma(m + 1/2)) * (-2 (sigma_x^2 + sigma_y^2))^m
     """
     with suppress(OverflowError):       # an int too large for a float, or a float power
-        base = 2.0 ** (m - 4) * math.factorial(m) / (math.pi * math.sqrt(math.pi) * gamma_half_integer(m))
+        num = 2.0 ** (m - 4) * math.factorial(m)
+        gamma = math.factorial(2 * m) * math.sqrt(math.pi) / (4.0 ** m * math.factorial(m))    # Gamma(m + 1/2)
+        base = num / (math.pi * math.sqrt(math.pi) * gamma)
         constant = base * (-2.0 * (sigma_x ** 2 + sigma_y ** 2)) ** m
         if np.finfo(float).tiny <= abs(constant) < math.inf:     # a normal double
             return constant
@@ -202,15 +204,23 @@ def _sit_coeffs(m, sigma_x, sigma_y):
     if not (sigma_x > 0 and sigma_y > 0):
         raise ValueError("beam widths must be positive")
     d = math.inf        # unless the sum below fits a double
-    try:
-        # 0.0 stands in for c_m = (-1)^m / m!, which is subnormal for every m >= 171
-        cs = alp_coeffs(m, -0.5) if m < 171 else [0.0]
-        with np.errstate(all="ignore"):     # numpy scalar widths warn where floats raise
-            d = sigma_x ** 2 + sigma_y ** 2
-            ck = [c / d ** k for k, c in enumerate(cs)]
-    except (OverflowError, ZeroDivisionError):
-        cs = ck = [math.inf]                # fails the check below
-    if not all(np.finfo(float).tiny <= abs(c) < math.inf for c in [*cs, *ck]):
+    ck = [math.inf]     # unless every scaled coefficient is computed; fails the check below
+    # numpy scalar widths warn where floats raise
+    with suppress(OverflowError, ZeroDivisionError), np.errstate(all="ignore"):
+        d = sigma_x ** 2 + sigma_y ** 2
+        if m < 171:     # c_m = (-1)^m / m! is subnormal for every m >= 171
+            from fractions import Fraction      # here, not at the top: only the SIT builds exact coefficients
+
+            # L_m^a(z) = sum_k c_k z^k with c_0 = prod_i (a + i) / i and
+            # c_k = -c_{k-1} (m - k + 1) / (k (k + a)), exact, each rounded once
+            a = Fraction(-1, 2)
+            c = math.prod((a + i) / i for i in range(1, m + 1))
+            cs = [c]
+            for k in range(1, m + 1):
+                c = -c * (m - k + 1) / (k * (k + a))
+                cs.append(c)
+            ck = [float(c) / d ** k for k, c in enumerate(cs)]
+    if not all(np.finfo(float).tiny <= abs(c) < math.inf for c in ck):
         raise OverflowError(f"the SIT coefficients at m={m} leave the double range for "
                             f"sigma_x^2 + sigma_y^2 = {d:g}")
     return ck

@@ -8,6 +8,7 @@ import pkgutil
 import stat
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -300,7 +301,7 @@ def test_verify_shape_mismatch_fails_through_adjudication(tmp_path, capsys, monk
     assert "closed-form verdict: shape-mismatch" in lines
 
 
-# m = 90 and 120 overflow gamma_half_integer's (2m)!; at m = 64, sigma = 100 the product is inf
+# m = 90 and 120 overflow Gamma(m + 1/2)'s (2m)!; at m = 64, sigma = 100 the product is inf
 @pytest.mark.parametrize("m, sigma", [(90, 1.0), (120, 1.0), (64, 100.0)], ids=["90", "120", "64-sigma100"])
 def test_verify_candidate_constant_overflow_names_state_m(tmp_path, capsys, m, sigma):
     cfg = write_config(tmp_path, "v.json", {"state": {"m": m, "sigma_x": sigma, "sigma_y": sigma}})
@@ -479,6 +480,8 @@ def test_file_commands_load_no_numpy_random(tmp_path, argv, used):
     loaded = modules_after(argv + ["--out", str(tmp_path / "o")])
     assert used in loaded and os.listdir(tmp_path / "o")
     assert [m for m in loaded if m.startswith("numpy.random")] == []
+    # only the SIT builds exact coefficients, and it imports fractions (and decimal) where it does
+    assert ("fractions" in loaded) == (argv[0] == "sit")
 
 
 def test_library_shares_the_package_lists():
@@ -532,7 +535,8 @@ def test_largest_rule_normalizes_untied_m368(tmp_path):
 @pytest.mark.parametrize("m", [171, 20000, 10 ** 6])
 def test_sit_rejects_subnormal_orders_before_exact_arithmetic(tmp_path, capsys, monkeypatch, m):
     # c_m = (-1)^m / m! is subnormal for every m >= 171, whatever the widths
-    monkeypatch.setattr(wigner, "alp_coeffs", lambda *args: pytest.fail("exact coefficients built"))
+    monkeypatch.setitem(sys.modules, "fractions",
+                        SimpleNamespace(Fraction=lambda *args: pytest.fail("exact coefficients built")))
     cfg = write_config(tmp_path, "s.json", {"sit": {"m": m}})
     out = tmp_path / "o"
     assert main(["sit", "--config", cfg, "--out", str(out)]) == 2
@@ -591,6 +595,7 @@ def test_collapsed_default_grid_names_state(tmp_path, capsys, command, key):
 
 _HUGE_AXIS = {"min": -1e308, "max": 1e308, "count": 5}    # finite bounds, but hi - lo = inf
 _UNIT_AXIS = {"min": -1.0, "max": 1.0, "count": 5}
+_LEAVES = "state: the default grid around the displaced center leaves the double range"
 
 
 @pytest.mark.parametrize("argv, cfg, key", [
@@ -599,15 +604,17 @@ _UNIT_AXIS = {"min": -1.0, "max": 1.0, "count": 5}
     (["sit"], {"state": {"m": 2, "sigma_x": 1.0, "sigma_y": 1.0}, "sit": {"m": [2]},
                "grid": {"axis1": dict(_UNIT_AXIS, label="r"), "axis2": dict(_HUGE_AXIS, label="s")}}, "grid.axis2"),
     # the default grid's 3.4 scaled widths around the center span past the double range
-    (["field"], {"state": {"m": 0, "sigma_x": 5e307, "sigma_y": 1e-307}}, "state"),
-    (["wigner", "--plane", "xy"], {"state": {"m": 1, "sigma_x": 5e307, "sigma_y": 1e-307}}, "state"),
-], ids=["field-config-grid", "sit-config-grid", "field-default-grid", "wigner-default-grid"])
+    (["field"], {"state": {"m": 0, "sigma_x": 5e307, "sigma_y": 1e-307}}, _LEAVES),
+    (["wigner", "--plane", "xy"], {"state": {"m": 1, "sigma_x": 5e307, "sigma_y": 1e-307}}, _LEAVES),
+    (["verify"], {"state": {"m": 1, "sigma_x": 5e307, "sigma_y": 1e-307}}, _LEAVES),
+], ids=["field-config-grid", "sit-config-grid", "field-default-grid", "wigner-default-grid", "verify-default-grid"])
 def test_axis_span_past_the_double_range_names_its_grid(tmp_path, capsys, argv, cfg, key):
     # np.linspace over an infinite span gave NaN and inf nodes, which the samplers blamed on m
     out = tmp_path / "o"
     assert main([*argv, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and "axis span hi - lo must be finite" in err
+    assert "collapses" not in err
     assert not out.exists()
 
 

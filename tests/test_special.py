@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import binom, eval_genlaguerre, eval_hermite
 
-from deev.special import alp_coeffs, alp_eval, gamma_half_integer
+from deev.special import alp_eval
+from deev.wigner import _sit_coeffs
 
 
 def quadratic_alp(alpha, z):
@@ -65,21 +66,24 @@ def test_vectorized_matches_scalar():
 def test_negative_order_rejected():
     with pytest.raises(ValueError):
         alp_eval(-1, 0.0, 1.0)
-    for alpha in (-1.0, -1.5, -3.0):       # the coefficient recurrence divides by k + alpha
-        with pytest.raises(ValueError, match="alpha > -1"):
-            alp_coeffs(2, alpha)
+
+
+def half_coeffs(m):
+    # the SIT's coefficients of L_m^{-1/2}, unscaled: at sigma = 1, c_k / 2^k is exact
+    return [c * 2.0 ** k for k, c in enumerate(_sit_coeffs(m, 1.0, 1.0))]
 
 
 def test_coeffs_examples():
-    assert alp_coeffs(0, -0.5) == (1.0,)
-    assert alp_coeffs(1, -0.5) == pytest.approx((0.5, -1.0))
-    c3 = alp_coeffs(3, -0.5)
+    with pytest.raises(ValueError, match="m >= 1"):
+        _sit_coeffs(0, 1.0, 1.0)
+    assert half_coeffs(1) == pytest.approx([0.5, -1.0])
+    c3 = half_coeffs(3)
     assert len(c3) == 4
     assert c3[0] == pytest.approx(5.0 / 16.0, abs=1e-15)
 
 
 def test_coeffs_match_recurrence_at_sample_points():
-    c3 = alp_coeffs(3, -0.5)
+    c3 = half_coeffs(3)
     for z in np.linspace(0.0, 40.0, 20):
         rec = alp_eval(3, -0.5, float(z))
         assert exact_poly(c3, z) == pytest.approx(rec, rel=1e-10, abs=1e-12)
@@ -92,9 +96,7 @@ def test_recurrence_vs_series_property():
         alpha = float(rng.uniform(-0.9, 3.0))
         z = float(rng.uniform(0.0, 100.0))
         a = alp_eval(m, alpha, z)
-        exact = series_coeffs(m, alpha)
-        assert alp_coeffs(m, alpha) == tuple(float(c) for c in exact)
-        assert exact_poly(exact, z) == pytest.approx(a, rel=1e-10, abs=1e-10)
+        assert exact_poly(series_coeffs(m, alpha), z) == pytest.approx(a, rel=1e-10, abs=1e-10)
 
 
 def test_value_at_zero_is_binomial():
@@ -130,7 +132,23 @@ def test_rodrigues_hermite_connection_property():
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
-def test_gamma_half_integer_values():
-    assert gamma_half_integer(0) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma_half_integer(1) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-15)
-    assert gamma_half_integer(3) == pytest.approx(math.gamma(3.5), rel=1e-14)
+_SEEDED_WIDTHS = 10.0 ** np.random.default_rng(17).uniform(-2, 2, (6, 2))
+_WIDTHS = [(5.0, 3.0), (1.0, 1.0), *map(tuple, _SEEDED_WIDTHS.tolist())]
+
+
+def test_sit_coeffs_are_the_exact_series_rounded_once():
+    # each c_k of L_m^{-1/2} rounded once, then divided by (sigma_x^2 + sigma_y^2)^k in floats;
+    # where one of those leaves the normal range the order is rejected
+    for m in range(1, 171):
+        cs = [float(c) for c in series_coeffs(m, -0.5)]
+        for sx, sy in _WIDTHS:
+            d = sx ** 2 + sy ** 2
+            try:
+                expect = [c / d ** k for k, c in enumerate(cs)]
+            except OverflowError:
+                expect = [math.inf]
+            if all(np.finfo(float).tiny <= abs(c) < math.inf for c in expect):
+                assert _sit_coeffs(m, sx, sy) == expect, (m, sx, sy)
+            else:
+                with pytest.raises(OverflowError, match=f"^the SIT coefficients at m={m} "):
+                    _sit_coeffs(m, sx, sy)

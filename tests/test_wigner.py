@@ -1,6 +1,8 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -86,6 +88,24 @@ def test_candidate_constant_raises_when_not_a_double(m, sigma):
     # and at m = 50 the product underflows to 0 (which would sample an all-zero slice)
     with pytest.raises(OverflowError, match=f"^the candidate closed form's constant at m={m} does not fit"):
         candidate_constant(m, sigma, sigma)
+
+
+@pytest.mark.parametrize("sx, sy", [(5.0, 3.0), (1.0, 1.0), (0.37, 2.9), (100.0, 100.0)])
+def test_candidate_constant_carries_gamma_of_m_plus_half(sx, sy):
+    # the constant writes Gamma(m + 1/2) out as (2m)! sqrt(pi) / (4^m m!), and (2m)! leaves the floats
+    # at m = 86; below that it must agree with lgamma's route wherever the constant is a normal double
+    tiny, huge = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+    for m in range(130):
+        log_k = ((m - 4) * math.log(2.0) + math.lgamma(m + 1.0) - 1.5 * math.log(math.pi) - math.lgamma(m + 0.5)
+                 + m * math.log(2.0 * (sx ** 2 + sy ** 2)))
+        if m < 86 and tiny + 1e-9 < log_k < huge - 1e-9:
+            k = candidate_constant(m, sx, sy)
+            assert (k < 0) == (m % 2 == 1)
+            assert math.log(abs(k)) == pytest.approx(log_k, rel=0, abs=1e-12), m
+        elif m >= 86 or not tiny - 1e-9 < log_k < huge + 1e-9:
+            with pytest.raises(OverflowError, match=f"^the candidate closed form's constant at m={m} "):
+                candidate_constant(m, sx, sy)
+    assert candidate_constant(0, sx, sy) == pytest.approx(2.0 ** -4 / (math.pi ** 1.5 * math.gamma(0.5)), rel=1e-15)
 
 
 # ---------------------------------------------------------------- slices
@@ -259,12 +279,13 @@ def test_sit_field_m3_has_negative_values():
 
 
 def test_sit_field_builds_its_coefficients_once(monkeypatch):
+    # each exact series starts from Fraction(-1, 2); the module seen by the import records each start
     calls = []
-    real = wigner.alp_coeffs
-    monkeypatch.setattr(wigner, "alp_coeffs", lambda m, alpha: calls.append(m) or real(m, alpha))
+    monkeypatch.setitem(sys.modules, "fractions",
+                        SimpleNamespace(Fraction=lambda *args: calls.append(args) or Fraction(*args)))
     monkeypatch.setattr(gridio, "_BLOCK_NODES", 8 * 101)    # 13 row blocks of the 101-column grid
     f = sit_field(6, 5.0, 3.0, SIT_GRID, threads=2)
-    assert calls == [6]
+    assert calls == [(-1, 2)]
     rr, ss = np.meshgrid(SIT_GRID.axis1.nodes(), SIT_GRID.axis2.nodes(), indexing="ij")
     assert np.array_equal(f.values, sit(6, 5.0, 3.0, rr, ss), equal_nan=True)
 
