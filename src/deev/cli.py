@@ -165,12 +165,12 @@ def _grid(cfg):
 
 @contextmanager
 def _default_grid():
-    """Re-raise a default grid's axis error naming ``state``: the grid collapses where the
-    displacement swamps the width (lo == hi), or else leaves the double range."""
+    """Re-raise a default grid's axis error naming ``state``: its span leaves the double range
+    (the axis error is also an OverflowError), or else the displacement swamps the width (lo == hi)."""
     try:
         yield
     except ValueError as err:
-        how = "collapses" if "lo < hi" in str(err) else "leaves the double range"
+        how = "leaves the double range" if isinstance(err, OverflowError) else "collapses"
         raise ConfigError(f"state: the default grid around the displaced center {how}: {err}") from err
 
 

@@ -26,6 +26,10 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
+class _SpanOverflow(ValueError, OverflowError):
+    """An axis whose bounds are finite but whose span hi - lo is not: a bad value that overflows."""
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     label: str
@@ -43,7 +47,7 @@ class AxisSpec:
         if not self.lo < self.hi:
             raise ValueError(f"axis bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
         if not math.isfinite(self.hi - self.lo):
-            raise ValueError(f"axis span hi - lo must be finite, got [{self.lo}, {self.hi}]")
+            raise _SpanOverflow(f"axis span hi - lo must be finite, got [{self.lo}, {self.hi}]")
 
     def nodes(self):
         return np.linspace(self.lo, self.hi, self.count)
@@ -210,13 +214,11 @@ def _round17(v, powers):
     The rounding is certain when e lies in the table, 10**16 <= s and
     n < 10**17, and s is more than 2**-30 from a tie (the scaling error is
     below 2**-45) or, with an exact power of ten, exactly on one, which goes
-    to even as in "%". A zero is certain, with n = 0 on the e = 0 row.
-    Uncertain entries hold placeholder digits.
+    to even as in "%". Uncertain entries hold placeholder digits.
     """
     a = np.abs(v)
-    zero = a == 0.0
-    with np.errstate(invalid="ignore"):     # a NaN's log10
-        e = np.floor(np.log10(np.where(zero, 1.0, a)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
     certain = (e >= _E_LO) & (e <= _E_HI)
     a = np.where(certain, a, 1.0)
     row = np.where(certain, e - _E_LO, -_E_LO).astype(np.intp)
@@ -229,7 +231,7 @@ def _round17(v, powers):
     t = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail + a * lo
     floor = np.floor(t)
     frac = t - floor
-    certain &= ((lo == 0.0) | (np.abs(frac - 0.5) > _NEAR_TIE)) & ((p > 1e16) | ((p == 1e16) & (t >= 0.0)) | zero)
+    certain &= ((lo == 0.0) | (np.abs(frac - 0.5) > _NEAR_TIE)) & ((p > 1e16) | ((p == 1e16) & (t >= 0.0)))
     n = p.astype(np.int64) + floor.astype(np.int64)
     n += (frac > 0.5) | ((frac == 0.5) & (n & 1 == 1))
     certain &= n < 10 ** 17         # else an 18th digit: log10 came out low or s rounds up to 10**17
@@ -240,7 +242,7 @@ def _format_block(v):
     """The bytes of "%.17g" % x for every x of the float64 vector v, as an S24 array.
 
     Digits come from :func:`_round17` and are laid out by the layout table.
-    Every value whose rounding is not certain (inf, nan, subnormal or
+    Every value whose rounding is not certain (zeros, inf, nan, subnormal or
     extreme magnitudes, near-ties) is formatted by "%.17g" % x itself.
     """
     powers, layout = _format_tables()
@@ -253,8 +255,7 @@ def _format_block(v):
     src[:, 2] = _digits8(low)
     src[:, 3:] = np.frombuffer(_LITERALS, "<i8")
     b = src.view(np.uint8)
-    # trailing zero digits are dropped; a zero's are all 0, so the search stops at byte 6 and it keeps one
-    kept = np.maximum(17 - np.argmax(b[:, 23:5:-1] != ord("0"), axis=1), 1)
+    kept = 17 - np.argmax(b[:, 23:6:-1] != ord("0"), axis=1)
     key = (np.signbit(v) * (_E_HI - _E_LO + 1) + row) * 17 + kept - 1
     index = layout.take(key, axis=0) + np.arange(0, b.size, 40)[:, None]
     out = b.ravel().take(index).view("S24").ravel()

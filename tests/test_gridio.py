@@ -410,8 +410,7 @@ def test_block_formatter_matches_percent_on_a_million_values():
 def test_block_formatter_falls_back_inside_a_block():
     rng = np.random.default_rng(7)
     values = rng.normal(size=gridio._BLOCK_VALUES) * 10.0 ** rng.integers(-30, 30, gridio._BLOCK_VALUES)
-    # zeros (which the fast path writes), non-finite, subnormal, beyond the fast exponents, and a tie the
-    # scaling cannot decide
+    # zeros, non-finite, subnormal, beyond the fast exponents, and a tie the scaling cannot decide
     odd = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, -3e295, 3 * 2.0 ** -24]
     at = rng.choice(values.size, size=len(odd), replace=False)
     values[at] = odd
@@ -420,19 +419,6 @@ def test_block_formatter_falls_back_inside_a_block():
     assert got[at].tolist() == [b"0", b"-0", b"nan", b"inf", b"-inf", b"4.9406564584124654e-324",
                                 b"1e-300", b"-2.9999999999999999e+295",
                                 b"1.7881393432617188e-07"]
-
-
-def test_block_formatter_certifies_zeros():
-    # log10(0) = -inf once sent each zero to a per-value "%"; now it is n = 0 on the e = 0 row with one digit
-    values = np.zeros(gridio._BLOCK_VALUES)
-    values[1::3] = -0.0
-    values[2::3] = np.linspace(-3.0, 7.0, values[2::3].size)
-    n, row, certain = gridio._round17(values, gridio._format_tables()[0])
-    zero = values == 0.0
-    assert certain.all() and (n[zero] == 0).all() and (row[zero] == -gridio._E_LO).all()
-    got = gridio._format_block(values).tolist()
-    assert got == [b"%.17g" % x for x in values.tolist()]
-    assert got[:2] == [b"0", b"-0"]
 
 
 def test_block_formatter_stays_exact_when_log10_comes_out_low(monkeypatch):
