@@ -27,11 +27,10 @@ SIT_FORMS = ("sum", "difference")
 _EXPORTS = {
     "coupling": ("ModeCoupler", "DcdcParams", "bs_coupler", "dcdc_coupler", "coupler_to_ellipticity",
                  "dcdc_time_for_ratio"),
-    "special": ("alp_eval",),
     "state": ("DeevParams", "psi", "intensity_field"),
     "wigner": ("ClosedForm", "CLOSED_FORMS", "standard_constant", "candidate_constant", "wigner4d",
                "wigner4d_candidate", "wigner_slice", "canonical_slice_grid", "sit_field",
-               "count_strict_minima"),
+               "count_strict_minima", "alp_eval"),
     "oracle": ("OracleConvergenceError", "oracle_wigner", "oracle_marginal_xy", "oracle_norm"),
     "gridio": ("AxisSpec", "GridSpec", "Field2D", "sample_field", "write_csv", "write_pgm"),
     "verify": ("SuiteResult", "VerifyOutcome", "CalibrationResult", "Verdict", "DiscrepancyReport",

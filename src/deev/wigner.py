@@ -31,6 +31,10 @@ eta_x sigma_x = eta_y sigma_y:
   against the Wigner transform (see the verify command); it is retained
   for comparison and for that adjudication, not as a validated quantity.
 
+Both closed forms evaluate their Laguerre factor here, by the recurrence of
+:func:`alp_eval`; the scaled interference terms expand the exact series of
+L_m^{-1/2} instead.
+
 A 2D slice is named by its grid's axis labels, one of the six pairs in
 :data:`PLANES` (``"xpx"`` is the grid labeled ``("x", "px")``). ``PLANES``,
 ``FORMS`` and ``SIT_FORMS`` are the package's (``deev.PLANES``);
@@ -45,7 +49,6 @@ import numpy as np
 
 from . import _EXPORTS, FORMS, PLANES, SIT_FORMS
 from .gridio import AxisSpec, GridSpec, _finite, _fmt, sample_field
-from .special import alp_eval
 from .state import SQRT2, _param_metadata
 
 __all__ = list(_EXPORTS["wigner"])
@@ -67,10 +70,28 @@ def candidate_constant(m, sigma_x, sigma_y):
         num = 2.0 ** (m - 4) * math.factorial(m)
         gamma = math.factorial(2 * m) * math.sqrt(math.pi) / (4.0 ** m * math.factorial(m))    # Gamma(m + 1/2)
         base = num / (math.pi * math.sqrt(math.pi) * gamma)
-        constant = base * (-2.0 * (sigma_x ** 2 + sigma_y ** 2)) ** m
-        if np.finfo(float).tiny <= abs(constant) < math.inf:     # a normal double
+        power = (-2.0 * (sigma_x ** 2 + sigma_y ** 2)) ** m
+        constant = base * power
+        # both normal doubles: a subnormal power has lost digits that the product cannot get back
+        if all(np.finfo(float).tiny <= abs(v) < math.inf for v in (power, constant)):
             return constant
     raise OverflowError(f"the candidate closed form's constant at m={m} does not fit a double")
+
+
+def alp_eval(m, alpha, z):
+    """Evaluate the associated Laguerre polynomial L_m^alpha(z).
+
+    Uses the stable three-term recurrence
+    ``L_k = ((2k - 1 + alpha - z) L_{k-1} - (k - 1 + alpha) L_{k-2}) / k``
+    from L_{-1} = 0 and L_0 = 1. Accepts scalar or array ``z``; defined for all real ``z``.
+    """
+    if not isinstance(m, (int, np.integer)) or m < 0:
+        raise ValueError(f"polynomial order must be a nonnegative integer, got {m!r}")
+    z = np.asarray(z, dtype=float)
+    prev, cur = np.zeros_like(z), np.ones_like(z)
+    for k in range(1, m + 1):
+        prev, cur = cur, ((2 * k - 1 + alpha - z) * cur - (k - 1 + alpha) * prev) / k
+    return cur if cur.ndim else float(cur)
 
 
 def _require_tied(params, what):

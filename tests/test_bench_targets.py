@@ -75,3 +75,21 @@ def test_parser_accepts_every_benchmark_argv(tmp_path, workload):
 
     for cmd in workloads.make_pass(workload, 1, ROOT, str(tmp_path), 2):
         assert cli.build_parser().parse_args(cmd.argv).command == cmd.argv[0]
+
+
+@pytest.mark.parametrize("form", ["standard", "candidate"])
+def test_closed_forms_call_the_traced_laguerre_recurrence(tmp_path, form):
+    # the tracer wraps alp_eval by its name in deev.wigner's globals; a closed form that bound it
+    # any other way (a local name, a default argument) would leave special.alp_eval's spans empty
+    from deev import cli
+
+    axis = {"min": -3.0, "max": 3.0, "count": 11}
+    cfg = tmp_path / "wigner.json"
+    cfg.write_text(json.dumps({"state": {"m": 2, "sigma_x": 1.5, "sigma_y": 0.8},
+                               "grid": {"axis1": dict(axis, label="x"), "axis2": dict(axis, label="px")}}))
+    with tracing.Tracer() as tracer:
+        assert cli.main(["wigner", "--config", str(cfg), "--out", str(tmp_path / "o"), "--plane", "xpx",
+                         "--form", form, "--threads", "2"]) == 0
+    counts = {name: sum(s.count for s in tracer.spans if s.name == name)
+              for name in ("wigner.slice", "special.alp_eval")}
+    assert counts == {"wigner.slice": 121, "special.alp_eval": 121}

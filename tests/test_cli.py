@@ -638,6 +638,16 @@ def test_one_eta_names_both_keys(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["field", "wigner"])
+def test_subnormal_width_names_its_infinite_weight(tmp_path, capsys, command):
+    # the default weight eta_x = 1 / (sqrt(2) sigma_x) overflows at sigma_x = 1e-320
+    cfg = write_config(tmp_path, "c.json", {"state": {"m": 1, "sigma_x": 1e-320, "sigma_y": 1.0}})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: state: eta_x must be finite\n"
+    assert not out.exists()
+
+
 TABLE_BASE = {
     "state": dict(small_state(1), eta_x=1 / (math.sqrt(2) * 5.0), eta_y=1 / (math.sqrt(2) * 3.0)),
     "grid": small_grid(n=5),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import binom, eval_genlaguerre, eval_hermite
 
-from deev.special import alp_eval
+from deev.wigner import alp_eval
 from deev.wigner import _sit_coeffs
 
 

@@ -82,10 +82,11 @@ def test_candidate_overflow_raises_without_warning():
             wigner.CLOSED_FORMS["candidate"].evaluate(p, *pt, constant=1.0)
 
 
-@pytest.mark.parametrize("m, sigma", [(64, 100.0), (90, 1.0), (50, 1e-4)])
+@pytest.mark.parametrize("m, sigma", [(64, 100.0), (90, 1.0), (50, 1e-4), (42, 1e-4), (43, 1e-4)])
 def test_candidate_constant_raises_when_not_a_double(m, sigma):
     # at m = 64 the product overflows to inf, at m = 90 (2m)! is too large for a float,
-    # and at m = 50 the product underflows to 0 (which would sample an all-zero slice)
+    # at m = 50 the product underflows to 0 (which would sample an all-zero slice), and at
+    # m = 42 and 43 the power of the widths is subnormal (m = 43's normal product lost 1e-6 relative)
     with pytest.raises(OverflowError, match=f"^the candidate closed form's constant at m={m} does not fit"):
         candidate_constant(m, sigma, sigma)
 
@@ -290,6 +291,11 @@ def test_sit_field_builds_its_coefficients_once(monkeypatch):
     assert np.array_equal(f.values, sit(6, 5.0, 3.0, rr, ss), equal_nan=True)
 
 
+def test_sit_field_rejects_a_zero_width():
+    with pytest.raises(ValueError, match="^beam widths must be positive$"):
+        sit_field(1, 0.0, 1.0, SIT_GRID)
+
+
 def test_sit_field_label_check():
     with pytest.raises(ValueError, match="axes"):
         sit_field(1, 1.0, 1.0, GridSpec(axis1=AxisSpec("x", -1, 1, 11), axis2=AxisSpec("s", -1, 1, 11)))
@@ -300,7 +306,7 @@ def test_sit_field_label_check():
 def _candidate_2d_formulas(p, plane, a1, a2):
     """The six reduced expressions written out directly (regression oracle
     for the pinned candidate form)."""
-    from deev.special import alp_eval
+    from deev.wigner import alp_eval
 
     sx, sy = p.sigma_x, p.sigma_y
     K = candidate_constant(p.m, sx, sy)
