@@ -94,17 +94,6 @@ class DeevParams:
     def sigma_y(self):
         return math.exp(2.0 * self.zeta_y)
 
-    @property
-    def is_eta_tied(self):
-        """True when eta_x sigma_x == eta_y sigma_y (up to rounding).
-
-        Only the ratio eta_x : eta_y is physical (the overall scale is
-        absorbed by normalization), so this is the condition under which the
-        compact closed-form Wigner function applies.
-        """
-        hx, hy = self.eta_x * self.sigma_x, self.eta_y * self.sigma_y
-        return abs(hx - hy) <= 1e-12 * max(abs(hx), abs(hy))
-
     def phase_point(self, a, b, p, q):
         """Phase-space point at scaled offsets (a, b, p, q) from the displaced center."""
         return (self.x0 + a * self.sigma_x, self.y0 + b * self.sigma_y,
@@ -133,26 +122,28 @@ class DeevParams:
     def norm_constant(self):
         """N such that the spatial distribution integrates to 1.
 
-        The squared-modulus integral reduces, after scaling x = sigma_x a,
-        y = sigma_y b, to a degree-2m polynomial against exp(-a^2 - b^2),
-        which an (m + 2)-node Gauss-Hermite rule integrates exactly. Raises
-        ValueError when the integral or N leaves the double range (large m),
+        After scaling x = sigma_x a, y = sigma_y b, the squared-modulus integral is sigma_x sigma_y S,
+        where S integrates a degree-2m polynomial against exp(-a^2 - b^2), which an (m + 2)-node
+        Gauss-Hermite rule does exactly. Raises ValueError when S or N is not a normal double (large m),
         and before building the rule when m > 368 (numpy's largest rule).
         """
-        what = f"normalization of m={self.m}, sigma_x={self.sigma_x:g}, sigma_y={self.sigma_y:g}"
+        sx, sy = self.sigma_x, self.sigma_y
+        what = f"normalization of m={self.m}, sigma_x={sx:g}, sigma_y={sy:g}"
         n = self.m + 2
         if n > _MAX_RULE_NODES:
             raise ValueError(f"{what} needs a {n}-node Gauss-Hermite rule; "
                              f"numpy's rules stop at {_MAX_RULE_NODES} nodes (m <= {_MAX_RULE_NODES - 2})")
         nodes, weights = np.polynomial.hermite.hermgauss(n)
-        hx = self.eta_x * self.sigma_x
-        hy = self.eta_y * self.sigma_y
+        hx, hy = self.scaled.eta_x, self.scaled.eta_y
         with np.errstate(over="ignore", invalid="ignore"):
             poly = ((hx * nodes[:, None]) ** 2 + (hy * nodes[None, :]) ** 2) ** self.m
-            integral = self.sigma_x * self.sigma_y * float(np.sum(weights[:, None] * weights[None, :] * poly))
-        if not (math.isfinite(integral) and integral > 0):
+            total = float(np.sum(weights[:, None] * weights[None, :] * poly))
+        integral, tiny = sx * sy * total, np.finfo(float).tiny
+        # the product is taken apart where it is not a normal double; a subnormal S has lost digits
+        root = math.sqrt(integral) if tiny <= integral < math.inf else math.sqrt(sx) * math.sqrt(sy) * math.sqrt(total)
+        if not (tiny <= total < math.inf and tiny <= root <= 1.0 / tiny):
             raise ValueError(f"{what} is not representable (|psi|^2 integral = {integral!r})")
-        return 1.0 / math.sqrt(integral)
+        return 1.0 / root
 
 
 def psi(params, x, y):

@@ -66,7 +66,7 @@ def candidate_constant(m, sigma_x, sigma_y):
 
     2^(m-4) m! / (pi sqrt(pi) Gamma(m + 1/2)) * (-2 (sigma_x^2 + sigma_y^2))^m
     """
-    with suppress(OverflowError):       # an int too large for a float, or a float power
+    with suppress(OverflowError), np.errstate(all="ignore"):    # a float too large raises, a numpy scalar warns
         num = 2.0 ** (m - 4) * math.factorial(m)
         gamma = math.factorial(2 * m) * math.sqrt(math.pi) / (4.0 ** m * math.factorial(m))    # Gamma(m + 1/2)
         base = num / (math.pi * math.sqrt(math.pi) * gamma)
@@ -95,12 +95,17 @@ def alp_eval(m, alpha, z):
 
 
 def _require_tied(params, what):
-    if not params.is_eta_tied:
-        raise ValueError(
-            f"{what} requires eta_x sigma_x == eta_y sigma_y "
-            f"(got {params.eta_x * params.sigma_x!r} vs {params.eta_y * params.sigma_y!r}); "
-            "use the oracle module for untied weights"
-        )
+    """ValueError naming ``what`` unless eta_x sigma_x == eta_y sigma_y, the weights of ``params.scaled``.
+
+    Only the ratio eta_x : eta_y is physical (the overall scale is absorbed by normalization),
+    so this is the condition under which the closed forms apply.
+    """
+    hx, hy = params.scaled.eta_x, params.scaled.eta_y
+    if max(abs(hx), abs(hy)) < np.finfo(float).tiny:    # the rounding of a subnormal cannot be trusted
+        raise ValueError(f"{what} cannot compare eta_x sigma_x = {hx!r} with eta_y sigma_y = {hy!r}, both subnormal")
+    if not abs(hx - hy) <= 1e-12 * max(abs(hx), abs(hy)):
+        raise ValueError(f"{what} requires eta_x sigma_x == eta_y sigma_y (got {hx!r} vs {hy!r}); "
+                         "use the oracle module for untied weights")
 
 
 def wigner4d(params, x, y, px, py, constant=None):

@@ -648,6 +648,34 @@ def test_subnormal_width_names_its_infinite_weight(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weights, message", [
+    # eta_x sigma_x overflows, so the two products compared equal (a weight ratio of about 1e310)
+    (dict(m=2, sigma_x=1e10, sigma_y=1, eta_x=1e300, eta_y=1), "eta_x must be finite"),
+    # both products underflow to 0.0 and compared equal (a weight ratio of 10)
+    (dict(m=2, sigma_x=1e-30, sigma_y=1e-30, eta_x=1e-300, eta_y=1e-301), "eta_x and eta_y cannot both vanish"),
+    # both products round to the same subnormal, 5e-324 (a weight ratio of 1.4)
+    (dict(m=2, sigma_x=3e-24, sigma_y=3e-24, eta_x=1e-300, eta_y=1.4e-300),
+     "wigner cannot compare eta_x sigma_x = 5e-324 with eta_y sigma_y = 5e-324, both subnormal"),
+], ids=["overflow-on-one-axis", "underflow-on-both", "subnormal-on-both"])
+def test_wigner_rejects_weight_products_out_of_the_normal_range(tmp_path, capsys, weights, message):
+    out = tmp_path / "o"
+    assert main(["wigner", "--plane", "xpx", "--config", write_config(tmp_path, "c.json", {"state": weights}),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: state.eta_x/state.eta_y: {message}\n")
+    assert not out.exists()
+
+
+def test_field_rejects_a_subnormal_normalization_sum(tmp_path, capsys):
+    # the same state as eta = (1, 2), but the width-free sum S is subnormal: |psi|^2 came out 7.2% low
+    cfg = write_config(tmp_path, "c.json", {"state": {"m": 5, "sigma_x": 1, "sigma_y": 2,
+                                                      "eta_x": 1e-33, "eta_y": 2e-33}})
+    out = tmp_path / "o"
+    assert main(["field", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: state: normalization of m=5, sigma_x=1, sigma_y=2 is not representable"), err
+    assert not out.exists()
+
+
 TABLE_BASE = {
     "state": dict(small_state(1), eta_x=1 / (math.sqrt(2) * 5.0), eta_y=1 / (math.sqrt(2) * 3.0)),
     "grid": small_grid(n=5),

@@ -146,11 +146,10 @@ ROWS = [
     # test_closed_form_marginal_is_intensity_exactly, criteria 1, 2, 3 and 5, and the field and verify goldens
     pytest.param(psi_gauss_y_exponent_halved, BOTH, {"normalization", "marginal", "oracle-equivalence", "adjudication"},
                  id="psi's Gaussian exponent in y halved"),
-    # the run stops: the marginal suite's wigner4d rejects the untied scaled state (verify caught this fault
-    # through the oracle marginal before that suite integrated wigner4d). 17 tests:
-    # test_scaled_state_is_psi_in_its_own_frame, test_no_width_reaches_the_oracle,
-    # test_closed_form_marginal_is_intensity_exactly, the oracle's closed-form and marginal comparisons,
-    # criteria 3 and 4, the verify golden and sweeps
+    # the run stops: the tie rule reads the weights of the scaled state, so the calibration's wigner4d, the
+    # first closed-form call, rejects the state. The normalization reads them too. 105 tests, among them
+    # test_scaled_state_is_psi_in_its_own_frame, the normalization tests, the closed-form tests on states
+    # with widths other than 1, the other fault rows, every golden and the verify sweeps
     pytest.param(scaled_keeps_eta, BOTH, ValueError, id="scaled keeps eta"),
     # 21 tests: test_swapped_is_the_mode_exchange, test_verify_symmetry_fails_when_the_exchange_keeps_the_sign,
     # the oracle comparisons, criteria 2 and 3, the wigner-standard and verify goldens. Not the identity

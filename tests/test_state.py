@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from deev import wigner
 from deev.gridio import AxisSpec, GridSpec
 from deev.state import DeevParams, intensity_field, psi
 from deev.wigner import wigner4d
@@ -54,8 +57,9 @@ def test_tied_constructor():
     p = DeevParams.tied(3, 5.0, 3.0)
     assert p.eta_x == pytest.approx(1.0 / (math.sqrt(2) * 5.0), rel=1e-15)
     assert p.eta_y == pytest.approx(1.0 / (math.sqrt(2) * 3.0), rel=1e-15)
-    assert p.is_eta_tied
-    assert not DeevParams.from_sigmas(3, 5.0, 3.0, eta_x=0.5, eta_y=0.9).is_eta_tied
+    wigner._require_tied(p, "wigner")
+    with pytest.raises(ValueError, match="requires eta_x sigma_x == eta_y sigma_y"):
+        wigner._require_tied(DeevParams.from_sigmas(3, 5.0, 3.0, eta_x=0.5, eta_y=0.9), "wigner")
 
 
 def test_norm_constant_matches_analytic_tied():
@@ -149,6 +153,17 @@ def test_norm_constant_out_of_range_raises(m):
         psi(p, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_norm_constant_across_the_width_range(m):
+    # N sqrt(sigma_x sigma_y) does not depend on the widths. Out here sigma_x sigma_y S is subnormal, zero or
+    # inf; through a subnormal product N lost digits (1.3e-2 relative at sigma = 1e-161)
+    want = 2.0 ** (m / 2.0) / math.sqrt(math.pi * math.factorial(m))
+    for sx, sy in [(1e-150, 1e-150), (1e-158, 1e-158), (1e-161, 1e-161), (1e-100, 1e-222), (1e-300, 1e-300),
+                   (1e200, 1e200), (1e300, 1e-300)]:
+        p = DeevParams.tied(m, sx, sy)
+        assert p.norm_constant * math.sqrt(p.sigma_x) * math.sqrt(p.sigma_y) == pytest.approx(want, rel=1e-12)
+
+
 def _frame_draws(seed, n):
     """Seeded states, tied and untied, displaced up to 2 widths, widths 10^U(-3, 3); with the displacement in widths."""
     rng = np.random.default_rng(seed)
@@ -194,5 +209,57 @@ def test_swapped_is_the_mode_exchange():
         s = p.swapped()
         x, y, px, py = p.phase_point(*rng.uniform(-2.0, 2.0, 4))
         assert (1j * p.sign) ** p.m * psi(s, y, x) == pytest.approx(psi(p, x, y), rel=1e-13), p
-        if p.is_eta_tied:
+        if _tie_verdict(p):
             assert abs(wigner4d(s, y, x, py, px) - wigner4d(p, x, y, px, py)) <= 1e-15, p
+
+
+def _intensity(p, x, y):
+    """|psi|^2 at the points, or None where the state's normalization is refused."""
+    try:
+        p.norm_constant     # as field and verify do, before sampling
+    except ValueError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):     # as intensity_field samples it
+        return np.abs(psi(p, x, y)) ** 2
+
+
+def _tie_verdict(p):
+    """True if ``wigner._require_tied`` accepts p, False if it calls p untied, None if it refuses p's weights."""
+    try:
+        wigner._require_tied(p, "wigner")
+    except ValueError as err:
+        return False if "requires eta_x sigma_x == eta_y sigma_y" in str(err) else None
+    return True
+
+
+def test_only_the_weight_ratio_is_physical():
+    # the weights times c = 10^k (each rounded once) are the same state: |psi|^2 and the tie verdict stay,
+    # or the state is refused. The scales span the double range, where eta_i sigma_i underflows or overflows
+    rng = np.random.default_rng(45)
+    under = over = 0
+    for i in range(12):
+        m = int(rng.integers(0, 9))
+        sx, sy = (float(v) for v in 10.0 ** rng.uniform(-2.0, 2.0, 2))
+        kw = dict(sign=int(rng.choice([-1, 1])), x0=rng.uniform(-1.0, 1.0), py0=rng.uniform(-1.0, 1.0))
+        if i % 2:
+            p = DeevParams.tied(m, sx, sy, **kw)
+        else:
+            hx, hy = (float(v) for v in 10.0 ** rng.uniform(-1.0, 1.0, 2))
+            p = DeevParams.from_sigmas(m, sx, sy, eta_x=hx / sx, eta_y=hy / sy, **kw)
+        x, y, _, _ = p.phase_point(*rng.uniform(-2.5, 2.5, (2, 5)), 0.0, 0.0)
+        want, tied = _intensity(p, x, y), _tie_verdict(p)
+        for k in range(-340, 330):
+            try:
+                q = replace(p, **{name: float(Fraction(getattr(p, name)) * Fraction(10) ** k)
+                                  for name in ("eta_x", "eta_y")})
+            except (OverflowError, ValueError):     # a weight that is not a double, or two zero weights
+                continue
+            h = (q.eta_x * q.sigma_x, q.eta_y * q.sigma_y)
+            under += h == (0.0, 0.0)
+            over += math.isinf(max(h)) and math.isfinite(min(h))
+            got, verdict = _intensity(q, x, y), _tie_verdict(q)
+            if abs(k) <= 5:
+                assert got is not None and verdict is not None, (p, k)
+            assert got is None or got == pytest.approx(want, rel=1e-12, abs=0.0), (p, k)
+            assert verdict in (None, tied), (p, k, h)
+    assert under and over

@@ -15,7 +15,7 @@ from deev.wigner import (PLANES, _sit_coeffs, candidate_constant, canonical_slic
                          count_strict_minima, sit_field, standard_constant, wigner4d,
                          wigner4d_candidate, wigner_slice)
 
-from sitref import sit
+from sitref import sit, sit_fraction_oracle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -82,11 +82,13 @@ def test_candidate_overflow_raises_without_warning():
             wigner.CLOSED_FORMS["candidate"].evaluate(p, *pt, constant=1.0)
 
 
-@pytest.mark.parametrize("m, sigma", [(64, 100.0), (90, 1.0), (50, 1e-4), (42, 1e-4), (43, 1e-4)])
+@pytest.mark.parametrize("m, sigma", [(64, 100.0), (90, 1.0), (50, 1e-4), (42, 1e-4), (43, 1e-4),
+                                      pytest.param(64, np.float64(100.0), id="64-np.float64(100.0)")])
 def test_candidate_constant_raises_when_not_a_double(m, sigma):
-    # at m = 64 the product overflows to inf, at m = 90 (2m)! is too large for a float,
-    # at m = 50 the product underflows to 0 (which would sample an all-zero slice), and at
-    # m = 42 and 43 the power of the widths is subnormal (m = 43's normal product lost 1e-6 relative)
+    # at m = 64 the product overflows to inf (a numpy scalar width warns where a float raises),
+    # at m = 90 (2m)! is too large for a float, at m = 50 the product underflows to 0 (which would
+    # sample an all-zero slice), and at m = 42 and 43 the power of the widths is subnormal (m = 43's
+    # normal product lost 1e-6 relative)
     with pytest.raises(OverflowError, match=f"^the candidate closed form's constant at m={m} does not fit"):
         candidate_constant(m, sigma, sigma)
 
@@ -215,25 +217,6 @@ def test_sit_out_of_double_range_raises_overflow():
 def test_sit_origin_nan_and_axis_zero():
     assert math.isnan(sit(2, 5.0, 3.0, 0.0, 0.0))
     assert sit(2, 5.0, 3.0, 0.0, 1.7) == 0.0
-
-
-def sit_fraction_oracle(m, sx2_plus_sy2, r, s, form="sum"):
-    """SIT via exact rational expansion of the order -1/2 Laguerre series."""
-    d = Fraction(sx2_plus_sy2)
-    r, s = Fraction(r), Fraction(s)
-    t = r + s if form == "sum" else r - s
-    num = Fraction(0)
-    den = Fraction(0)
-    for k in range(1, m + 1):
-        binom = Fraction(1)
-        for i in range(1, m - k + 1):
-            binom *= (Fraction(-1, 2) + k + i) / i
-        ck = (-1) ** k * binom / math.factorial(k)
-        num += ck * (t ** (2 * k) - r ** (2 * k) - s ** (2 * k)) / d ** k
-        den += ck * (r ** (2 * k) + s ** (2 * k)) / d ** k
-    if den == 0:
-        return math.inf if num > 0 else (-math.inf if num < 0 else math.nan)
-    return float(num / den)
 
 
 def test_sit_m2_exact_value():
