@@ -5,7 +5,7 @@ flags; a module's names are the ones ``deev._EXPORTS`` lists, and the plane and 
 choices are ``deev.PLANES``, ``deev.FORMS`` and ``deev.SIT_FORMS``. ``main`` reads the
 config, checks ``--clamp``, makes a writing command's output directory before any work
 starts and runs the handler inside ``_outputs``; every error it names exits 2 as
-``error: <key>: <message>``.
+``error: <key>: <message>``. A stdout whose reader went away exits 141, for every command.
 
 ``_outputs`` is the one home of how a file reaches the output directory: every file a
 command writes, grids and ``verify``'s reports alike, is staged there, renamed into place
@@ -175,7 +175,7 @@ def _default_grid():
 
 
 @contextmanager
-def _outputs(out_dir):
+def _outputs(out_dir, key):
     """Make ``out_dir``; yield ``stage(name)``, which returns a new temporary path there for ``name``.
 
     A staged file is created with the mode ``open`` gives, 0o666 less the umask. When the block
@@ -183,39 +183,40 @@ def _outputs(out_dir):
     is renamed to its name; then what the block printed is printed, and each file's path, and
     what it printed to stderr. If the block or a rename raises, the temporary files and the
     directories made are removed, so a failed command prints nothing but its error and leaves
-    the directory's earlier files as they were.
+    the directory's earlier files as they were. An OSError on the files names ``key``; one from printing does not.
     """
-    if "\0" in out_dir:    # os calls raise ValueError for it, not the OSError that main names
-        raise OSError(f"embedded null byte in {out_dir!r}")
-    made = [d for d in (Path(out_dir), *Path(out_dir).parents) if not d.is_dir()]    # deepest first
-    os.makedirs(out_dir, exist_ok=True)
-    staged = []     # (temporary path, final path)
-
-    def stage(name):
-        while True:     # a fresh random name until one is free, as mkstemp does
-            tmp = os.path.join(out_dir, f".tmp-{os.urandom(4).hex()}-{name}")
-            with suppress(FileExistsError):
-                os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-                staged.append((tmp, os.path.join(out_dir, name)))
-                return tmp
-
     printed, noted = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(printed), redirect_stderr(noted):
-            yield stage
-        for _, path in staged:
-            if os.path.isdir(path) and not os.path.islink(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        for tmp, path in staged:
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in staged:
-            with suppress(OSError):     # a cleanup error must not hide the one raised, nor stop the rest
-                os.remove(tmp)
-        with suppress(OSError):
-            for directory in made:
-                os.rmdir(directory)
-        raise
+    staged = []     # (temporary path, final path)
+    with _names(key, OSError):
+        if "\0" in out_dir:    # os calls raise ValueError for it, not the OSError named here
+            raise OSError(f"embedded null byte in {out_dir!r}")
+        made = [d for d in (Path(out_dir), *Path(out_dir).parents) if not d.is_dir()]    # deepest first
+        os.makedirs(out_dir, exist_ok=True)
+
+        def stage(name):
+            while True:     # a fresh random name until one is free, as mkstemp does
+                tmp = os.path.join(out_dir, f".tmp-{os.urandom(4).hex()}-{name}")
+                with suppress(FileExistsError):
+                    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                    staged.append((tmp, os.path.join(out_dir, name)))
+                    return tmp
+
+        try:
+            with redirect_stdout(printed), redirect_stderr(noted):
+                yield stage
+            for _, path in staged:
+                if os.path.isdir(path) and not os.path.islink(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            for tmp, path in staged:
+                os.replace(tmp, path)
+        except BaseException:
+            for tmp, _ in staged:
+                with suppress(OSError):     # a cleanup error must not hide the one raised, nor stop the rest
+                    os.remove(tmp)
+            with suppress(OSError):
+                for directory in made:
+                    os.rmdir(directory)
+            raise
     print(printed.getvalue(), end="")
     for _, path in staged:
         print(path)
@@ -412,15 +413,21 @@ def main(argv=None):
             args.clamp = _clamp(args.clamp, "--clamp")
         _load(*modules)
         if "--out" not in flags:
-            return run(cfg, args)
-        out_key = "out_dir" if args.out is None else "--out"
-        args.out = cfg.get("out_dir", ".") if args.out is None else args.out
-        # the only OSError here is an output directory that cannot be made or written
-        with _names(out_key, OSError), _outputs(args.out) as args.stage:
-            return run(cfg, args)
+            code = run(cfg, args)
+        else:
+            out_key = "out_dir" if args.out is None else "--out"
+            args.out = cfg.get("out_dir", ".") if args.out is None else args.out
+            with _outputs(args.out, out_key) as args.stage:
+                code = run(cfg, args)
+        sys.stdout.flush()      # a stdout whose reader went away fails here, not at exit
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # send what is left to devnull, as Python's SIGPIPE note does; the files renamed into place stay
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141      # the shell's status for a SIGPIPE death
+    return code
 
 
 if __name__ == "__main__":

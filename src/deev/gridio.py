@@ -95,16 +95,17 @@ def _row_blocks(rows, cols, max_rows=None):
 
 
 def sample_field(fn, grid, threads=None, metadata=None):
-    """Sample ``fn(x1, x2)`` over the grid, in row blocks, optionally in parallel.
+    """Sample ``fn(x1, x2)`` over the grid, in row blocks, on one pool of ``threads`` workers.
 
     ``fn`` gets a block's two axes shaped to broadcast, a column of its
     axis1 nodes and a row of the axis2 nodes, and returns anything that
     broadcasts to the block, so per-axis work is done once per axis. Blocks
     are whole rows, at most _BLOCK_NODES nodes and at least one block per
-    worker, so ``fn``'s temporaries stay small whatever the grid size. Each
-    value is computed independently, so the result is bit-identical for any
-    thread count. The worker count defaults to, and is capped at, the CPUs
-    this process may run on, and at half the row count.
+    worker, so ``fn``'s temporaries stay small whatever the grid size. A
+    block that raises cancels the queued ones. Each value is computed
+    independently, so the result is bit-identical for any worker count.
+    ``threads=1`` is one worker; the count defaults to, and is capped at,
+    the CPUs this process may run on, and at half the row count.
     """
     n1 = grid.axis1.nodes()
     n2 = grid.axis2.nodes()
@@ -117,12 +118,8 @@ def sample_field(fn, grid, threads=None, metadata=None):
         out[i0:i1, :] = fn(n1[i0:i1, None], n2[None, :])
 
     blocks = _row_blocks(grid.axis1.count, grid.axis2.count, -(-grid.axis1.count // threads))
-    if threads == 1:
-        for bounds in blocks:
-            fill(bounds)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, blocks))
 
     return Field2D(spec=grid, values=out, metadata=dict(metadata or {}))
 

@@ -885,15 +885,22 @@ def test_outputs_take_the_mode_the_umask_gives(tmp_path, umask, mode):
     assert modes == {"intensity.csv": mode, "intensity.pgm": mode}
 
 
-def test_verify_at_one_thread_starts_no_pool(tmp_path, monkeypatch):
+def test_verify_at_one_thread_samples_on_one_worker(tmp_path, monkeypatch):
     # the minima-count suite's slices, the only ones verify samples (m >= 1), sample at the thread count given
-    def no_pool(*args, **kwargs):
-        raise AssertionError("pool used")
+    started = []
 
-    monkeypatch.setattr(gridio, "ThreadPoolExecutor", no_pool)
+    class RecordingPool(gridio.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(gridio, "ThreadPoolExecutor", RecordingPool)
     run_verify(DeevParams.tied(1, 1.0, 1.0), threads=1)
+    assert started and set(started) == {1}
+    started.clear()
     cfg = write_config(tmp_path, "c.json", {"state": {"m": 1, "sigma_x": 1.0, "sigma_y": 1.0}})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "cli"), "--threads", "1"]) == 0
+    assert started and set(started) == {1}
 
 
 @pytest.mark.parametrize("coupler, message", [
@@ -961,3 +968,33 @@ def test_sit_clamp_must_be_positive(tmp_path, capsys, cap):
     assert main(["sit", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: sit.clamp: expected a number with 0 < v < inf, got {float(cap)!r}\n"
     assert not out.exists()
+
+
+_STDOUT_CLOSED = {
+    "field": ({"state": small_state(1), "grid": small_grid(n=5)}, ["intensity.csv", "intensity.pgm"]),
+    "wigner": ({"state": small_state(1), "wigner": {"plane": "xy"}},
+               ["wigner_xy_standard.csv", "wigner_xy_standard.pgm"]),
+    "sit": ({"sit": {"m": 1}}, ["sit_m1_sum.csv", "sit_m1_sum.pgm"]),
+    "verify": ({"state": small_state(1)},
+               ["discrepancy_candidate.txt", "discrepancy_standard.txt", "verify_summary.txt"]),
+    "coupler": ({"coupler": {"kind": "bs", "theta": 0.7}}, None),
+}
+
+
+@pytest.mark.parametrize("command", list(_STDOUT_CLOSED))
+def test_closed_stdout_exits_141_and_keeps_the_files(tmp_path, command):
+    # stdout is a pipe whose reader is gone before the command starts: its first write fails with EPIPE
+    cfg, files = _STDOUT_CLOSED[command]
+    out = tmp_path / "o"
+    argv = [sys.executable, "-m", "deev.cli", command, "--config", write_config(tmp_path, "c.json", cfg)]
+    src = os.path.dirname(os.path.dirname(deev.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(argv + ([] if files is None else ["--out", str(out)]), stdout=write_end,
+                             stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), text=True)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (141, "")
+    # the files are renamed into place before their paths are printed, so they stay
+    assert sorted(os.listdir(out)) == files if files else not out.exists()

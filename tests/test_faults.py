@@ -169,7 +169,8 @@ ROWS = [
     # 17 tests: test_offsets_invert_phase_point, test_swapped_is_the_mode_exchange, test_no_width_reaches_the_oracle,
     # the identity and box integrals, the wigner-standard and verify goldens and sweeps
     pytest.param(offsets_q_uses_sigma_x, BOTH, {"symmetry"}, id="offsets: Q uses sigma_x"),
-    # 8 tests: test_swapped_is_the_mode_exchange, test_verify_at_one_thread_starts_no_pool, the verify golden and sweeps
+    # 8 tests: test_swapped_is_the_mode_exchange, test_verify_at_one_thread_samples_on_one_worker, the verify golden
+    # and sweeps
     pytest.param(swapped_keeps_sign, BOTH, {"symmetry"}, id="swapped keeps the sign"),
     # the recipe has px0 = 0, where the fault changes nothing. 11 tests: test_offsets_invert_phase_point,
     # test_swapped_is_the_mode_exchange, test_displacement_covariance, test_center_values, the identity

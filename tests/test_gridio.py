@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -199,9 +200,28 @@ def test_sample_field_caps_threads_at_available_cpus(monkeypatch):
     assert started == [2, 2]
     assert (huge.values == sample_field(fn, g, threads=1).values).all()
     assert (default.values == huge.values).all()
-    # fewer than two rows per worker: one thread, no pool
+    # threads=1 above, and fewer than two rows per worker here: one worker, on a pool like every other count
     sample_field(fn, GridSpec(axis1=AxisSpec("x", 0.0, 1.0, 3), axis2=g.axis2), threads=10 ** 6)
-    assert started == [2, 2]
+    assert started == [2, 2, 1, 1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_raising_block_stops_the_pass(monkeypatch, threads):
+    # one row per block, 64 blocks: the first raises, and the queued blocks are cancelled before the last runs
+    monkeypatch.setattr(gridio, "_BLOCK_NODES", 8)
+    g = GridSpec(axis1=AxisSpec("x", 0.0, 63.0, 64), axis2=AxisSpec("y", 0.0, 1.0, 8))
+    rows = []
+
+    def fn(x, y):
+        rows.append(int(x[0, 0]))
+        if x[0, 0] == 0.0:
+            raise ZeroDivisionError("first block")
+        time.sleep(0.005)
+        return x + y
+
+    with pytest.raises(ZeroDivisionError, match="first block"):
+        sample_field(fn, g, threads=threads)
+    assert 0 in rows and 63 not in rows
 
 
 def _blocked_samples(make):

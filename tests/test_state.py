@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -263,3 +264,15 @@ def test_only_the_weight_ratio_is_physical():
             assert got is None or got == pytest.approx(want, rel=1e-12, abs=0.0), (p, k)
             assert verdict in (None, tied), (p, k, h)
     assert under and over
+
+
+@pytest.mark.xfail(strict=True, reason="item 27: psi's vortex bracket eta_x X + i eta_y Y overflows before the "
+                                       "normalization scales it back, though the value is a double")
+def test_huge_weights_give_psi_without_a_warning():
+    # at m = 0 the weights only fix the normalization: psi at (3, 1) is exp(-5)/sqrt(pi) for any weights
+    params = DeevParams.from_sigmas(0, 1.0, 1.0, 9.7e307, 3.9e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = psi(params, 3.0, 1.0)
+    want = math.exp(-5.0) / math.sqrt(math.pi)
+    assert value.imag == 0.0 and abs(value.real - want) <= math.ulp(want)
