@@ -7,10 +7,9 @@ config, checks ``--clamp``, makes a writing command's output directory before an
 starts and runs the handler inside ``_outputs``; every error it names exits 2 as
 ``error: <key>: <message>``. A stdout whose reader went away exits 141, for every command.
 
-``_outputs`` is the one home of how a file reaches the output directory: every file a
-command writes, grids and ``verify``'s reports alike, is staged there, renamed into place
-only when the whole run succeeds, and removed when it fails. The library writers write
-plainly to the path they are given.
+``_outputs`` is the one home of how a file reaches the output directory: every file a command writes, grids
+and ``verify``'s reports alike, is staged in one temporary directory there, renamed into place only when the
+whole run succeeds and removed when it fails. The library writers write plainly to the path they are given.
 
 Configuration is a strict JSON document; unknown keys anywhere are
 rejected (exit code 2) so a typo cannot silently fall back to a default.
@@ -176,15 +175,17 @@ def _default_grid():
 
 @contextmanager
 def _outputs(out_dir, key):
-    """Make ``out_dir``; yield ``stage(name)``, which returns a new temporary path there for ``name``.
+    """Make ``out_dir``; yield ``stage(name)``, which returns ``name``'s path in the run's temporary directory.
 
-    A staged file is created with the mode ``open`` gives, 0o666 less the umask. When the block
-    ends, and only once no final name is a directory (which a rename cannot replace), each file
-    is renamed to its name; then what the block printed is printed, and each file's path, and
-    what it printed to stderr. If the block or a rename raises, the temporary files and the
-    directories made are removed, so a failed command prints nothing but its error and leaves
-    the directory's earlier files as they were. An OSError on the files names ``key``; one from printing does not.
+    The run's files are staged in one ``tempfile.mkdtemp`` directory inside ``out_dir``, each made by its writer
+    with ``open``'s mode, 0o666 less the umask. When the block ends and no final name is a directory (a rename
+    cannot replace one), each file is renamed to its name; then what the block printed to stderr is printed,
+    first, so a closed stdout cannot lose it, then its stdout and the paths. If the block or a rename raises, the
+    temporary directory and the directories made are removed, so a failed command prints nothing but its error and
+    leaves earlier files as they were. An OSError on the files names ``key``; one from printing does not.
     """
+    import shutil       # here, not at the top: only a writing command stages files
+    import tempfile
     printed, noted = io.StringIO(), io.StringIO()
     staged = []     # (temporary path, final path)
     with _names(key, OSError):
@@ -192,35 +193,33 @@ def _outputs(out_dir, key):
             raise OSError(f"embedded null byte in {out_dir!r}")
         made = [d for d in (Path(out_dir), *Path(out_dir).parents) if not d.is_dir()]    # deepest first
         os.makedirs(out_dir, exist_ok=True)
+        tmp = None
 
         def stage(name):
-            while True:     # a fresh random name until one is free, as mkstemp does
-                tmp = os.path.join(out_dir, f".tmp-{os.urandom(4).hex()}-{name}")
-                with suppress(FileExistsError):
-                    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-                    staged.append((tmp, os.path.join(out_dir, name)))
-                    return tmp
+            staged.append((os.path.join(tmp, name), os.path.join(out_dir, name)))
+            return staged[-1][0]
 
         try:
+            tmp = tempfile.mkdtemp(prefix=".tmp-", dir=out_dir)
             with redirect_stdout(printed), redirect_stderr(noted):
                 yield stage
             for _, path in staged:
                 if os.path.isdir(path) and not os.path.islink(path):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            for tmp, path in staged:
-                os.replace(tmp, path)
+            for tmp_path, path in staged:
+                os.replace(tmp_path, path)
+            os.rmdir(tmp)
         except BaseException:
-            for tmp, _ in staged:
-                with suppress(OSError):     # a cleanup error must not hide the one raised, nor stop the rest
-                    os.remove(tmp)
-            with suppress(OSError):
+            if tmp is not None:     # mkdtemp itself may have failed
+                shutil.rmtree(tmp, ignore_errors=True)
+            with suppress(OSError):     # a cleanup error must not hide the one raised
                 for directory in made:
                     os.rmdir(directory)
             raise
+    print(noted.getvalue(), end="", file=sys.stderr)
     print(printed.getvalue(), end="")
     for _, path in staged:
         print(path)
-    print(noted.getvalue(), end="", file=sys.stderr)
 
 
 def _clamp(value, key):

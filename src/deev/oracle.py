@@ -55,12 +55,10 @@ def _tolerance(value, abs_tol=None):
 
 
 class OracleConvergenceError(RuntimeError):
-    """Quadrature failed to converge; carries the best estimate and bound."""
+    """Quadrature failed to converge; the message carries the best estimate and bound."""
 
     def __init__(self, message, best_estimate, error_bound):
         super().__init__(f"{message} (best estimate {best_estimate:.6g}, error bound {error_bound:g})")
-        self.best_estimate = best_estimate
-        self.error_bound = error_bound
 
 
 @lru_cache(maxsize=None)

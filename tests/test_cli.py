@@ -8,6 +8,7 @@ import pkgutil
 import stat
 import subprocess
 import sys
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -432,10 +433,10 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def modules_after(argv):
+def modules_after(argv, *flags):
     src = os.path.dirname(os.path.dirname(deev.__file__))
     root = os.path.dirname(src)
-    out = subprocess.run([sys.executable, "-c", _MODULES_AFTER, json.dumps(argv)], cwd=root,
+    out = subprocess.run([sys.executable, *flags, "-c", _MODULES_AFTER, json.dumps(argv)], cwd=root,
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
                          check=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -459,6 +460,13 @@ def test_help_and_coupler_load_no_numpy(argv, used):
     assert used in loaded
     assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["coupler", "--config", "configs/coupler_dcdc_5050.json"]],
+                         ids=["help", "coupler"])
+def test_help_and_coupler_load_no_tempfile(argv):
+    # only a writing command stages files; -S, because a site .pth file may import tempfile at start-up
+    assert "tempfile" not in modules_after(argv, "-S")
 
 
 def test_wigner_loads_no_verify_or_oracle(tmp_path):
@@ -873,6 +881,36 @@ def test_failed_write_keeps_destination_and_leaves_no_temp(tmp_path, capsys, mon
     assert (out / "intensity.csv").read_bytes() == b"old contents\n"
 
 
+def _write_half_then_interrupt(field, path):
+    with open(path, "wb") as fh:
+        fh.write(b"# half a file")
+    raise KeyboardInterrupt
+
+
+def test_interrupted_write_keeps_destination_and_leaves_no_temp(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "intensity.csv").write_bytes(b"old contents\n")
+    monkeypatch.setattr(cli, "write_csv", _write_half_then_interrupt)
+    cfg = write_config(tmp_path, "c.json", {"state": small_state(1), "grid": small_grid(n=5)})
+    with pytest.raises(KeyboardInterrupt):
+        main(["field", "--config", cfg, "--out", str(out)])
+    assert os.listdir(out) == ["intensity.csv"]
+    assert (out / "intensity.csv").read_bytes() == b"old contents\n"
+
+
+def _refuse_mkdtemp(**kwargs):
+    raise OSError("no room for a directory")
+
+
+def test_a_failed_temporary_directory_removes_the_parents_it_made(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tempfile, "mkdtemp", _refuse_mkdtemp)
+    cfg = write_config(tmp_path, "c.json", {"state": small_state(1), "grid": small_grid(n=5)})
+    assert main(["field", "--config", cfg, "--out", str(tmp_path / "a" / "b")]) == 2
+    assert capsys.readouterr().err == "error: --out: no room for a directory\n"
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_outputs_take_the_mode_the_umask_gives(tmp_path, umask, mode):
     cfg = write_config(tmp_path, "c.json", {"state": small_state(1), "grid": small_grid(n=5)})
@@ -970,21 +1008,28 @@ def test_sit_clamp_must_be_positive(tmp_path, capsys, cap):
     assert not out.exists()
 
 
+_NOTE_XPX = ("note: grid: labels ('x', 'y') are not the xpx plane's ('x', 'px'); the grid went unused and the "
+             "canonical one was sampled\n")
+
+# case -> (command, config, the files it writes, what it prints to stderr)
 _STDOUT_CLOSED = {
-    "field": ({"state": small_state(1), "grid": small_grid(n=5)}, ["intensity.csv", "intensity.pgm"]),
-    "wigner": ({"state": small_state(1), "wigner": {"plane": "xy"}},
-               ["wigner_xy_standard.csv", "wigner_xy_standard.pgm"]),
-    "sit": ({"sit": {"m": 1}}, ["sit_m1_sum.csv", "sit_m1_sum.pgm"]),
-    "verify": ({"state": small_state(1)},
-               ["discrepancy_candidate.txt", "discrepancy_standard.txt", "verify_summary.txt"]),
-    "coupler": ({"coupler": {"kind": "bs", "theta": 0.7}}, None),
+    "field": ("field", {"state": small_state(1), "grid": small_grid(n=5)}, ["intensity.csv", "intensity.pgm"], ""),
+    "wigner": ("wigner", {"state": small_state(1), "wigner": {"plane": "xy"}},
+               ["wigner_xy_standard.csv", "wigner_xy_standard.pgm"], ""),
+    # stderr is printed before stdout, so the note survives the closed stdout
+    "wigner-note": ("wigner", {"state": small_state(1), "wigner": {"plane": "xpx"}, "grid": small_grid(n=5)},
+                    ["wigner_xpx_standard.csv", "wigner_xpx_standard.pgm"], _NOTE_XPX),
+    "sit": ("sit", {"sit": {"m": 1}}, ["sit_m1_sum.csv", "sit_m1_sum.pgm"], ""),
+    "verify": ("verify", {"state": small_state(1)},
+               ["discrepancy_candidate.txt", "discrepancy_standard.txt", "verify_summary.txt"], ""),
+    "coupler": ("coupler", {"coupler": {"kind": "bs", "theta": 0.7}}, None, ""),
 }
 
 
-@pytest.mark.parametrize("command", list(_STDOUT_CLOSED))
-def test_closed_stdout_exits_141_and_keeps_the_files(tmp_path, command):
+@pytest.mark.parametrize("case", list(_STDOUT_CLOSED))
+def test_closed_stdout_exits_141_and_keeps_the_files(tmp_path, case):
     # stdout is a pipe whose reader is gone before the command starts: its first write fails with EPIPE
-    cfg, files = _STDOUT_CLOSED[command]
+    command, cfg, files, err = _STDOUT_CLOSED[case]
     out = tmp_path / "o"
     argv = [sys.executable, "-m", "deev.cli", command, "--config", write_config(tmp_path, "c.json", cfg)]
     src = os.path.dirname(os.path.dirname(deev.__file__))
@@ -995,6 +1040,6 @@ def test_closed_stdout_exits_141_and_keeps_the_files(tmp_path, command):
                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), text=True)
     finally:
         os.close(write_end)
-    assert (run.returncode, run.stderr) == (141, "")
+    assert (run.returncode, run.stderr) == (141, err)
     # the files are renamed into place before their paths are printed, so they stay
     assert sorted(os.listdir(out)) == files if files else not out.exists()

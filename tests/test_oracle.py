@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ def test_imaginary_residue_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_transform_integral", lambda *args, **kwargs: (0.1 + 1e-6j, 0.0))
     with pytest.raises(OracleConvergenceError, match="imaginary residue") as err:
         oracle_wigner(DeevParams.tied(1, 1.0, 1.0), 0.0, 0.0, 0.0, 0.0)
-    assert err.value.best_estimate == 0.1 and err.value.error_bound == 1e-6
+    assert "(best estimate 0.1, error bound 1e-06)" in str(err.value)
 
 
 def test_matches_closed_form_at_random_points():
@@ -275,7 +276,7 @@ def test_convergence_failure_reports_estimate(monkeypatch):
         monkeypatch.setattr(oracle, name, value)
     with pytest.raises(OracleConvergenceError) as err:
         oracle_wigner(p, 1.0, 1.0, 0.1, -0.1)
-    assert math.isfinite(err.value.error_bound)
+    assert math.isfinite(float(re.search(r"error bound (\S+)\)$", str(err.value)).group(1)))
 
 
 @pytest.mark.parametrize("m", [40, 60])
