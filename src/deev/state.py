@@ -1,19 +1,23 @@
 """Displaced elliptical-elliptical vortex (DEEV) state and its spatial field.
 
-The state is an m-fold vortex factor ``[eta_x a_x^+ +/- i eta_y a_y^+]^m``
-applied to a two-mode squeezed-displaced vacuum. In position space that is
+``psi`` computes, for beam widths sigma_i and vortex weights eta_i,
 
     psi(x, y) = N [eta_x (x - x0) +/- i eta_y (y - y0)]^m
                 * exp(-((x - x0)/sigma_x)^2 / 2 - ((y - y0)/sigma_y)^2 / 2)
-                * exp(i (px0 (x - x0) + py0 (y - y0)))
+                * exp(i (px0 (x - x0) + py0 (y - y0))).
 
-with sigma_i = exp(2 zeta_i). The plane-wave factor realises the momentum
-displacement; it drops out of every |psi|^2 quantity. The normalization
-constant is computed by Gauss-Hermite quadrature on first use (a cached
-property; exact for the polynomial-times-Gaussian integrand), never
-transcribed: ``deev field`` and ``deev verify`` force it before any sampling,
-so an unrepresentable constant exits 2 naming ``state``; ``wigner`` and
-``sit`` never compute it for the lab state.
+The operator form, the vortex factor ``[eta_x a_x^+ +/- i eta_y a_y^+]^m``
+applied to a two-mode squeezed-displaced vacuum (squeezing zeta_i, width
+sigma_i = exp(2 zeta_i)), equals it only for tied weights,
+eta_x sigma_x = eta_y sigma_y; for untied weights the operator state is a
+Hermite polynomial in the scaled offsets, not this monomial, and which of the
+two untied weights name is left open (ROADMAP item 31). The plane-wave factor
+realises the momentum displacement; it drops out of every |psi|^2 quantity.
+The normalization constant is computed by Gauss-Hermite quadrature on first
+use (a cached property; exact for the polynomial-times-Gaussian integrand),
+never transcribed: ``deev field`` and ``deev verify`` force it before any
+sampling, so an unrepresentable constant exits 2 naming ``state``; ``wigner``
+and ``sit`` never compute it for the lab state.
 
 The state's own frame is defined here alone: ``DeevParams.offsets`` maps a
 point to its scaled offsets A = (x - x0)/sigma_x, B = (y - y0)/sigma_y,
@@ -44,55 +48,48 @@ class DeevParams:
     """Full parameterization of a DEEV state.
 
     m is the vorticity, (eta_x, eta_y) the vortex generator weights, sign
-    the +/- orientation of the vortex, zeta_i the squeezing parameters
-    (sigma_i = exp(2 zeta_i)), (x0, y0) the position displacements and
-    (px0, py0) the momentum displacements.
+    the +/- orientation of the vortex, (sigma_x, sigma_y) the beam widths
+    (finite and positive), (x0, y0) the position displacements and
+    (px0, py0) the momentum displacements. ``psi`` evaluates the monomial in
+    the module docstring, which is the operator state only for tied weights.
     """
 
     m: int
     eta_x: float
     eta_y: float
     sign: int = +1
-    zeta_x: float = 0.0
-    zeta_y: float = 0.0
+    sigma_x: float = 1.0
+    sigma_y: float = 1.0
     x0: float = 0.0
     y0: float = 0.0
     px0: float = 0.0
     py0: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 0:
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 0:
             raise ValueError(f"vorticity m must be a nonnegative integer, got {self.m!r}")
         if self.sign not in (+1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        for name in ("eta_x", "eta_y", "zeta_x", "zeta_y", "x0", "y0", "px0", "py0"):
+        for name in ("eta_x", "eta_y", "sigma_x", "sigma_y", "x0", "y0", "px0", "py0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not (self.sigma_x > 0 and self.sigma_y > 0):
+            raise ValueError("beam widths must be positive")
         if self.eta_x == 0 and self.eta_y == 0:
             raise ValueError("eta_x and eta_y cannot both vanish")
 
     @classmethod
     def from_sigmas(cls, m, sigma_x, sigma_y, eta_x, eta_y, **kwargs):
-        """Construct with beam widths given directly (zeta_i = ln(sigma_i)/2)."""
-        if not (sigma_x > 0 and sigma_y > 0):
-            raise ValueError("beam widths must be positive")
-        return cls(m=m, eta_x=eta_x, eta_y=eta_y,
-                   zeta_x=0.5 * math.log(sigma_x), zeta_y=0.5 * math.log(sigma_y), **kwargs)
+        """Construct from beam widths, each stored as exp(ln(sigma_i))."""
+        # exp(ln sigma) rounds as the former half-log storage did; ROADMAP item 5 drops it with the golden re-record
+        sx, sy = (math.exp(math.log(s)) if s > 0 else s for s in (sigma_x, sigma_y))
+        return cls(m=m, eta_x=eta_x, eta_y=eta_y, sigma_x=sx, sigma_y=sy, **kwargs)
 
     @classmethod
     def tied(cls, m, sigma_x, sigma_y, **kwargs):
         """Construct with the canonical tie eta_i = 1 / (sqrt(2) sigma_i)."""
-        return cls.from_sigmas(m, sigma_x, sigma_y,
-                               eta_x=1.0 / (SQRT2 * sigma_x),
-                               eta_y=1.0 / (SQRT2 * sigma_y), **kwargs)
-
-    @property
-    def sigma_x(self):
-        return math.exp(2.0 * self.zeta_x)
-
-    @property
-    def sigma_y(self):
-        return math.exp(2.0 * self.zeta_y)
+        state = cls.from_sigmas(m, sigma_x, sigma_y, 1.0, 1.0, **kwargs)    # a zero width fails its check, not a division
+        return replace(state, eta_x=1.0 / (SQRT2 * sigma_x), eta_y=1.0 / (SQRT2 * sigma_y))
 
     def phase_point(self, a, b, p, q):
         """Phase-space point at scaled offsets (a, b, p, q) from the displaced center."""
@@ -109,14 +106,14 @@ class DeevParams:
         """The state with its modes exchanged (x <-> y): weights, widths and centers swap and the vortex
         turns the other way (sign -> -sign), so W(swapped, y, x, py, px) = W(self, x, y, px, py)."""
         return replace(self, eta_x=self.eta_y, eta_y=self.eta_x, sign=-self.sign,
-                       zeta_x=self.zeta_y, zeta_y=self.zeta_x,
+                       sigma_x=self.sigma_y, sigma_y=self.sigma_x,
                        x0=self.y0, y0=self.x0, px0=self.py0, py0=self.px0)
 
     @cached_property
     def scaled(self):
         """The state in its own frame: unit widths, no displacement, weights eta_i sigma_i (built once)."""
         return replace(self, eta_x=self.eta_x * self.sigma_x, eta_y=self.eta_y * self.sigma_y,
-                       zeta_x=0.0, zeta_y=0.0, x0=0.0, y0=0.0, px0=0.0, py0=0.0)
+                       sigma_x=1.0, sigma_y=1.0, x0=0.0, y0=0.0, px0=0.0, py0=0.0)
 
     @cached_property
     def norm_constant(self):

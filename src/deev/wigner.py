@@ -225,7 +225,7 @@ def _sit_coeffs(m, sigma_x, sigma_y):
 
     OverflowError names m when a c_k or a scaled one is not a normal double (large m).
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"SIT needs m >= 1 (no interference terms exist below); got {m!r}")
     if not (sigma_x > 0 and sigma_y > 0):
         raise ValueError("beam widths must be positive")

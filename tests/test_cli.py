@@ -646,6 +646,16 @@ def test_one_eta_names_both_keys(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["field", "wigner", "verify", "sit"])
+def test_zero_width_names_state(tmp_path, capsys, command):
+    # the default weight eta_x = 1 / (sqrt(2) sigma_x) divided by zero first: a ZeroDivisionError traceback
+    cfg = write_config(tmp_path, "c.json", {"state": {"m": 1, "sigma_x": 0, "sigma_y": 1.0}, "sit": {"m": 1}})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: state: beam widths must be positive\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["field", "wigner"])
 def test_subnormal_width_names_its_infinite_weight(tmp_path, capsys, command):
     # the default weight eta_x = 1 / (sqrt(2) sigma_x) overflows at sigma_x = 1e-320

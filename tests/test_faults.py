@@ -69,7 +69,7 @@ def psi_gauss_y_exponent_halved(monkeypatch):
 
 def scaled_keeps_eta(monkeypatch):
     monkeypatch.setattr(DeevParams, "scaled", property(
-        lambda p: replace(p, zeta_x=0.0, zeta_y=0.0, x0=0.0, y0=0.0, px0=0.0, py0=0.0)))
+        lambda p: replace(p, sigma_x=1.0, sigma_y=1.0, x0=0.0, y0=0.0, px0=0.0, py0=0.0)))
 
 
 def laguerre_argument_a_minus_sq(monkeypatch):

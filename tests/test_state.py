@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +40,36 @@ def test_validation():
         DeevParams.from_sigmas(1, -1.0, 2.0, eta_x=1.0, eta_y=1.0)
 
 
+_FLOAT_FIELDS = [f.name for f in fields(DeevParams) if f.type is float]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_every_float_field_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        DeevParams(**{"m": 1, "eta_x": 1.0, "eta_y": 1.0, name: value})
+
+
+@pytest.mark.parametrize("width", [0.0, -0.0, -1.0])
+def test_every_construction_path_checks_the_widths(width):
+    for build in (lambda: DeevParams(m=1, eta_x=1.0, eta_y=1.0, sigma_x=width),
+                  lambda: DeevParams(m=1, eta_x=1.0, eta_y=1.0, sigma_y=width),
+                  lambda: DeevParams.from_sigmas(1, 1.0, width, eta_x=1.0, eta_y=1.0),
+                  # the tied weight 1 / (sqrt(2) sigma) divided by the zero width first
+                  lambda: DeevParams.tied(1, width, 1.0),
+                  lambda: replace(DeevParams.tied(1, 1.0, 1.0), sigma_x=width)):
+        with pytest.raises(ValueError, match="^beam widths must be positive$"):
+            build()
+
+
+def test_a_bool_vorticity_is_refused():
+    # True is an int, so it was accepted and written to the CSV header as m=True
+    with pytest.raises(ValueError, match="^vorticity m must be a nonnegative integer, got True$"):
+        DeevParams.tied(True, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^vorticity m must be a nonnegative integer, got False$"):
+        DeevParams(m=False, eta_x=1.0, eta_y=1.0)
+
+
 @pytest.mark.parametrize("sigma", [1e-160, 1e200])
 def test_weights_whose_squares_leave_the_double_range(sigma):
     # eta = 1/(sqrt(2) sigma): its square overflows at 1e-160 and underflows to 0 at 1e200,
@@ -49,9 +79,13 @@ def test_weights_whose_squares_leave_the_double_range(sigma):
 
 
 def test_sigma_accessors():
-    p = DeevParams(m=0, eta_x=1.0, eta_y=1.0, zeta_x=0.5 * math.log(5.0), zeta_y=0.0)
-    assert p.sigma_x == pytest.approx(5.0, rel=1e-15)
-    assert p.sigma_y == 1.0
+    p = DeevParams(m=0, eta_x=1.0, eta_y=1.0, sigma_x=5.0)
+    assert p.sigma_x == 5.0 and p.sigma_y == 1.0
+    # the constructors keep the rounding of the former half-log storage until ROADMAP item 5's golden re-record
+    rounded = math.exp(math.log(5.0))
+    assert rounded == 4.999999999999999
+    assert DeevParams.from_sigmas(0, 5.0, 1.0, eta_x=1.0, eta_y=1.0).sigma_x == rounded
+    assert DeevParams.tied(0, 5.0, 1.0).sigma_x == rounded
 
 
 def test_tied_constructor():

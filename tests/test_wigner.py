@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import warnings
 from fractions import Fraction
@@ -239,6 +240,21 @@ def test_sit_matches_rational_oracle():
                 assert got == pytest.approx(expect, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="item 30: the monomial series cancels as m grows, so sit writes wrong values from about m = 12")
+@pytest.mark.parametrize("m", [20, 40])
+def test_sit_matches_rational_oracle_at_high_order(m):
+    # 20 seeded nodes of deev sit's default grid: sigma = 1, r and s over [-5, 5] in 201 nodes
+    nodes = AxisSpec("r", -5.0, 5.0, 201).nodes()
+    rng = random.Random(30)
+    worst = 0.0
+    for _ in range(20):
+        r, s = float(nodes[rng.randrange(201)]), float(nodes[rng.randrange(201)])
+        expect = sit_fraction_oracle(m, 2, r, s)
+        worst = max(worst, abs(sit(m, 1.0, 1.0, r, s) - expect) / abs(expect))
+    assert worst <= 1e-9
+
+
 SIT_GRID = GridSpec(axis1=AxisSpec("r", -5.0, 5.0, 101), axis2=AxisSpec("s", -5.0, 5.0, 101))
 
 
@@ -272,6 +288,12 @@ def test_sit_field_builds_its_coefficients_once(monkeypatch):
     assert calls == [(-1, 2)]
     rr, ss = np.meshgrid(SIT_GRID.axis1.nodes(), SIT_GRID.axis2.nodes(), indexing="ij")
     assert np.array_equal(f.values, sit(6, 5.0, 3.0, rr, ss), equal_nan=True)
+
+
+def test_sit_field_refuses_a_bool_order():
+    # True is an int, so it was accepted and written to the CSV header as m=True
+    with pytest.raises(ValueError, match="^SIT needs m >= 1 .*; got True$"):
+        sit_field(True, 1.0, 1.0, SIT_GRID)
 
 
 def test_sit_field_rejects_a_zero_width():
