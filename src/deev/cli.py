@@ -259,6 +259,8 @@ def cmd_field(cfg, args):
 
 def cmd_wigner(cfg, args):
     params = _state_params(cfg)
+    with _names("state"):
+        params.scaled
     with _names("state.eta_x/state.eta_y"):
         wigner._require_tied(params, "wigner")
     wb = cfg.get("wigner", {})

@@ -17,7 +17,8 @@ The normalization constant is computed by Gauss-Hermite quadrature on first
 use (a cached property; exact for the polynomial-times-Gaussian integrand),
 never transcribed: ``deev field`` and ``deev verify`` force it before any
 sampling, so an unrepresentable constant exits 2 naming ``state``; ``wigner``
-and ``sit`` never compute it for the lab state.
+and ``sit`` never compute it for the lab state. Only the ratio eta_x : eta_y
+is physical: the arithmetic takes the weights times an exact power of two.
 
 The state's own frame is defined here alone: ``DeevParams.offsets`` maps a
 point to its scaled offsets A = (x - x0)/sigma_x, B = (y - y0)/sigma_y,
@@ -27,7 +28,7 @@ sqrt(sigma_x sigma_y) psi in modulus, O(1) whatever the widths.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -47,11 +48,12 @@ _MAX_RULE_NODES = 370
 class DeevParams:
     """Full parameterization of a DEEV state.
 
-    m is the vorticity, (eta_x, eta_y) the vortex generator weights, sign
-    the +/- orientation of the vortex, (sigma_x, sigma_y) the beam widths
-    (finite and positive), (x0, y0) the position displacements and
-    (px0, py0) the momentum displacements. ``psi`` evaluates the monomial in
-    the module docstring, which is the operator state only for tied weights.
+    m is the vorticity, (eta_x, eta_y) the vortex generator weights (only
+    their ratio is physical: the arithmetic takes them times 2^-c, ``_weights``),
+    sign the +/- orientation of the vortex, (sigma_x, sigma_y) the beam widths
+    (finite and positive), (x0, y0) the position displacements and (px0, py0)
+    the momentum displacements. ``psi`` evaluates the monomial in the module
+    docstring, which is the operator state only for tied weights.
     """
 
     m: int
@@ -110,19 +112,33 @@ class DeevParams:
                        x0=self.y0, y0=self.x0, px0=self.py0, py0=self.px0)
 
     @cached_property
+    def _weights(self):
+        """(eta_x, eta_y) 2^-c: c, from binary exponents, puts the larger eta_i sigma_i 2^-c in [2^(-s-1), 2^-s),
+        s = floor(log2 m) // 2, so the normalization sum stays near 1; ValueError where a scaled weight overflows."""
+        c = max(sum(math.frexp(v)[1] for v in (eta, sigma, math.frexp(eta)[0] * math.frexp(sigma)[0]))
+                for eta, sigma in ((self.eta_x, self.sigma_x), (self.eta_y, self.sigma_y)) if eta)
+        c += (max(self.m, 1).bit_length() - 1) // 2
+        try:
+            return math.ldexp(self.eta_x, -c), math.ldexp(self.eta_y, -c)
+        except OverflowError:
+            raise ValueError(f"eta_x and eta_y times 2^{-c} leave the double range (a subnormal width)") from None
+
+    @cached_property
     def scaled(self):
-        """The state in its own frame: unit widths, no displacement, weights eta_i sigma_i (built once)."""
-        return replace(self, eta_x=self.eta_x * self.sigma_x, eta_y=self.eta_y * self.sigma_y,
+        """The state in its own frame: unit widths, no displacement, weights (eta_i 2^-c) sigma_i (built once)."""
+        wx, wy = self._weights
+        return replace(self, eta_x=wx * self.sigma_x, eta_y=wy * self.sigma_y,
                        sigma_x=1.0, sigma_y=1.0, x0=0.0, y0=0.0, px0=0.0, py0=0.0)
 
     @cached_property
     def norm_constant(self):
-        """N such that the spatial distribution integrates to 1.
+        """The constant that normalizes psi's bracket in the weights eta_i 2^-c: N 2^(cm) for the N of the
+        module docstring, so that psi = norm_constant [eta_x 2^-c X +/- i eta_y 2^-c Y]^m * ... integrates to 1.
 
         After scaling x = sigma_x a, y = sigma_y b, the squared-modulus integral is sigma_x sigma_y S,
-        where S integrates a degree-2m polynomial against exp(-a^2 - b^2), which an (m + 2)-node
-        Gauss-Hermite rule does exactly. Raises ValueError when S or N is not a normal double (large m),
-        and before building the rule when m > 368 (numpy's largest rule).
+        where S integrates a degree-2m polynomial in the weights of ``scaled`` against exp(-a^2 - b^2),
+        which an (m + 2)-node Gauss-Hermite rule does exactly. Raises ValueError when S or the constant is
+        not a normal double, and before building the rule when m > 368 (numpy's largest rule).
         """
         sx, sy = self.sigma_x, self.sigma_y
         what = f"normalization of m={self.m}, sigma_x={sx:g}, sigma_y={sy:g}"
@@ -149,7 +165,7 @@ def psi(params, x, y):
     y = np.asarray(y, dtype=float)
     X = x - params.x0
     Y = y - params.y0
-    bracket = (params.eta_x * X + 1j * params.sign * params.eta_y * Y) ** params.m
+    bracket = (params._weights[0] * X + 1j * params.sign * params._weights[1] * Y) ** params.m
     gauss = np.exp(-0.5 * ((X / params.sigma_x) ** 2 + (Y / params.sigma_y) ** 2))
     phase = np.exp(1j * (params.px0 * X + params.py0 * Y))
     out = params.norm_constant * bracket * gauss * phase
@@ -165,8 +181,7 @@ def intensity_field(params, grid, threads=None):
     got = (grid.axis1.label, grid.axis2.label)
     if got != ("x", "y"):
         raise ValueError(f"intensity grids use axes ('x', 'y'), got {got}")
-    meta = _param_metadata(params)
-    meta["quantity"] = "intensity"
+    meta = _param_metadata(params, quantity="intensity")
 
     def fn(x, y):
         # set here, not by a caller: worker threads do not inherit errstate
@@ -178,16 +193,7 @@ def intensity_field(params, grid, threads=None):
     return sample_field(fn, grid, threads=threads, metadata=meta)
 
 
-def _param_metadata(params):
-    return {
-        "m": str(params.m),
-        "sign": f"{params.sign:+d}",
-        "eta_x": _fmt(params.eta_x),
-        "eta_y": _fmt(params.eta_y),
-        "sigma_x": _fmt(params.sigma_x),
-        "sigma_y": _fmt(params.sigma_y),
-        "x0": _fmt(params.x0),
-        "y0": _fmt(params.y0),
-        "px0": _fmt(params.px0),
-        "py0": _fmt(params.py0),
-    }
+def _param_metadata(params, **extra):
+    """A field's metadata: the state's parameters, m and sign in their own formats, and ``extra``."""
+    meta = {f.name: _fmt(getattr(params, f.name)) for f in fields(params) if f.type is float}
+    return dict(meta, m=str(params.m), sign=f"{params.sign:+d}", **extra)

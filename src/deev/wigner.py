@@ -97,12 +97,10 @@ def alp_eval(m, alpha, z):
 def _require_tied(params, what):
     """ValueError naming ``what`` unless eta_x sigma_x == eta_y sigma_y, the weights of ``params.scaled``.
 
-    Only the ratio eta_x : eta_y is physical (the overall scale is absorbed by normalization),
-    so this is the condition under which the closed forms apply.
+    Only the ratio eta_x : eta_y is physical, so this is the condition under which the closed forms
+    apply; ``scaled`` carries that ratio with the larger weight a normal double, at any overall scale.
     """
     hx, hy = params.scaled.eta_x, params.scaled.eta_y
-    if max(abs(hx), abs(hy)) < np.finfo(float).tiny:    # the rounding of a subnormal cannot be trusted
-        raise ValueError(f"{what} cannot compare eta_x sigma_x = {hx!r} with eta_y sigma_y = {hy!r}, both subnormal")
     if not abs(hx - hy) <= 1e-12 * max(abs(hx), abs(hy)):
         raise ValueError(f"{what} requires eta_x sigma_x == eta_y sigma_y (got {hx!r} vs {hy!r}); "
                          "use the oracle module for untied weights")
@@ -212,11 +210,7 @@ def wigner_slice(params, grid, form=STANDARD, threads=None):
         coords[labels[1]] = a2
         return fn4d(params, coords["x"], coords["y"], coords["px"], coords["py"], constant=constant)
 
-    meta = _param_metadata(params)
-    meta["quantity"] = "wigner"
-    meta["plane"] = _PLANE_OF[labels]
-    meta["form"] = form
-    meta["constant"] = _fmt(constant)
+    meta = _param_metadata(params, quantity="wigner", plane=_PLANE_OF[labels], form=form, constant=_fmt(constant))
     return sample_field(fn, grid, threads=threads, metadata=meta)
 
 

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -522,16 +523,37 @@ def test_threads_below_one_rejected_at_parse(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+def tied_intensity(m, sx, sy, a, b):
+    """Exact |psi|^2 of the tied state (m >= 1) at scaled offsets (a, b), through lgamma:
+    (a^2 + b^2)^m exp(-(a^2 + b^2)) / (pi sigma_x sigma_y m!); 0.0 where that underflows."""
+    r2 = np.asarray(a, dtype=float) ** 2 + np.asarray(b, dtype=float) ** 2
+    with np.errstate(divide="ignore"):      # log(0) = -inf at the core, where the value is 0.0
+        return np.exp(m * np.log(r2) - r2 - math.log(math.pi * sx * sy) - math.lgamma(m + 1.0))
+
+
 @pytest.mark.parametrize("command", ["field", "verify"])
 @pytest.mark.parametrize("m", [140, 200, 369, 5000, 10 ** 20])
 def test_unrepresentable_normalization_exits_2(tmp_path, capsys, command, m):
     # from m = 369 the (m + 2)-node rule is past numpy's largest Gauss-Hermite rule; a numpy
-    # warning on the way to the exit fails the test (pyproject.toml filterwarnings)
+    # warning on the way to the exit fails the test (pyproject.toml filterwarnings). Below it the tied
+    # state normalizes at every m: field answers, and verify stops at the candidate constant
     cfg = write_config(tmp_path, "c.json", {"state": small_state(m), "grid": small_grid(n=5)})
     out = tmp_path / "o"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: state: normalization of m={m}, ")
-    assert not out.exists()
+    code, err = main([command, "--config", cfg, "--out", str(out)]), capsys.readouterr().err
+    if m > 368:
+        assert (code, err.startswith(f"error: state: normalization of m={m}, ")) == (2, True), err
+        assert not out.exists()
+    elif command == "verify":
+        assert (code, err) == (2, f"error: state.m: the candidate closed form's constant at m={m} "
+                                  "does not fit a double\n")
+        assert not out.exists()
+    else:
+        assert (code, err) == (0, "")
+        field = read_csv(str(out / "intensity.csv"))
+        x, y = np.meshgrid(field.spec.axis1.nodes(), field.spec.axis2.nodes(), indexing="ij")
+        want = tied_intensity(m, 5.0, 3.0, (x - 2.0) / 5.0, (y - 4.0) / 3.0)
+        assert np.count_nonzero(want) == 24     # every node but the core
+        np.testing.assert_allclose(field.values, want, rtol=1e-12, atol=0.0)
 
 
 def test_largest_rule_normalizes_untied_m368(tmp_path):
@@ -574,19 +596,27 @@ def test_wigner_overflow_names_state_m(tmp_path, threads, form):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_field_overflow_names_state_m(tmp_path, threads):
-    # psi's vortex factor overflows at m = 120 on this grid; numpy must not warn from any worker
+    # on this grid psi's vortex factor in the scaled weights fits a double at m = 120, where every
+    # |psi|^2 underflows to 0.0, and overflows at m = 368; numpy must not warn from any worker
     axis = {"min": -1000.0, "max": 1000.0, "count": 21}
-    cfg = write_config(tmp_path, "c.json", {
-        "state": {"m": 120, "sigma_x": 1.0, "sigma_y": 1.0},
-        "grid": {"axis1": dict(axis, label="x"), "axis2": dict(axis, label="y")}})
     src = os.path.dirname(os.path.dirname(deev.__file__))
-    out = tmp_path / "o"
-    run = subprocess.run([sys.executable, "-m", "deev.cli", "field", "--config", cfg,
-                          "--out", str(out), "--threads", threads],
-                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
-    assert run.returncode == 2
-    assert run.stderr == "error: state.m: |psi|^2 at m=120 overflows double precision on this grid\n"
-    assert not out.exists()
+    for m, code in [(120, 0), (368, 2)]:
+        cfg = write_config(tmp_path, f"c{m}.json", {
+            "state": {"m": m, "sigma_x": 1.0, "sigma_y": 1.0},
+            "grid": {"axis1": dict(axis, label="x"), "axis2": dict(axis, label="y")}})
+        out = tmp_path / f"o{m}"
+        run = subprocess.run([sys.executable, "-m", "deev.cli", "field", "--config", cfg,
+                              "--out", str(out), "--threads", threads],
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert run.returncode == code, run.stderr
+        if code:
+            assert run.stderr == f"error: state.m: |psi|^2 at m={m} overflows double precision on this grid\n"
+            assert not out.exists()
+            continue
+        assert run.stderr == ""
+        field = read_csv(str(out / "intensity.csv"))
+        x, y = np.meshgrid(field.spec.axis1.nodes(), field.spec.axis2.nodes(), indexing="ij")
+        assert np.array_equal(field.values, tied_intensity(m, 1.0, 1.0, x, y))
 
 
 @pytest.mark.parametrize("command, key", [("field", "x0"), ("wigner", "x0"), ("wigner", "px0"),
@@ -666,31 +696,53 @@ def test_subnormal_width_names_its_infinite_weight(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("weights, message", [
-    # eta_x sigma_x overflows, so the two products compared equal (a weight ratio of about 1e310)
-    (dict(m=2, sigma_x=1e10, sigma_y=1, eta_x=1e300, eta_y=1), "eta_x must be finite"),
-    # both products underflow to 0.0 and compared equal (a weight ratio of 10)
-    (dict(m=2, sigma_x=1e-30, sigma_y=1e-30, eta_x=1e-300, eta_y=1e-301), "eta_x and eta_y cannot both vanish"),
+@pytest.mark.parametrize("weights", [
+    # eta_x sigma_x overflows a double (a weight ratio of about 1e310)
+    dict(m=2, sigma_x=1e10, sigma_y=1, eta_x=1e300, eta_y=1),
+    # both products underflow to 0.0 (a weight ratio of 10)
+    dict(m=2, sigma_x=1e-30, sigma_y=1e-30, eta_x=1e-300, eta_y=1e-301),
     # both products round to the same subnormal, 5e-324 (a weight ratio of 1.4)
-    (dict(m=2, sigma_x=3e-24, sigma_y=3e-24, eta_x=1e-300, eta_y=1.4e-300),
-     "wigner cannot compare eta_x sigma_x = 5e-324 with eta_y sigma_y = 5e-324, both subnormal"),
+    dict(m=2, sigma_x=3e-24, sigma_y=3e-24, eta_x=1e-300, eta_y=1.4e-300),
 ], ids=["overflow-on-one-axis", "underflow-on-both", "subnormal-on-both"])
-def test_wigner_rejects_weight_products_out_of_the_normal_range(tmp_path, capsys, weights, message):
+def test_wigner_rejects_weight_products_out_of_the_normal_range(tmp_path, capsys, weights):
+    # the weights are untied, and wigner says so, comparing the products at a scale where they are doubles
     out = tmp_path / "o"
     assert main(["wigner", "--plane", "xpx", "--config", write_config(tmp_path, "c.json", {"state": weights}),
                  "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"error: state.eta_x/state.eta_y: {message}\n")
+    stdout, err = capsys.readouterr()
+    head = "error: state.eta_x/state.eta_y: wigner requires eta_x sigma_x == eta_y sigma_y (got "
+    assert stdout == "" and err.startswith(head) and err.endswith("); use the oracle module for untied weights\n")
+    hx, hy = (float(v) for v in err[len(head):].split(")")[0].split(" vs "))
+    exact = (Fraction(weights["eta_x"]) * Fraction(weights["sigma_x"])
+             / (Fraction(weights["eta_y"]) * Fraction(weights["sigma_y"])))
+    # the smaller scaled product may be subnormal: 8.7e-311 keeps 44 bits of the 1e310 ratio
+    assert abs(Fraction(hx) / Fraction(hy) / exact - 1) <= 1e-12
     assert not out.exists()
 
 
 def test_field_rejects_a_subnormal_normalization_sum(tmp_path, capsys):
-    # the same state as eta = (1, 2), but the width-free sum S is subnormal: |psi|^2 came out 7.2% low
-    cfg = write_config(tmp_path, "c.json", {"state": {"m": 5, "sigma_x": 1, "sigma_y": 2,
-                                                      "eta_x": 1e-33, "eta_y": 2e-33}})
+    # the same state as eta = (1, 2): its width-free sum S was subnormal and |psi|^2 came out 7.2% low,
+    # then refused; in the scaled weights S is a normal double and the two fields agree
+    values = []
+    for scale in (1e-33, 1.0):
+        cfg = write_config(tmp_path, "c.json", {"state": {"m": 5, "sigma_x": 1, "sigma_y": 2,
+                                                          "eta_x": scale, "eta_y": 2 * scale}})
+        out = tmp_path / f"o{scale}"
+        assert main(["field", "--config", cfg, "--out", str(out)]) == 0
+        values.append(read_csv(str(out / "intensity.csv")).values)
+    assert capsys.readouterr().err == ""
+    np.testing.assert_allclose(values[0], values[1], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("command", ["field", "wigner", "verify"])
+def test_subnormal_widths_name_state(tmp_path, capsys, command):
+    # sigma_i = 1e-310 makes eta_i sigma_i = 1e-310, and the weights would need 2^1029 to bring it to 1
+    cfg = write_config(tmp_path, "c.json", {"state": {"m": 1, "sigma_x": 1e-310, "sigma_y": 1e-310,
+                                                      "eta_x": 1.0, "eta_y": 1.0}})
     out = tmp_path / "o"
-    assert main(["field", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: state: normalization of m=5, sigma_x=1, sigma_y=2 is not representable"), err
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: state: eta_x and eta_y times 2^1029 leave the double range "
+                                       "(a subnormal width)\n")
     assert not out.exists()
 
 

@@ -24,9 +24,9 @@ def norm_quadrature(params):
     return val
 
 
-def analytic_tied_norm(m, sx, sy):
-    # closed form for the tied weights: 2^(m/2) / sqrt(pi m! sx sy)
-    return 2.0 ** (m / 2.0) / math.sqrt(math.pi * math.factorial(m) * sx * sy)
+def analytic_tied_norm(m, sx, sy, h):
+    """Closed form for tied weights eta_i sigma_i = h: (pi m! sx sy h^(2m))^(-1/2), through lgamma."""
+    return math.exp(-0.5 * (math.log(math.pi * sx * sy) + math.lgamma(m + 1.0) + 2 * m * math.log(h)))
 
 
 def test_validation():
@@ -99,8 +99,9 @@ def test_tied_constructor():
 
 def test_norm_constant_matches_analytic_tied():
     for m, sx, sy in [(0, 1.0, 1.0), (1, 5.0, 3.0), (3, 5.0, 3.0), (4, 2.0, 0.7)]:
+        # norm_constant normalizes the bracket in the weights of p.scaled
         p = DeevParams.tied(m, sx, sy)
-        assert p.norm_constant == pytest.approx(analytic_tied_norm(m, sx, sy), rel=1e-13)
+        assert p.norm_constant == pytest.approx(analytic_tied_norm(m, sx, sy, p.scaled.eta_x), rel=1e-13)
 
 
 def test_normalization_fig2_parameters():
@@ -180,22 +181,24 @@ def test_normalization_wide_parameter_range():
 
 @pytest.mark.parametrize("m", [140, 200])
 def test_norm_constant_out_of_range_raises(m):
-    # the |psi|^2 integral overflows: to inf at m = 140 (N would be 0.0), to nan at m = 200
+    # the |psi|^2 integral in the given weights overflows (to inf at m = 140, to nan at m = 200); in the
+    # scaled weights it is a normal double, and the constant and psi match the lgamma closed forms
     p = DeevParams.tied(m, 5.0, 3.0)
-    with pytest.raises(ValueError, match=f"m={m}, sigma_x=5, sigma_y=3"):
-        p.norm_constant
-    with pytest.raises(ValueError):
-        psi(p, 1.0, 1.0)
+    assert p.norm_constant == pytest.approx(analytic_tied_norm(m, 5.0, 3.0, p.scaled.eta_x), rel=1e-12)
+    a, b = math.sqrt(m) * np.array([0.6, 1.0, 1.3]), np.array([0.1, 0.0, -0.4])     # on and beside the ring
+    want = np.exp(m * np.log(a * a + b * b) - (a * a + b * b) - math.log(15 * math.pi) - math.lgamma(m + 1.0))
+    x, y, _, _ = p.phase_point(a, b, 0.0, 0.0)
+    np.testing.assert_allclose(np.abs(psi(p, x, y)) ** 2, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("m", [0, 1, 4])
 def test_norm_constant_across_the_width_range(m):
     # N sqrt(sigma_x sigma_y) does not depend on the widths. Out here sigma_x sigma_y S is subnormal, zero or
     # inf; through a subnormal product N lost digits (1.3e-2 relative at sigma = 1e-161)
-    want = 2.0 ** (m / 2.0) / math.sqrt(math.pi * math.factorial(m))
     for sx, sy in [(1e-150, 1e-150), (1e-158, 1e-158), (1e-161, 1e-161), (1e-100, 1e-222), (1e-300, 1e-300),
                    (1e200, 1e200), (1e300, 1e-300)]:
         p = DeevParams.tied(m, sx, sy)
+        want = analytic_tied_norm(m, 1.0, 1.0, p.scaled.eta_x)
         assert p.norm_constant * math.sqrt(p.sigma_x) * math.sqrt(p.sigma_y) == pytest.approx(want, rel=1e-12)
 
 
@@ -249,29 +252,28 @@ def test_swapped_is_the_mode_exchange():
 
 
 def _intensity(p, x, y):
-    """|psi|^2 at the points, or None where the state's normalization is refused."""
-    try:
-        p.norm_constant     # as field and verify do, before sampling
-    except ValueError:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):     # as intensity_field samples it
-        return np.abs(psi(p, x, y)) ** 2
+    """|psi|^2 at the points; p.norm_constant is forced first, as field and verify do before sampling."""
+    p.norm_constant
+    return np.abs(psi(p, x, y)) ** 2
 
 
 def _tie_verdict(p):
-    """True if ``wigner._require_tied`` accepts p, False if it calls p untied, None if it refuses p's weights."""
+    """True if ``wigner._require_tied`` accepts p, False if it calls p untied."""
     try:
         wigner._require_tied(p, "wigner")
     except ValueError as err:
-        return False if "requires eta_x sigma_x == eta_y sigma_y" in str(err) else None
+        assert "requires eta_x sigma_x == eta_y sigma_y" in str(err)
+        return False
     return True
 
 
 def test_only_the_weight_ratio_is_physical():
-    # the weights times c = 10^k (each rounded once) are the same state: |psi|^2 and the tie verdict stay,
-    # or the state is refused. The scales span the double range, where eta_i sigma_i underflows or overflows
+    # the weights times 10^k (each rounded once) are the same state: |psi|^2 and the tie verdict stay for
+    # every k where both weights are normal doubles. The scales span the double range, where eta_i sigma_i
+    # underflows or overflows. A subnormal weight has lost digits of the ratio, so that state is compared
+    # with the same two doubles times an exact power of two that brings them into the normal range
     rng = np.random.default_rng(45)
-    under = over = 0
+    under = over = subnormal = 0
     for i in range(12):
         m = int(rng.integers(0, 9))
         sx, sy = (float(v) for v in 10.0 ** rng.uniform(-2.0, 2.0, 2))
@@ -293,15 +295,19 @@ def test_only_the_weight_ratio_is_physical():
             under += h == (0.0, 0.0)
             over += math.isinf(max(h)) and math.isfinite(min(h))
             got, verdict = _intensity(q, x, y), _tie_verdict(q)
-            if abs(k) <= 5:
-                assert got is not None and verdict is not None, (p, k)
-            assert got is None or got == pytest.approx(want, rel=1e-12, abs=0.0), (p, k)
-            assert verdict in (None, tied), (p, k, h)
-    assert under and over
+            if min(abs(q.eta_x), abs(q.eta_y)) >= np.finfo(float).tiny:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (p, k)
+                assert verdict == tied, (p, k, h)
+                continue
+            # both weights are below 1e-290 here, so 2^1000 brings them into the normal range exactly
+            r = replace(q, eta_x=q.eta_x * 2.0 ** 1000, eta_y=q.eta_y * 2.0 ** 1000)
+            assert (Fraction(r.eta_x), Fraction(r.eta_y)) == (Fraction(q.eta_x) * 2 ** 1000, Fraction(q.eta_y) * 2 ** 1000)
+            assert min(abs(r.eta_x), abs(r.eta_y)) >= np.finfo(float).tiny or 0.0 in (r.eta_x, r.eta_y), (p, k)
+            subnormal += 1
+            assert np.array_equal(got, _intensity(r, x, y)) and verdict == _tie_verdict(r), (p, k)
+    assert under and over and subnormal
 
 
-@pytest.mark.xfail(strict=True, reason="item 27: psi's vortex bracket eta_x X + i eta_y Y overflows before the "
-                                       "normalization scales it back, though the value is a double")
 def test_huge_weights_give_psi_without_a_warning():
     # at m = 0 the weights only fix the normalization: psi at (3, 1) is exp(-5)/sqrt(pi) for any weights
     params = DeevParams.from_sigmas(0, 1.0, 1.0, 9.7e307, 3.9e307)

@@ -115,6 +115,9 @@ def _check_coupler(rc, printed, coupler):
 widths = st.one_of(st.floats(-0.5, 0.5), st.floats(-4.0, 4.0),
                    st.floats(-200.0, 200.0)).map(lambda e: 10.0 ** e)
 shifts = st.one_of(st.just(0.0), st.floats(-10.0, 10.0), st.floats(-1e8, 1e8))
+# two weights at one overall scale, which reaches across the double range, subnormals and zero included
+scales = st.one_of(st.just(0.0), st.floats(-330.0, 307.0)).map(lambda e: 10.0 ** e)
+weights = st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), scales).map(lambda w: (w[0] * w[2], w[1] * w[2]))
 
 
 @st.composite
@@ -125,7 +128,7 @@ def states(draw, max_m):
     for key in ("x0", "y0", "px0", "py0"):
         state[key] = draw(shifts)
     if draw(st.integers(0, 3)) == 0:
-        state["eta_x"], state["eta_y"] = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+        state["eta_x"], state["eta_y"] = draw(weights)
     return state
 
 
@@ -155,6 +158,9 @@ def _tied(m, sigma_x, sigma_y):
 @given(state=states(400), grid=st.one_of(st.none(), grids(("x", "y")), labels.flatmap(grids)), flags=threads)
 # eta_x ** 2 overflows as a float power (a traceback)
 @example(state=_tied(1, 1e-160, 1e-160), grid=None, flags=[])
+# the weights' scale decided the answer: S overflowed at m = 40 (exit 2), and two subnormal widths leave none
+@example(state=dict(_tied(40, 1.0, 2.0), eta_x=1e300, eta_y=5e299), grid=None, flags=[])
+@example(state=dict(_tied(1, 1e-310, 1e-310), eta_x=1.0, eta_y=1.0), grid=None, flags=[])
 def test_field_sweep(state, grid, flags):
     cfg = {"state": state} if grid is None else {"state": state, "grid": grid}
     check_run("field", cfg, *flags)
