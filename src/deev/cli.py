@@ -264,7 +264,7 @@ def cmd_wigner(cfg, args):
     with _names("state.eta_x/state.eta_y"):
         wigner._require_tied(params, "wigner")
     wb = cfg.get("wigner", {})
-    form = args.form or wb.get("form", FORMS[0])
+    form = wb.get("form", FORMS[0])
     plane_name = args.plane or wb.get("plane", "all")
     planes = list(PLANES) if plane_name == "all" else [plane_name]
     override = _grid(cfg)
@@ -285,9 +285,9 @@ def cmd_wigner(cfg, args):
 
 def cmd_sit(cfg, args):
     sb = cfg.get("sit", {})
-    orders = [args.m] if args.m is not None else sb.get("m")
+    orders = sb.get("m")
     if orders is None:
-        raise ConfigError("sit: no vortex order given (sit.m in config or --m)")
+        raise ConfigError("sit: no vortex order given (sit.m)")
     form = sb.get("form", "sum")
     if "state" in cfg:
         params = _state_params(cfg)
@@ -373,9 +373,6 @@ _FLAGS = {
                       help="row-parallel sampling threads (default: available parallelism)"),
     "--clamp": dict(default=None, help="graymap clamp half-range, a number or 'auto' (default auto)"),
     "--plane": dict(default=None, choices=_PLANES, help="which 2D reduction to sample (default: all)"),
-    "--m": dict(type=int, default=None, help="vortex order (overrides config)"),
-    "--form": dict(default=None, choices=FORMS,
-                   help=f"closed form to sample (default from config, else {FORMS[0]})"),
 }
 
 # command -> (handler, help, the modules it calls, the flags it reads beyond the harness flags).
@@ -383,9 +380,8 @@ _FLAGS = {
 _COMMANDS = {
     "field": (cmd_field, "sample |psi|^2 and write CSV + PGM", ("state", "gridio"), ("--out", "--clamp")),
     "wigner": (cmd_wigner, "sample 2D Wigner reductions", ("state", "gridio", "wigner"),
-               ("--out", "--clamp", "--plane", "--form")),
-    "sit": (cmd_sit, "sample scaled interference terms", ("state", "gridio", "wigner"),
-            ("--out", "--clamp", "--m")),
+               ("--out", "--clamp", "--plane")),
+    "sit": (cmd_sit, "sample scaled interference terms", ("state", "gridio", "wigner"), ("--out", "--clamp")),
     "verify": (cmd_verify, "run the oracle verification suites", ("state", "wigner", "oracle", "verify"),
                ("--out",)),
     "coupler": (cmd_coupler, "print SU(2) coupler coefficients", ("coupling",), ()),

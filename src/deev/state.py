@@ -151,11 +151,11 @@ class DeevParams:
         with np.errstate(over="ignore", invalid="ignore"):
             poly = ((hx * nodes[:, None]) ** 2 + (hy * nodes[None, :]) ** 2) ** self.m
             total = float(np.sum(weights[:, None] * weights[None, :] * poly))
-        integral, tiny = sx * sy * total, np.finfo(float).tiny
-        # the product is taken apart where it is not a normal double; a subnormal S has lost digits
-        root = math.sqrt(integral) if tiny <= integral < math.inf else math.sqrt(sx) * math.sqrt(sy) * math.sqrt(total)
+        # the root of sigma_x sigma_y S, taken factor by factor so the product need not be a double;
+        # a subnormal S has lost digits
+        root, tiny = math.sqrt(sx) * math.sqrt(sy) * math.sqrt(total), np.finfo(float).tiny
         if not (tiny <= total < math.inf and tiny <= root <= 1.0 / tiny):
-            raise ValueError(f"{what} is not representable (|psi|^2 integral = {integral!r})")
+            raise ValueError(f"{what} is not representable (|psi|^2 integral = {sx * sy * total!r})")
         return 1.0 / root
 
 

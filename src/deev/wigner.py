@@ -85,7 +85,7 @@ def alp_eval(m, alpha, z):
     ``L_k = ((2k - 1 + alpha - z) L_{k-1} - (k - 1 + alpha) L_{k-2}) / k``
     from L_{-1} = 0 and L_0 = 1. Accepts scalar or array ``z``; defined for all real ``z``.
     """
-    if not isinstance(m, (int, np.integer)) or m < 0:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"polynomial order must be a nonnegative integer, got {m!r}")
     z = np.asarray(z, dtype=float)
     prev, cur = np.zeros_like(z), np.ones_like(z)

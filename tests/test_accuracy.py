@@ -2,8 +2,9 @@
 
 Each row draws seeded states in every decade of m up to the largest accepted order and compares the
 computed value with a reference that needs only the standard library: rationals in ``fractions`` and
-the transcendental factors in ``decimal`` at 40 digits. A point whose reference is not a normal double
-is counted, not skipped. Today the ledger holds the |psi|^2 row, the quantity ``deev field`` writes.
+the transcendental factors in ``decimal``. A point whose reference is not a normal double is counted,
+not skipped. Today the ledger holds two rows: |psi|^2, the quantity ``deev field`` writes, and the
+candidate closed form, which ``deev wigner`` samples and ``deev verify`` adjudicates.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from deev.state import DeevParams, psi
+from deev.wigner import wigner4d_candidate
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510")
 _TINY = np.finfo(float).tiny
@@ -151,3 +153,81 @@ def test_intensity_at_every_weight_scale(m):
                 continue
             _check(q, x, y, tally)
     assert tally["checked"] >= 4 * len(scales) and tally["refused"] == 0, tally
+
+
+def _exact(q):
+    """A Fraction as a Decimal at the context's precision."""
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+@lru_cache(maxsize=None)
+def laguerre_coefficients(m):
+    """L_m^(-1/2)(z) = sum_k c_k z^k, exact: c_0 = prod_i (i - 1/2) / i, c_k = -c_(k-1) (m - k + 1) / (k (k - 1/2))."""
+    a = Fraction(-1, 2)
+    cs = [math.prod((a + i) / i for i in range(1, m + 1))]
+    for k in range(1, m + 1):
+        cs.append(-cs[-1] * (m - k + 1) / (k * (k + a)))
+    return cs
+
+
+def candidate_reference(p, x, y, px, py):
+    """The candidate closed form of ``p`` at the double point, exactly, rounded once; and the condition
+    numbers of its Laguerre factor: kappa = |z L'(z) / L(z)| and the cancellation r of its argument.
+
+    W = 2^(3m - 4) (m!)^2 / (2m)! (-2 s)^m / pi^2 exp(-G) L_m^(-1/2)(z), with s = sigma_x^2 + sigma_y^2, G the
+    sum of the squared first variables (rational: the sqrt(2) is squared away) and z = (a / sqrt(2) - b)^2 / s,
+    where a = sqrt(2) (px2 + py2) and b = x2 + y2 are rational. The series cancels, so it is summed at 30 digits
+    more than its largest term's.
+    """
+    m, sx, sy = p.m, Fraction(p.sigma_x), Fraction(p.sigma_y)
+    dx, dy, dpx, dpy = (Fraction(v) - Fraction(c) for v, c in zip((x, y, px, py), (p.x0, p.y0, p.px0, p.py0)))
+    g = (dx / sx) ** 2 + (dy / sy) ** 2 + (sx * dpx) ** 2 / 2 + (sy * dpy) ** 2 / 2
+    s = sx * sx + sy * sy
+    rational = Fraction(2) ** (3 * m - 4) * math.factorial(m) ** 2 / math.factorial(2 * m) * (-2 * s) ** m
+    a, b = sy ** 3 * dpx + sx ** 3 * dpy, sy * dx / (2 * sx) + sx * dy / (2 * sy)
+    cs = laguerre_coefficients(m)
+    z_max = float((a * a / 2 + b * b) / s)      # z is at most twice this
+    largest = m * math.log10(1.0 + 2.0 * z_max) + math.log10(float(max(abs(c) for c in cs)))
+    with localcontext() as ctx:
+        ctx.prec = 30 + max(0, math.ceil(largest))
+        root2 = Decimal(2).sqrt()
+        z = (_exact(a * a / 2 + b * b) - _exact(a * b) * root2) / _exact(s)
+        lag = slope = Decimal(0)
+        for c in reversed(cs):      # Horner, with the derivative alongside
+            slope = slope * z + lag
+            lag = lag * z + _exact(c)
+        w = _exact(rational) * (-_exact(g)).exp() * lag / (_PI * _PI)
+        kappa = abs(z * slope / lag) if lag else Decimal("Infinity")
+        r = (abs(_exact(a)) / root2 + abs(_exact(b))) / (z * _exact(s)).sqrt() if z else Decimal("Infinity")
+    return float(w), float(kappa), float(r)
+
+
+def test_candidate_matches_its_formula():
+    # displaced tied states, m 0-85 (the candidate constant leaves the double range at m = 86), widths
+    # 10^U(-1, 1), at scaled offsets U(-1.5, 1.5). The bound allows 16 ulps per order of m, amplified by the
+    # Laguerre factor's sensitivity to its argument, kappa, and by the cancellation r in that argument; over
+    # 12406 points (seeds 1-8, 200 states each) the worst error used 58% of it (m = 71, r = 50)
+    rng = np.random.default_rng(54)
+    tally = {"checked": 0, "not normal": 0}
+    for _ in range(60):
+        m = int(rng.integers(0, 86))
+        sx, sy = (float(v) for v in 10.0 ** rng.uniform(-1.0, 1.0, 2))
+        d = rng.uniform(-2.0, 2.0, 4)
+        p = DeevParams.tied(m, sx, sy, sign=int(rng.choice([-1, 1])), x0=d[0] * sx, y0=d[1] * sy,
+                            px0=d[2] / sx, py0=d[3] / sy)
+        for point in zip(*p.phase_point(*rng.uniform(-1.5, 1.5, (4, 8)))):
+            want, kappa, r = candidate_reference(p, *point)
+            if abs(want) >= np.finfo(float).max:
+                with pytest.raises(OverflowError):
+                    wigner4d_candidate(p, *point)
+                tally["not normal"] += 1
+                continue
+            got = wigner4d_candidate(p, *point)
+            if abs(want) < _TINY:       # below the normal range only an absolute error is meaningful
+                assert abs(got - want) <= _TINY, (p, point, got, want)
+                tally["not normal"] += 1
+                continue
+            bound = 16 * (m + 1) * (1 + kappa * (1 + r)) * _EPS
+            assert abs(got - want) <= bound * abs(want), (p, point, got, want, kappa, r)
+            tally["checked"] += 1
+    assert tally["checked"] >= 400, tally

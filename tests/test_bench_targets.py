@@ -85,11 +85,11 @@ def test_closed_forms_call_the_traced_laguerre_recurrence(tmp_path, form):
 
     axis = {"min": -3.0, "max": 3.0, "count": 11}
     cfg = tmp_path / "wigner.json"
-    cfg.write_text(json.dumps({"state": {"m": 2, "sigma_x": 1.5, "sigma_y": 0.8},
+    cfg.write_text(json.dumps({"state": {"m": 2, "sigma_x": 1.5, "sigma_y": 0.8}, "wigner": {"form": form},
                                "grid": {"axis1": dict(axis, label="x"), "axis2": dict(axis, label="px")}}))
     with tracing.Tracer() as tracer:
         assert cli.main(["wigner", "--config", str(cfg), "--out", str(tmp_path / "o"), "--plane", "xpx",
-                         "--form", form, "--threads", "2"]) == 0
+                         "--threads", "2"]) == 0
     counts = {name: sum(s.count for s in tracer.spans if s.name == name)
               for name in ("wigner.slice", "special.alp_eval")}
     assert counts == {"wigner.slice": 121, "special.alp_eval": 121}

@@ -141,14 +141,14 @@ def test_wigner_notes_a_grid_it_does_not_use(tmp_path, capsys):
 
 
 def test_sit_command_and_m0_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, "c.json", {
-        "sit": {"m": [1, 2], "form": "sum", "clamp": 50.0},
-        "grid": {"axis1": {"label": "r", "min": -5.0, "max": 5.0, "count": 21},
-                 "axis2": {"label": "s", "min": -5.0, "max": 5.0, "count": 21}}})
+    cfg = {"sit": {"m": [1, 2], "form": "sum", "clamp": 50.0},
+           "grid": {"axis1": {"label": "r", "min": -5.0, "max": 5.0, "count": 21},
+                    "axis2": {"label": "s", "min": -5.0, "max": 5.0, "count": 21}}}
     out = str(tmp_path / "s")
-    assert main(["sit", "--config", cfg, "--out", out]) == 0
+    assert main(["sit", "--config", write_config(tmp_path, "c.json", cfg), "--out", out]) == 0
     assert len(os.listdir(out)) == 4
-    assert main(["sit", "--config", cfg, "--out", out, "--m", "0"]) == 2
+    cfg["sit"]["m"] = 0
+    assert main(["sit", "--config", write_config(tmp_path, "c.json", cfg), "--out", out]) == 2
     assert "m >= 1" in capsys.readouterr().err
 
 
@@ -861,8 +861,8 @@ def test_failed_run_leaves_an_existing_directory_as_it_was(tmp_path, capsys, mon
     out.mkdir()
     (out / "keep.txt").write_text("kept")
     if command == "wigner":
-        cfg = write_config(tmp_path, "c.json", {"state": _LATE_OVERFLOW})
-        argv = ["wigner", "--config", cfg, "--plane", "all", "--form", "candidate"]
+        cfg = write_config(tmp_path, "c.json", {"state": _LATE_OVERFLOW, "wigner": {"form": "candidate"}})
+        argv = ["wigner", "--config", cfg, "--plane", "all"]
         key = "state.m"
     else:
         monkeypatch.setattr(oracle, "_MAX_RULE_NODES", 8)
@@ -877,8 +877,8 @@ def test_failed_run_leaves_an_existing_directory_as_it_was(tmp_path, capsys, mon
 def test_failed_run_keeps_the_files_an_earlier_run_wrote(tmp_path, capsys):
     # the failing run writes wigner_xy_candidate.csv/.pgm again before its pxpy slice overflows
     out = tmp_path / "o"
-    argv = ["wigner", "--config", write_config(tmp_path, "c.json", {"state": _LATE_OVERFLOW}),
-            "--form", "candidate", "--out", str(out)]
+    cfg = write_config(tmp_path, "c.json", {"state": _LATE_OVERFLOW, "wigner": {"form": "candidate"}})
+    argv = ["wigner", "--config", cfg, "--out", str(out)]
     assert main(argv + ["--plane", "xy"]) == 0
     before = {name: (out / name).read_bytes() for name in os.listdir(out)}
     assert sorted(before) == ["wigner_xy_candidate.csv", "wigner_xy_candidate.pgm"]
@@ -888,13 +888,13 @@ def test_failed_run_keeps_the_files_an_earlier_run_wrote(tmp_path, capsys):
     assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
-@pytest.mark.parametrize("command, state, flags, key", [
-    ("field", {"m": 1, "sigma_x": 1.0, "sigma_y": 1.0, "x0": 1e17}, [], "state"),  # fails before its first file
-    ("wigner", _LATE_OVERFLOW, ["--form", "candidate"], "state.m"),                 # fails after it
+@pytest.mark.parametrize("command, state, form, key", [
+    ("field", {"m": 1, "sigma_x": 1.0, "sigma_y": 1.0, "x0": 1e17}, "standard", "state"),  # fails before its first file
+    ("wigner", _LATE_OVERFLOW, "candidate", "state.m"),                                     # fails after it
 ], ids=["field", "wigner"])
-def test_failed_run_removes_the_parents_it_made(tmp_path, capsys, command, state, flags, key):
-    cfg = write_config(tmp_path, "c.json", {"state": state})
-    assert main([command, "--config", cfg, *flags, "--out", str(tmp_path / "a" / "b" / "c")]) == 2
+def test_failed_run_removes_the_parents_it_made(tmp_path, capsys, command, state, form, key):
+    cfg = write_config(tmp_path, "c.json", {"state": state, "wigner": {"form": form}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "a" / "b" / "c")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert os.listdir(tmp_path) == ["c.json"]
 
@@ -1017,7 +1017,7 @@ def test_coupler_non_finite_numbers_rejected_at_load(tmp_path, capsys, coupler, 
 
 @pytest.mark.parametrize("command, cfg, message", [
     ("field", {"state": {"m": 1, "sigma_x": 1.0}}, "state: missing required key(s) ['sigma_y']"),
-    ("sit", {"sit": {"form": "sum"}}, "sit: no vortex order given (sit.m in config or --m)"),
+    ("sit", {"sit": {"form": "sum"}}, "sit: no vortex order given (sit.m)"),
     ("coupler", {"state": small_state(1)}, "config: missing 'coupler' block"),
     ("coupler", {"coupler": {"kind": "dcdc", "g": 1.0, "delta": 0.0}},
      "coupler: dcdc needs exactly one of 't' or 'ratio'"),

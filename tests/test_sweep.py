@@ -171,7 +171,7 @@ def test_field_sweep(state, grid, flags):
 def test_wigner_sweep(data, state, form, flags):
     plane = data.draw(st.sampled_from(sorted(PLANES)))
     grid = data.draw(grids(PLANES[plane]))
-    check_run("wigner", {"state": state, "grid": grid}, "--plane", plane, "--form", form, *flags)
+    check_run("wigner", {"state": state, "grid": grid, "wigner": {"form": form}}, "--plane", plane, *flags)
 
 
 @settings(SWEEP, max_examples=4)
@@ -186,7 +186,7 @@ def test_wigner_sweep(data, state, form, flags):
 # sigma_y ** 3 overflows as a float power in the candidate form (an errno message)
 @example(state=_tied(1, 1e150, 1e150), form="candidate")
 def test_wigner_all_planes_on_default_grids(state, form):
-    check_run("wigner", {"state": state}, "--plane", "all", "--form", form)
+    check_run("wigner", {"state": state, "wigner": {"form": form}}, "--plane", "all")
 
 
 _WIDE_RS = {"axis1": {"label": "r", "min": -1000.0, "max": 1000.0, "count": 11},

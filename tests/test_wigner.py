@@ -296,6 +296,12 @@ def test_sit_field_refuses_a_bool_order():
         sit_field(True, 1.0, 1.0, SIT_GRID)
 
 
+def test_alp_eval_refuses_a_bool_order():
+    # True is an int, so alp_eval(True, 0.0, 2.0) returned L_1(2) = -1.0
+    with pytest.raises(ValueError, match="^polynomial order must be a nonnegative integer, got True$"):
+        wigner.alp_eval(True, 0.0, 2.0)
+
+
 def test_sit_field_rejects_a_zero_width():
     with pytest.raises(ValueError, match="^beam widths must be positive$"):
         sit_field(1, 0.0, 1.0, SIT_GRID)
