@@ -25,7 +25,8 @@ from deev.state import DeevParams, intensity_field, psi
 from deev.verify import Verdict, canonical_slice_grid, run_verify, write_report
 from deev.wigner import count_strict_minima, wigner4d, wigner_slice
 
-from sitref import sit, sit_fraction_oracle
+import exact
+from sitref import sit
 
 SIGMA_SETS = [(1.0, 1.0), (5.0, 3.0), (2.0, 0.7)]
 
@@ -204,7 +205,7 @@ def test_criterion_7_sit():
         for _ in range(100):
             r = Fraction(int(rng.integers(-5000, 5000)), 1000)
             s = Fraction(int(rng.integers(-5000, 5000)), 1000)
-            expect = sit_fraction_oracle(m, 34, r, s)
+            expect = exact.sit(m, 34, r, s)
             if not math.isfinite(expect):   # the denominator vanishes exactly
                 continue
             got = sit(m, 5.0, 3.0, float(r), float(s))

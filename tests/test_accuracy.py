@@ -2,9 +2,11 @@
 
 Each row draws seeded states in every decade of m up to the largest accepted order and compares the
 computed value with a reference that needs only the standard library: rationals in ``fractions`` and
-the transcendental factors in ``decimal``. A point whose reference is not a normal double is counted,
-not skipped. Today the ledger holds two rows: |psi|^2, the quantity ``deev field`` writes, and the
-candidate closed form, which ``deev wigner`` samples and ``deev verify`` adjudicates.
+the transcendental factors in ``decimal``. The pieces the tests share, a Fraction as a Decimal, pi and
+the exact series of L_m^(-1/2), come from ``exact``; the norm sum R is this file's own. A point whose
+reference is not a normal double is counted, not skipped. Today the ledger holds two rows: |psi|^2, the
+quantity ``deev field`` writes, and the candidate closed form, which ``deev wigner`` samples and
+``deev verify`` adjudicates.
 """
 
 import math
@@ -19,16 +21,10 @@ import pytest
 from deev.state import DeevParams, psi
 from deev.wigner import wigner4d_candidate
 
-_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+from exact import PI, decimal, laguerre_series
+
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
-
-
-def _decimal(q):
-    """A nonnegative Fraction as a 40-digit Decimal, through an integer of about 160 bits times 2^e."""
-    e = q.numerator.bit_length() - q.denominator.bit_length() - 160
-    n = (q.numerator << -e) // q.denominator if e < 0 else q.numerator // (q.denominator << e)
-    return Decimal(n) * Decimal(2) ** e
 
 
 @lru_cache(maxsize=None)     # the weights times 2^j share their reduced pair, so their sum too
@@ -61,8 +57,8 @@ def intensity_reference(p, xs, ys):
         X, Y = Fraction(x) - Fraction(p.x0), Fraction(y) - Fraction(p.y0)
         with localcontext() as ctx:
             ctx.prec = 40
-            gauss = (-_decimal((X / sx) ** 2 + (Y / sy) ** 2)).exp()
-            out.append(float(_decimal(((ex * X) ** 2 + (ey * Y) ** 2) ** p.m / r) * gauss / _PI))
+            gauss = (-decimal((X / sx) ** 2 + (Y / sy) ** 2)).exp()
+            out.append(float(decimal(((ex * X) ** 2 + (ey * Y) ** 2) ** p.m / r) * gauss / PI))
     return out
 
 
@@ -104,7 +100,7 @@ def _check(p, x, y, tally):
     except ValueError:
         # refused only where the scaled state's exact sum S = pi R is below the normal range
         s = p.scaled
-        assert _decimal(norm_sum(p.m, Fraction(s.eta_x), Fraction(s.eta_y))) * _PI < Decimal(_TINY) * Decimal(1.001), p
+        assert decimal(norm_sum(p.m, Fraction(s.eta_x), Fraction(s.eta_y))) * PI < Decimal(_TINY) * Decimal(1.001), p
         tally["refused"] += 1
         return
     v = psi(p, x, y)
@@ -124,7 +120,7 @@ def test_norm_sum_is_the_integral():
         assert norm_sum(m, hx, hx) == math.factorial(m) * hx ** (2 * m)
         with localcontext() as ctx:
             ctx.prec = 40
-            log = float(_decimal(norm_sum(m, hx, hx)).ln())
+            log = float(decimal(norm_sum(m, hx, hx)).ln())
         assert log == pytest.approx(math.lgamma(m + 1.0) + 2 * m * math.log(0.3), rel=1e-13, abs=1e-13)
 
 
@@ -155,21 +151,6 @@ def test_intensity_at_every_weight_scale(m):
     assert tally["checked"] >= 4 * len(scales) and tally["refused"] == 0, tally
 
 
-def _exact(q):
-    """A Fraction as a Decimal at the context's precision."""
-    return Decimal(q.numerator) / Decimal(q.denominator)
-
-
-@lru_cache(maxsize=None)
-def laguerre_coefficients(m):
-    """L_m^(-1/2)(z) = sum_k c_k z^k, exact: c_0 = prod_i (i - 1/2) / i, c_k = -c_(k-1) (m - k + 1) / (k (k - 1/2))."""
-    a = Fraction(-1, 2)
-    cs = [math.prod((a + i) / i for i in range(1, m + 1))]
-    for k in range(1, m + 1):
-        cs.append(-cs[-1] * (m - k + 1) / (k * (k + a)))
-    return cs
-
-
 def candidate_reference(p, x, y, px, py):
     """The candidate closed form of ``p`` at the double point, exactly, rounded once; and the condition
     numbers of its Laguerre factor: kappa = |z L'(z) / L(z)| and the cancellation r of its argument.
@@ -185,20 +166,20 @@ def candidate_reference(p, x, y, px, py):
     s = sx * sx + sy * sy
     rational = Fraction(2) ** (3 * m - 4) * math.factorial(m) ** 2 / math.factorial(2 * m) * (-2 * s) ** m
     a, b = sy ** 3 * dpx + sx ** 3 * dpy, sy * dx / (2 * sx) + sx * dy / (2 * sy)
-    cs = laguerre_coefficients(m)
+    cs = laguerre_series(m, -0.5)
     z_max = float((a * a / 2 + b * b) / s)      # z is at most twice this
     largest = m * math.log10(1.0 + 2.0 * z_max) + math.log10(float(max(abs(c) for c in cs)))
     with localcontext() as ctx:
         ctx.prec = 30 + max(0, math.ceil(largest))
         root2 = Decimal(2).sqrt()
-        z = (_exact(a * a / 2 + b * b) - _exact(a * b) * root2) / _exact(s)
+        z = (decimal(a * a / 2 + b * b) - decimal(a * b) * root2) / decimal(s)
         lag = slope = Decimal(0)
         for c in reversed(cs):      # Horner, with the derivative alongside
             slope = slope * z + lag
-            lag = lag * z + _exact(c)
-        w = _exact(rational) * (-_exact(g)).exp() * lag / (_PI * _PI)
+            lag = lag * z + decimal(c)
+        w = decimal(rational) * (-decimal(g)).exp() * lag / (PI * PI)
         kappa = abs(z * slope / lag) if lag else Decimal("Infinity")
-        r = (abs(_exact(a)) / root2 + abs(_exact(b))) / (z * _exact(s)).sqrt() if z else Decimal("Infinity")
+        r = (abs(decimal(a)) / root2 + abs(decimal(b))) / (z * decimal(s)).sqrt() if z else Decimal("Infinity")
     return float(w), float(kappa), float(r)
 
 

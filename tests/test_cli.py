@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import importlib
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,21 +75,10 @@ def test_malformed_json_exits_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
-def test_unknown_key_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, "c.json", {"state": small_state(), "grids": small_grid()})
-    assert main(["field", "--config", cfg]) == 2
-    assert "unknown key" in capsys.readouterr().err
-
-
 def test_unknown_nested_key_exits_2(tmp_path):
     st = small_state()
     st["sigmaz"] = 1.0
     cfg = write_config(tmp_path, "c.json", {"state": st})
-    assert main(["field", "--config", cfg]) == 2
-
-
-def test_missing_state_exits_2(tmp_path):
-    cfg = write_config(tmp_path, "c.json", {"out_dir": "x"})
     assert main(["field", "--config", cfg]) == 2
 
 
@@ -420,6 +411,17 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_tests_import_no_scipy():
+    # the tests' references are exact, in tests/exact.py: no test module imports scipy, at any depth
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 # runs ``python -m deev.cli <argv>`` in this process, then prints the modules it loaded

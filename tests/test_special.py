@@ -1,12 +1,12 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import binom, eval_genlaguerre, eval_hermite
 
 from deev.wigner import alp_eval
 from deev.wigner import _sit_coeffs
+
+from exact import hermite, laguerre, laguerre_series, polynomial
 
 
 def quadratic_alp(alpha, z):
@@ -14,30 +14,9 @@ def quadratic_alp(alpha, z):
     return (alpha + 1) * (alpha + 2) / 2 - (alpha + 2) * z + z * z / 2
 
 
-def series_coeffs(m, alpha):
-    # exact series coefficients from c_0 = C(m + a, m) and the term ratio
-    # c_k / c_{k-1} = -(m - k + 1) / (k (k + a))
-    a = Fraction(alpha)
-    c = Fraction(1)
-    for i in range(1, m + 1):
-        c *= (a + i) / i
-    out = [c]
-    for k in range(1, m + 1):
-        c *= -Fraction(m - k + 1, k) / (a + k)
-        out.append(c)
-    return out
-
-
-def exact_poly(coeffs, z):
-    # the series cancels heavily (condition up to ~1e7 on z <= 100, m <= 12),
-    # so it is summed in exact rationals and rounded once
-    zf = Fraction(float(z))
-    return float(sum(Fraction(c) * zf ** k for k, c in enumerate(coeffs)))
-
-
 def hermite_route(m, x):
     # H_{2m}(x) = (-1)^m 2^{2m} m! L_m^{-1/2}(x^2), independent of alp_eval
-    return float(eval_hermite(2 * m, x)) * (-1.0) ** m / (4.0 ** m * math.factorial(m))
+    return hermite(2 * m, x) * (-1.0) ** m / (4.0 ** m * math.factorial(m))
 
 
 def test_order_zero_is_one():
@@ -86,7 +65,7 @@ def test_coeffs_match_recurrence_at_sample_points():
     c3 = half_coeffs(3)
     for z in np.linspace(0.0, 40.0, 20):
         rec = alp_eval(3, -0.5, float(z))
-        assert exact_poly(c3, z) == pytest.approx(rec, rel=1e-10, abs=1e-12)
+        assert float(polynomial(c3, z)) == pytest.approx(rec, rel=1e-10, abs=1e-12)
 
 
 def test_recurrence_vs_series_property():
@@ -96,13 +75,13 @@ def test_recurrence_vs_series_property():
         alpha = float(rng.uniform(-0.9, 3.0))
         z = float(rng.uniform(0.0, 100.0))
         a = alp_eval(m, alpha, z)
-        assert exact_poly(series_coeffs(m, alpha), z) == pytest.approx(a, rel=1e-10, abs=1e-10)
+        assert laguerre(m, alpha, z) == pytest.approx(a, rel=1e-10, abs=1e-10)
 
 
 def test_value_at_zero_is_binomial():
     for m in range(13):
         for alpha in (-0.5, 0.0, 0.7, 2.0):
-            expect = float(binom(m + alpha, m))
+            expect = float(laguerre_series(m, alpha)[0])     # C(m + alpha, m)
             assert alp_eval(m, alpha, 0.0) == pytest.approx(expect, rel=1e-14, abs=1e-14)
 
 
@@ -113,7 +92,7 @@ def test_against_scipy():
         alpha = float(rng.choice([-0.5, 0.0, 1.0]))
         z = float(rng.uniform(0.0, 60.0))
         assert alp_eval(m, alpha, z) == pytest.approx(
-            float(eval_genlaguerre(m, alpha, z)), rel=1e-9, abs=1e-9)
+            laguerre(m, alpha, z), rel=1e-9, abs=1e-9)
 
 
 def test_rodrigues_examples():
@@ -140,7 +119,7 @@ def test_sit_coeffs_are_the_exact_series_rounded_once():
     # each c_k of L_m^{-1/2} rounded once, then divided by (sigma_x^2 + sigma_y^2)^k in floats;
     # where one of those leaves the normal range the order is rejected
     for m in range(1, 171):
-        cs = [float(c) for c in series_coeffs(m, -0.5)]
+        cs = [float(c) for c in laguerre_series(m, -0.5)]
         for sx, sy in _WIDTHS:
             d = sx ** 2 + sy ** 2
             try:

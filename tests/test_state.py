@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
 
 from deev import wigner
 from deev.gridio import AxisSpec, GridSpec
@@ -14,14 +13,20 @@ from deev.wigner import wigner4d
 
 
 def norm_quadrature(params):
-    """Independent adaptive-quadrature oracle for the |psi|^2 integral."""
-    r = 8.0 * max(params.sigma_x, params.sigma_y)
-    val, _ = dblquad(
-        lambda y, x: abs(psi(params, x, y)) ** 2,
-        params.x0 - r, params.x0 + r,
-        params.y0 - r, params.y0 + r,
-        epsabs=1e-11, epsrel=1e-10)
-    return val
+    """The |psi|^2 integral by the trapezoid rule on a 201^2 lab-frame grid over 8 widths either side of the centre.
+
+    |psi|^2 is a polynomial times a Gaussian, so the rule converges geometrically: at a spacing of 0.08 widths
+    its own error and the tails past 8 widths are below 1e-20 for m <= 3, and what remains is the rounding of
+    the sum, 1e-14 on the states here.
+    """
+    n = 201
+    x = np.linspace(params.x0 - 8.0 * params.sigma_x, params.x0 + 8.0 * params.sigma_x, n)
+    y = np.linspace(params.y0 - 8.0 * params.sigma_y, params.y0 + 8.0 * params.sigma_y, n)
+    v = psi(params, x[:, None], y[None, :])
+    wx, wy = np.full(n, x[1] - x[0]), np.full(n, y[1] - y[0])
+    wx[[0, -1]] /= 2.0
+    wy[[0, -1]] /= 2.0
+    return float(wx @ (v.real ** 2 + v.imag ** 2) @ wy)
 
 
 def analytic_tied_norm(m, sx, sy, h):

@@ -7,7 +7,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.special import binom
 
 from deev import gridio, wigner
 from deev.gridio import AxisSpec, GridSpec
@@ -16,7 +15,8 @@ from deev.wigner import (PLANES, _sit_coeffs, candidate_constant, canonical_slic
                          count_strict_minima, sit_field, standard_constant, wigner4d,
                          wigner4d_candidate, wigner_slice)
 
-from sitref import sit, sit_fraction_oracle
+import exact
+from sitref import sit
 
 SQRT2 = math.sqrt(2.0)
 
@@ -29,8 +29,8 @@ def test_center_values():
         # validated form: ((-1)^m / pi^2) L_m(0) with L_m(0) = 1
         assert wigner4d(p, 2.0, 4.0, 0.1, 0.2) == pytest.approx(
             (-1.0) ** m / math.pi ** 2, rel=1e-14)
-        # candidate form: K * binom(m - 1/2, m)
-        expect = candidate_constant(m, 5.0, 3.0) * float(binom(m - 0.5, m))
+        # candidate form: K * L_m^{-1/2}(0) = K * C(m - 1/2, m)
+        expect = candidate_constant(m, 5.0, 3.0) * float(exact.laguerre_series(m, -0.5)[0])
         assert wigner4d_candidate(p, 2.0, 4.0, 0.1, 0.2) == pytest.approx(expect, rel=1e-13)
 
 
@@ -222,7 +222,7 @@ def test_sit_origin_nan_and_axis_zero():
 
 def test_sit_m2_exact_value():
     # sigma = (5, 3): denominators are exact integers
-    expect = sit_fraction_oracle(2, 34, 1, 1)
+    expect = exact.sit(2, 34, 1, 1)
     assert sit(2, 5.0, 3.0, 1.0, 1.0) == pytest.approx(expect, rel=1e-12)
 
 
@@ -232,7 +232,7 @@ def test_sit_matches_rational_oracle():
         for _ in range(100):
             r = Fraction(int(rng.integers(-4000, 4000)), 1000)
             s = Fraction(int(rng.integers(-4000, 4000)), 1000)
-            expect = sit_fraction_oracle(m, 34, r, s)
+            expect = exact.sit(m, 34, r, s)
             got = sit(m, 5.0, 3.0, float(r), float(s))
             if math.isnan(expect):
                 assert math.isnan(got)
@@ -242,16 +242,26 @@ def test_sit_matches_rational_oracle():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="item 30: the monomial series cancels as m grows, so sit writes wrong values from about m = 12")
-@pytest.mark.parametrize("m", [20, 40])
-def test_sit_matches_rational_oracle_at_high_order(m):
-    # 20 seeded nodes of deev sit's default grid: sigma = 1, r and s over [-5, 5] in 201 nodes
-    nodes = AxisSpec("r", -5.0, 5.0, 201).nodes()
+@pytest.mark.parametrize("m, sigma, half, count", [
+    # deev sit's default grid: sigma = 1, r and s over [-5, 5] in 201 nodes
+    pytest.param(20, 1.0, 5.0, 201, id="20"),
+    pytest.param(40, 1.0, 5.0, 201, id="40"),
+    # the README exit table's rows that accept a high order, each with its widths and grid
+    pytest.param(94, 5.0, 5.0, 201, id="sit-m94-sigma5"),
+    pytest.param(149, 1.0, 5.0, 201, id="sit-m149"),
+    pytest.param(170, 0.7071, 1.0, 5, id="sit-m170-sigma0.7071"),
+])
+def test_sit_matches_rational_oracle_at_high_order(m, sigma, half, count):
+    # 20 seeded nodes of the grid; the axes, where the SIT is 0 or NaN exactly, are left out
+    nodes = AxisSpec("r", -half, half, count).nodes()
+    d = 2 * Fraction(sigma) ** 2
     rng = random.Random(30)
     worst = 0.0
     for _ in range(20):
-        r, s = float(nodes[rng.randrange(201)]), float(nodes[rng.randrange(201)])
-        expect = sit_fraction_oracle(m, 2, r, s)
-        worst = max(worst, abs(sit(m, 1.0, 1.0, r, s) - expect) / abs(expect))
+        r, s = float(nodes[rng.randrange(count)]), float(nodes[rng.randrange(count)])
+        if r and s:
+            expect = exact.sit(m, d, r, s)
+            worst = max(worst, abs(sit(m, sigma, sigma, r, s) - expect) / abs(expect))
     assert worst <= 1e-9
 
 
@@ -392,11 +402,9 @@ def test_derived_example_point_matches_oracle():
 
 
 def test_constant_helpers_and_type():
-    from scipy.special import gamma as scipy_gamma
-
     for m, sx, sy in [(0, 1.0, 1.0), (3, 5.0, 3.0), (4, 2.0, 0.7)]:
         expect = (2.0 ** (m - 4) * math.factorial(m)
-                  / (math.pi * math.sqrt(math.pi) * float(scipy_gamma(m + 0.5)))
+                  / (math.pi * math.sqrt(math.pi) * math.gamma(m + 0.5))
                   * (-2.0 * (sx * sx + sy * sy)) ** m)
         assert candidate_constant(m, sx, sy) == pytest.approx(expect, rel=1e-13)
     assert standard_constant(0) == pytest.approx(1.0 / math.pi ** 2, rel=1e-15)
